@@ -8,9 +8,14 @@ materialize up front.  The scalar engine is calibrated on a capped
 prefix of the same workload (it would take minutes at full scale), and
 the bench reports requests/sec for both, the speedup, and peak RSS.
 
+``--discipline ps`` times the figures' engine instead: the same workload
+on scalar processor sharing (the ``ps`` flow engine), ``--requests``
+arrivals, reported as scalar requests/sec.
+
 Run directly::
 
     python benchmarks/bench_engine_scale.py --requests 1000000
+    python benchmarks/bench_engine_scale.py --discipline ps --requests 4000
 
 Writes ``BENCH_<timestamp>_engine_scale.json`` in the working directory
 (same family as the ``BENCH_<ts>.json`` archives the pytest-benchmark
@@ -19,6 +24,8 @@ conftest emits; ``wall_seconds`` keeps the shared shape).  With
 measured vectorized requests/sec fall below ``(1 - tolerance)`` of the
 baseline's — the CI job pins ``benchmarks/baseline_engine_scale.json``
 (a deliberately conservative floor, so only real regressions trip it).
+The gated number is vectorized req/s for ``fifo`` and scalar req/s for
+``ps``, each against its own floor in the baseline file.
 """
 
 from __future__ import annotations
@@ -50,9 +57,9 @@ def _workload(rate: float):
     return pop, cluster, policy
 
 
-def _config(batch_size: int | None) -> SimulationConfig:
+def _config(batch_size: int | None, discipline: str) -> SimulationConfig:
     return SimulationConfig(
-        discipline="fifo",
+        discipline=discipline,
         jitter="deterministic",
         stragglers=StragglerInjector.natural(),
         seed=2,
@@ -60,10 +67,12 @@ def _config(batch_size: int | None) -> SimulationConfig:
     )
 
 
-def _timed_run(pop, cluster, policy, n_requests, batch_size):
+def _timed_run(pop, cluster, policy, n_requests, batch_size, discipline):
     stream = PoissonStream(pop, n_requests=n_requests, seed=1)
     start = time.perf_counter()
-    result = simulate_reads(stream, policy, cluster, _config(batch_size))
+    result = simulate_reads(
+        stream, policy, cluster, _config(batch_size, discipline)
+    )
     wall = time.perf_counter() - start
     assert result.n_requests == n_requests
     return wall, result
@@ -74,37 +83,69 @@ def run_engine_scale(
     scalar_cap: int = DEFAULT_SCALAR_CAP,
     batch_size: int = DEFAULT_BATCH,
     rate: float = 20.0,
+    discipline: str = "fifo",
 ) -> dict:
-    """One calibrated scalar run + one full vectorized run; returns the doc."""
+    """The timed runs of one discipline; returns the doc.
+
+    ``fifo``: one calibrated scalar run plus one full vectorized run.
+    ``ps``: one scalar run over all ``n_requests``.
+    """
     pop, cluster, policy = _workload(rate)
-
-    n_scalar = min(n_requests, scalar_cap)
-    scalar_wall, _ = _timed_run(pop, cluster, policy, n_scalar, None)
-    scalar_rps = n_scalar / scalar_wall
-
-    vec_wall, _ = _timed_run(pop, cluster, policy, n_requests, batch_size)
-    vec_rps = n_requests / vec_wall
-
-    return {
+    doc = {
         "schema_version": 1,
         "bench": "engine_scale",
         "created_unix": time.time(),
         "git_sha": git_sha(),
+        "discipline": discipline,
         "n_requests": n_requests,
-        "scalar_requests": n_scalar,
-        "batch_size": batch_size,
+    }
+
+    if discipline == "ps":
+        wall, _ = _timed_run(pop, cluster, policy, n_requests, None, "ps")
+        doc.update(
+            scalar_requests=n_requests,
+            wall_seconds={"engine_scale_scalar": wall},
+            requests_per_sec={"scalar": n_requests / wall},
+            peak_rss_bytes=peak_rss_bytes(),
+        )
+        return doc
+
+    n_scalar = min(n_requests, scalar_cap)
+    scalar_wall, _ = _timed_run(pop, cluster, policy, n_scalar, None, "fifo")
+    scalar_rps = n_scalar / scalar_wall
+
+    vec_wall, _ = _timed_run(
+        pop, cluster, policy, n_requests, batch_size, "fifo"
+    )
+    vec_rps = n_requests / vec_wall
+
+    doc.update(
+        scalar_requests=n_scalar,
+        batch_size=batch_size,
         # Shared shape with the conftest archives (CI asserts on it).
-        "wall_seconds": {
+        wall_seconds={
             "engine_scale_scalar": scalar_wall,
             "engine_scale_vectorized": vec_wall,
         },
-        "requests_per_sec": {
-            "scalar": scalar_rps,
-            "vectorized": vec_rps,
-        },
-        "speedup": vec_rps / scalar_rps,
-        "peak_rss_bytes": peak_rss_bytes(),
-    }
+        requests_per_sec={"scalar": scalar_rps, "vectorized": vec_rps},
+        speedup=vec_rps / scalar_rps,
+        peak_rss_bytes=peak_rss_bytes(),
+    )
+    return doc
+
+
+def gate(
+    doc: dict, baseline: dict, tolerance: float
+) -> tuple[str, float, float]:
+    """``(label, measured, floor)`` of the gated req/s for ``doc``'s
+    discipline: vectorized for fifo, scalar for ps (its own baseline
+    block)."""
+    if doc["discipline"] == "ps":
+        label, kind, floors = "scalar ps", "scalar", baseline["ps"]
+    else:
+        label, kind, floors = "vectorized", "vectorized", baseline
+    base = floors["requests_per_sec"][kind]
+    return label, doc["requests_per_sec"][kind], base * (1.0 - tolerance)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,8 +158,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH)
     parser.add_argument("--rate", type=float, default=20.0)
     parser.add_argument(
+        "--discipline", choices=("fifo", "ps"), default="fifo",
+        help="fifo: scalar vs vectorized; ps: scalar processor sharing",
+    )
+    parser.add_argument(
         "--baseline", default=None, metavar="PATH",
-        help="perf gate: fail when vectorized req/s regress vs this file",
+        help="perf gate: fail when the gated req/s regress vs this file",
     )
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
@@ -135,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         scalar_cap=args.scalar_requests,
         batch_size=args.batch_size,
         rate=args.rate,
+        discipline=args.discipline,
     )
 
     out = args.out or time.strftime("BENCH_%Y%m%d-%H%M%S_engine_scale.json")
@@ -144,37 +190,40 @@ def main(argv: list[str] | None = None) -> int:
 
     rps = doc["requests_per_sec"]
     rss = doc["peak_rss_bytes"]
-    print(
+    lines = [
         f"engine scale: {doc['n_requests']} requests, "
-        f"batch={doc['batch_size']}\n"
+        f"discipline={doc['discipline']}"
+        + (f", batch={doc['batch_size']}" if "batch_size" in doc else ""),
         f"  scalar      {rps['scalar']:>12.0f} req/s "
         f"({doc['wall_seconds']['engine_scale_scalar']:.2f}s over "
-        f"{doc['scalar_requests']})\n"
-        f"  vectorized  {rps['vectorized']:>12.0f} req/s "
-        f"({doc['wall_seconds']['engine_scale_vectorized']:.2f}s)\n"
-        f"  speedup     {doc['speedup']:>12.1f}x\n"
-        f"  peak rss    "
-        f"{(rss / 2**20 if rss else float('nan')):>12.1f} MiB\n"
-        f"  archive  -> {out}"
-    )
+        f"{doc['scalar_requests']})",
+    ]
+    if "vectorized" in rps:
+        lines += [
+            f"  vectorized  {rps['vectorized']:>12.0f} req/s "
+            f"({doc['wall_seconds']['engine_scale_vectorized']:.2f}s)",
+            f"  speedup     {doc['speedup']:>12.1f}x",
+        ]
+    lines += [
+        f"  peak rss    {(rss / 2**20 if rss else float('nan')):>12.1f} MiB",
+        f"  archive  -> {out}",
+    ]
+    print("\n".join(lines))
 
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as fh:
             baseline = json.load(fh)
-        floor = baseline["requests_per_sec"]["vectorized"] * (
-            1.0 - args.tolerance
-        )
-        if rps["vectorized"] < floor:
+        label, measured, floor = gate(doc, baseline, args.tolerance)
+        if measured < floor:
             print(
-                f"PERF GATE FAILED: vectorized {rps['vectorized']:.0f} req/s "
+                f"PERF GATE FAILED: {label} {measured:.0f} req/s "
                 f"< floor {floor:.0f} req/s "
-                f"(baseline {baseline['requests_per_sec']['vectorized']:.0f} "
-                f"- {args.tolerance:.0%})",
+                f"(baseline - {args.tolerance:.0%})",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"  perf gate   ok ({rps['vectorized']:.0f} >= {floor:.0f} req/s)"
+            f"  perf gate   ok ({label} {measured:.0f} >= {floor:.0f} req/s)"
         )
     return 0
 

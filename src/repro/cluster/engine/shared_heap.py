@@ -1,4 +1,4 @@
-"""Bandwidth-sharing disciplines on a lazily-invalidated event heap.
+"""Bandwidth-sharing disciplines on array-backed flow state.
 
 Two registered disciplines run on the same engine:
 
@@ -22,8 +22,37 @@ active flows on the server and ``n_r`` active flows of the request.
 (Bottleneck-cap allocation without residual-share redistribution —
 slightly conservative relative to full max-min water-filling, identical
 when one side clearly bottlenecks.)  Rates change only at flow
-activation/completion, so an event-driven engine with lazily invalidated
-per-flow completion events simulates it exactly.
+activation/completion, so an event-driven engine simulates it exactly.
+
+Flow state lives in fid-indexed numpy columns (:class:`_Flows`), grown
+by doubling; a request's flows hold a contiguous fid range in partition
+order.  Per-server and per-request active counts replace membership
+sets, each paired with its current share ``B_s / n_s`` or ``B_c / n_r``
+in a float array the re-rate gathers from.  Each request's plan is kept
+once and read at the end by the byte ledger and the recorders, which
+get every partition, request and join record as one frame each.
+
+The event heap carries only request arrivals and delayed straggler
+reports.  The next flow completion is the ``argmin`` of ``eta`` over the
+live fid window ``[lo, n)`` (``lo`` is the oldest unfinished flow;
+waiting and finished flows hold ``eta = inf``), so no completion
+candidate ever goes stale.  Each event re-rates, in one vectorized
+step, exactly the flows whose share can change — active flows on the
+touched server(s) plus the flows of the affected request(s).
+
+Results are bit-for-bit those of the per-flow heap loop this engine
+replaced (kept as the test oracle ``tests/test_cluster/heap_oracle.py``):
+
+* event order — that loop popped ``(time, kind, id)`` tuples, so at equal
+  times an arrival (kind 0) came first, then the completion with the
+  lowest fid (kind 1), then straggler reports (kind 2).  ``argmin``
+  returns the first index on ties, which is the lowest fid; exact ties
+  are common, since SP-Cache's equal partitions get equal client-capped
+  rates;
+* arithmetic — a re-rate performs the same IEEE-754 double operations
+  in the same order, elementwise: ``rem - rate * (t - last)``, then
+  ``max(., 0)``, then ``min(B_s / n_s, B_c / n_r)`` (each share the
+  same single division the per-flow loop made), then ``t + rem / rate``.
 
 A flow's *effective* bytes fold in the per-connection goodput loss
 (``size / g(fan_out)``) and an optional exponential jitter factor.
@@ -47,15 +76,103 @@ from repro.cluster.engine.registry import register_discipline
 
 __all__ = ["LimitedDiscipline", "PSDiscipline", "simulate_reads_ps"]
 
+_NONE = np.empty(0, dtype=np.int64)
+
+
+class _Flows:
+    """Fid-indexed flow state in numpy columns, grown by doubling.
+
+    A fresh row is an active flow with rate 0 and no completion scheduled
+    (``eta = inf``), so an arrival writes only ``request``, ``on`` and
+    ``remaining``.  ``on`` is the server a flow holds bandwidth on while
+    active and the ``n_servers`` sentinel while it waits or once it is
+    ``done``, so one gather tests "active on a touched server".
+    ``start`` stays NaN unless a waiting flow is woken (every other flow
+    starts at its request's arrival); ``end`` is the completion time.
+    """
+
+    _FILL = {
+        "request": (np.int64, 0),
+        "on": (np.int64, 0),
+        "done": (np.bool_, False),
+        "remaining": (np.float64, 0.0),
+        "rate": (np.float64, 0.0),
+        "last": (np.float64, 0.0),
+        "eta": (np.float64, math.inf),
+        "start": (np.float64, math.nan),
+        "end": (np.float64, 0.0),
+    }
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = 0
+        for name, (dtype, _fill) in self._FILL.items():
+            setattr(self, name, np.empty(0, dtype=dtype))
+        self.reserve(max(capacity, 16))
+
+    def reserve(self, n: int) -> None:
+        """Make room for fids ``[0, n)``, keeping existing rows."""
+        if n <= self.capacity:
+            return
+        cap = max(n, 2 * self.capacity)
+        for name, (dtype, fill) in self._FILL.items():
+            old = getattr(self, name)
+            new = np.full(cap, fill, dtype=dtype)
+            new[: old.size] = old
+            setattr(self, name, new)
+        self.capacity = cap
+
+    def rerate(
+        self,
+        idx: np.ndarray,
+        t: float,
+        server_share: np.ndarray,
+        request_share: np.ndarray,
+    ) -> None:
+        """Bring active flows ``idx`` to time ``t``, re-rate them under the
+        current shares, and set their completion times.
+
+        A new or just-woken flow has rate 0, so its ``last`` never matters:
+        ``rem - 0 * (t - last)`` is ``rem``.
+        """
+        rem = self.remaining[idx]
+        rem -= self.rate[idx] * (t - self.last[idx])
+        np.maximum(rem, 0.0, out=rem)
+        rate = np.minimum(
+            server_share[self.on[idx]], request_share[self.request[idx]]
+        )
+        self.remaining[idx] = rem
+        self.last[idx] = t
+        self.rate[idx] = rate
+        rem /= rate
+        rem += t
+        self.eta[idx] = rem
+
+    def rate_new(
+        self,
+        rows: slice,
+        t: float,
+        server_shares: np.ndarray,
+        request_share: float,
+    ) -> None:
+        """Rate one request's new flows ``rows`` (all active, rate 0, on
+        servers with ``server_shares``): :meth:`rerate`'s ops with the
+        no-op advance dropped, on a slice instead of a gather."""
+        rate = np.minimum(server_shares, request_share)
+        self.last[rows] = t
+        self.rate[rows] = rate
+        eta = self.eta[rows]
+        np.divide(self.remaining[rows], rate, out=eta)
+        eta += t
+
 
 def _run_heap(
     lc: RequestLifecycle, capacity: int | None
 ) -> SimulationResult:
-    """Drive the event heap; ``capacity=None`` means unbounded (pure PS)."""
-    config = lc.config
+    """Run the flow engine; ``capacity=None`` means unbounded (pure PS)."""
     rng = lc.rng
-    bandwidths = lc.bandwidths
+    bw = [float(b) for b in lc.bandwidths]
     client_bw = lc.cluster.effective_client_bandwidth
+    n_servers = lc.cluster.n_servers
     n_requests = lc.n_requests
     trace = lc.trace
     injector = lc.injector
@@ -66,51 +183,58 @@ def _run_heap(
     recorders = lc.recorders
     track = lc.track
 
-    server_bytes = np.zeros(lc.cluster.n_servers)
+    server_bytes = np.zeros(n_servers)
     if track:
-        # Window loads come from snapshot-diffing this vector (accrued
-        # at flow completion in this engine).
+        # Window loads come from snapshot-diffing this vector, so it
+        # accrues at each arrival; otherwise it is summed once at the end
+        # in the same (fid) order.
         lc.popularity.attach_cumulative_loads(server_bytes)
     latencies = np.full(n_requests, np.nan)
 
-    # Request bookkeeping.
-    req_remaining = np.empty(n_requests, dtype=np.int64)
-    req_post_fraction = np.empty(n_requests)
-    req_post_seconds = np.empty(n_requests)
-    req_miss = np.zeros(n_requests, dtype=bool)
+    # Request bookkeeping; request j's flows are fids [req_f0[j], req_f1[j])
+    # in partition order.
+    req_remaining = [0] * n_requests  # reports the join still awaits
+    req_post_fraction = [0.0] * n_requests
+    req_post_seconds = [0.0] * n_requests
+    req_miss = [False] * n_requests
+    req_straggled = [False] * n_requests
+    # The flow whose report fired request j's join (critical partition).
+    req_critical = [-1] * n_requests
+    req_f0 = [0] * n_requests
+    req_f1 = [0] * n_requests
+    # plans[j] is request j's plan — servers, nominal bytes, goodput
+    # factors (None: no loss), report delays (None: no stragglers).
+    # Arrivals come in request order, so this is fid order too; the byte
+    # ledger and the recorders read it once, at the end.
+    plans: list[tuple] = []
 
-    # Flow state (parallel lists indexed by flow id).
-    f_server: list[int] = []
-    f_request: list[int] = []
-    f_remaining: list[float] = []
-    f_rate: list[float] = []
-    f_last: list[float] = []
-    f_gen: list[int] = []
-    f_extra: list[float] = []  # straggler report delay, seconds
-    # Recorder bookkeeping, appended only when recording (indices stay
-    # aligned with the lists above because ``record`` is run-constant).
-    f_pos: list[int] = []  # partition position within the fork-join
-    f_start: list[float] = []  # activation time (first holds bandwidth)
-    f_bytes: list[float] = []  # nominal partition bytes
-    f_gfactor: list[float] = []  # per-connection goodput factor
+    flows = _Flows(n_requests)
+    n = 0  # flows created so far
+    lo = 0  # oldest unfinished fid; everything below it is done
+    # Active flow counts, and the shares B_s / n_s and B_c / n_r they
+    # give (refreshed whenever a count changes; a zero count's stale
+    # share is never read, since no active flow is there).  Waiting flows
+    # (finite capacity) queue FIFO per server.
+    server_count = [0] * n_servers
+    request_count = [0] * n_requests
+    server_share = np.zeros(n_servers)
+    request_share = np.zeros(n_requests)
+    server_waiting: list[deque[int]] = [deque() for _ in range(n_servers)]
+    # Reused "server gained a flow" mask indexed by ``flows.on``; the
+    # trailing sentinel slot stays False so inactive flows never select.
+    touched = np.zeros(n_servers + 1, dtype=bool)
 
-    # Only *active* flows hold bandwidth and appear in these sets; under
-    # a finite capacity the overflow waits, rate-0, in per-server FIFOs.
-    server_active: list[set[int]] = [
-        set() for _ in range(lc.cluster.n_servers)
-    ]
-    request_active: list[set[int]] = [set() for _ in range(n_requests)]
-    server_waiting: list[deque[int]] = [
-        deque() for _ in range(lc.cluster.n_servers)
-    ]
-
-    # Heap of (time, kind, a, b): kind 0 = arrival of request a; kind 1 =
-    # completion candidate for flow a with generation b; kind 2 = delayed
-    # join notification for flow a (straggler report).
-    heap: list[tuple[float, int, int, int]] = [
-        (float(t), 0, j, 0) for j, t in enumerate(trace.times)
+    # Heap of (time, kind, id): kind 0 = arrival of request id; kind 2 =
+    # delayed join notification for flow id (straggler report).  Flow
+    # completions (kind 1 in the tie order) come from ``flows.eta``.
+    heap: list[tuple[float, int, int]] = [
+        (float(t), 0, j) for j, t in enumerate(trace.times)
     ]
     heapq.heapify(heap)
+
+    # Per fan-out k, every server's goodput factor (the lifecycle's
+    # memoized values), so a scalar plan gathers its factors in one step.
+    goodput_rows: dict[int, np.ndarray] = {}
 
     # Batched planning: arrivals pop in request order (kind 0 sorts
     # before completions at equal times, ties break on the request id,
@@ -124,43 +248,21 @@ def _run_heap(
     batch_end = 0
     batch_eff: np.ndarray | None = None
 
-    def advance(fid: int, t: float) -> None:
-        f_remaining[fid] = max(
-            f_remaining[fid] - f_rate[fid] * (t - f_last[fid]), 0.0
-        )
-        f_last[fid] = t
-
-    def rate_of(fid: int) -> float:
-        sid = f_server[fid]
-        rid = f_request[fid]
-        return min(
-            float(bandwidths[sid]) / len(server_active[sid]),
-            client_bw / len(request_active[rid]),
-        )
-
-    def reschedule(fid: int) -> None:
-        f_rate[fid] = rate_of(fid)
-        f_gen[fid] += 1
-        eta = f_last[fid] + f_remaining[fid] / f_rate[fid]
-        heapq.heappush(heap, (eta, 1, fid, f_gen[fid]))
-
-    def notify(j: int, t: float, pos: int) -> None:
+    def notify(j: int, t: float, fid: int) -> None:
         """One partition read reported complete to request ``j``'s join.
 
-        ``pos`` is the reporting flow's partition position — when it
-        fires the join it is the critical partition for attribution.
+        When the report fires the join, flow ``fid`` is the critical
+        partition for attribution.
         """
         req_remaining[j] -= 1
         if req_remaining[j] == 0:
-            if record:
-                for c in recorders:
-                    c.record_join(j, pos)
+            req_critical[j] = fid
             latency = lc.request_latency(
                 float(trace.times[j]),
                 t,
                 req_post_fraction[j],
                 req_post_seconds[j],
-                bool(req_miss[j]),
+                req_miss[j],
             )
             latencies[j] = latency
             if emit:
@@ -171,8 +273,21 @@ def _run_heap(
                     latency=latency,
                 )
 
-    while heap:
-        t, kind, ident, gen = heapq.heappop(heap)
+    while True:
+        if lo < n:
+            window = flows.eta[lo:n]
+            i = int(window.argmin())
+            t_done = float(window[i])
+        else:
+            t_done = math.inf
+        if heap and (
+            heap[0][0] < t_done or (heap[0][0] == t_done and heap[0][1] == 0)
+        ):
+            t, kind, ident = heapq.heappop(heap)
+        elif t_done < math.inf:
+            t, kind, ident = t_done, 1, lo + i
+        else:
+            break
 
         if kind == 0:
             j = ident
@@ -193,24 +308,23 @@ def _run_heap(
                     if batch.jitter is not None:
                         batch_eff = batch_eff * batch.jitter
                 b_ix = j - batch_j0
-                lo = int(batch.req_off[b_ix])
-                hi_f = int(batch.req_off[b_ix + 1])
-                op_servers = batch.servers[lo:hi_f]
-                op_sizes = batch.sizes[lo:hi_f]
+                a = int(batch.req_off[b_ix])
+                b = int(batch.req_off[b_ix + 1])
+                op_servers = batch.servers[a:b]
+                op_sizes = batch.sizes[a:b]
                 op = _SegView(op_servers, op_sizes)
-                k = hi_f - lo
-                sizes = batch_eff[lo:hi_f]
-                gfactors = batch.gfactors[lo:hi_f] if record else None
+                servers = op_servers.tolist()
+                sizes = batch_eff[a:b]
+                gfactors = batch.gfactors[a:b]
                 if track:
                     lc.observe_popularity(t, fid0, op)
                 straggled = False
+                extra = None
                 if injector.enabled:
-                    extra = batch.extra[lo:hi_f]
+                    extra = batch.extra[a:b]
                     straggled = bool(batch.straggled_extra[b_ix])
                     lc.count_straggled(straggled)
-                else:
-                    extra = np.zeros(k)
-                req_remaining[j] = batch.join_count[b_ix]
+                req_remaining[j] = int(batch.join_count[b_ix])
                 req_post_fraction[j] = batch.post_fraction[b_ix]
                 req_post_seconds[j] = batch.post_seconds[b_ix]
             else:
@@ -221,57 +335,63 @@ def _run_heap(
                     lc.observe_popularity(t, fid0, op)
                 op_servers = op.server_ids
                 op_sizes = op.sizes
-                k = op.parallelism
-                sizes = op.sizes.astype(np.float64).copy()
-                gfactors = [] if record else None
+                servers = op_servers.tolist()
+                sizes = op_sizes
+                gfactors = None
                 if goodput is not None:
-                    for pos in range(k):
-                        b = float(bandwidths[op_servers[pos]])
-                        g = lc.goodput_factor(k, b)
-                        sizes[pos] /= g
-                        if gfactors is not None:
-                            gfactors.append(g)
-                elif gfactors is not None:
-                    gfactors = [1.0] * k
+                    k = op.parallelism
+                    row = goodput_rows.get(k)
+                    if row is None:
+                        row = goodput_rows[k] = np.array(
+                            [lc.goodput_factor(k, b) for b in bw]
+                        )
+                    gfactors = row[op_servers]
+                    sizes = sizes / gfactors
                 if exponential:
-                    sizes *= rng.exponential(1.0, size=k)
+                    sizes = sizes * rng.exponential(1.0, size=len(servers))
                 straggled = False
+                extra = None
                 if injector.enabled:
                     extra, _mult = lc.report_delays(op)
-                    straggled = bool(np.any(extra > 0.0))
+                    straggled = bool((extra > 0.0).any())
                     lc.count_straggled(straggled)
-                else:
-                    extra = np.zeros(k)
                 req_remaining[j] = op.join_count
                 req_post_fraction[j] = op.post_fraction
                 req_post_seconds[j] = op.post_seconds
             req_miss[j] = lc.admit(fid0)
+            req_straggled[j] = straggled
 
-            affected: set[int] = set()
-            new_active: list[int] = []
-            for pos in range(k):
-                sid = int(op_servers[pos])
-                fid = len(f_server)
-                f_server.append(sid)
-                f_request.append(j)
-                f_remaining.append(max(float(sizes[pos]), 1e-12))
-                f_rate.append(0.0)
-                f_last.append(t)
-                f_gen.append(0)
-                f_extra.append(float(extra[pos]))
-                if record:
-                    f_pos.append(pos)
-                    f_start.append(t)  # overwritten if the flow waits
-                    f_bytes.append(float(op_sizes[pos]))
-                    f_gfactor.append(float(gfactors[pos]))
-                server_bytes[sid] += op_sizes[pos]
-                if capacity is None or len(server_active[sid]) < capacity:
-                    affected.update(server_active[sid])
-                    server_active[sid].add(fid)
-                    request_active[j].add(fid)
-                    new_active.append(fid)
-                else:
+            f0 = n
+            n += len(servers)
+            if n > flows.capacity:
+                flows.reserve(n)
+            req_f0[j] = f0
+            req_f1[j] = n
+            plans.append((op_servers, op_sizes, gfactors, extra))
+            if track:
+                np.add.at(server_bytes, op_servers, op_sizes)
+            rows = slice(f0, n)
+            flows.request[rows] = j
+            flows.on[rows] = op_servers
+            np.maximum(sizes, 1e-12, out=flows.remaining[rows])
+            activated = []
+            waiting = []
+            shared = False  # a touched server already had an active flow
+            for fid, sid in enumerate(servers, f0):
+                c = server_count[sid]
+                if capacity is not None and c >= capacity:
+                    waiting.append(fid)
                     server_waiting[sid].append(fid)
+                    continue
+                shared = shared or c > 0
+                server_count[sid] = c + 1
+                server_share[sid] = bw[sid] / (c + 1)
+                activated.append(sid)
+            if waiting:
+                flows.on[waiting] = n_servers
+            request_count[j] = len(activated)
+            if activated:
+                request_share[j] = client_bw / len(activated)
             if emit:
                 lc.emit_read(
                     ts=float(t),
@@ -279,74 +399,131 @@ def _run_heap(
                     file_id=fid0,
                     op=op,
                     straggled=straggled,
-                    missed=bool(req_miss[j]),
+                    missed=req_miss[j],
                 )
-            if record:
-                for c in recorders:
-                    c.record_request(
-                        j, missed=bool(req_miss[j]), straggled=straggled
-                    )
-            # Flows already active on touched servers lose share; bring
-            # them to t first, then recompute every rate under the new
-            # memberships.
-            for fid in affected:
-                advance(fid, t)
-            for fid in affected:
-                reschedule(fid)
-            for fid in new_active:
-                reschedule(fid)
+            if shared or waiting:
+                # Every active flow on a server that gained a flow — the
+                # new ones among them — loses share.  (Waiting new flows
+                # must stay unrated, which the slice path cannot skip.)
+                gained = activated if waiting else op_servers
+                touched[gained] = True
+                idx = touched[flows.on[lo:n]].nonzero()[0]
+                idx += lo
+                touched[gained] = False
+            else:
+                # The new flows have their servers to themselves.
+                idx = _NONE
+                flows.rate_new(
+                    rows,
+                    t,
+                    server_share[op_servers],
+                    client_bw / len(activated),
+                )
 
         elif kind == 1:
             fid = ident
-            if gen != f_gen[fid]:
-                continue  # stale candidate
-            advance(fid, t)
-            sid = f_server[fid]
-            j = f_request[fid]
-            server_active[sid].discard(fid)
-            request_active[j].discard(fid)
-            f_gen[fid] += 1  # invalidate any residual candidates
+            sid = int(flows.on[fid])
+            j = int(flows.request[fid])
+            flows.done[fid] = True
+            flows.on[fid] = n_servers
+            flows.eta[fid] = math.inf
             if record:
-                for c in recorders:
-                    c.record_partition(
-                        j,
-                        f_pos[fid],
-                        sid,
-                        f_bytes[fid],
-                        f_start[fid],
-                        t,
-                        f_extra[fid],
-                        f_gfactor[fid],
-                    )
-
-            if f_extra[fid] > 0.0:
+                flows.end[fid] = t
+            c = server_count[sid] - 1
+            server_count[sid] = c
+            if c:
+                server_share[sid] = bw[sid] / c
+            c = request_count[j] - 1
+            request_count[j] = c
+            if c:
+                request_share[j] = client_bw / c
+            extra = plans[j][3]
+            extra_s = 0.0 if extra is None else float(extra[fid - req_f0[j]])
+            if extra_s > 0.0:
                 # Straggler: bandwidth freed now, completion reported late.
-                heapq.heappush(heap, (t + f_extra[fid], 2, fid, 0))
+                heapq.heappush(heap, (t + extra_s, 2, fid))
             else:
-                notify(j, t, f_pos[fid] if record else -1)
+                notify(j, t, fid)
 
-            affected = server_active[sid] | request_active[j]
+            # The freed server's active flows and the request's own flows
+            # gain share.
+            woken = -1
             if capacity is not None and server_waiting[sid]:
                 # A slot freed: promote the longest-waiting flow.  Its
                 # activation also squeezes its request's flows elsewhere.
                 woken = server_waiting[sid].popleft()
-                f_last[woken] = t
-                if record:
-                    f_start[woken] = t
-                server_active[sid].add(woken)
-                request_active[f_request[woken]].add(woken)
-                affected |= server_active[sid]
-                affected |= request_active[f_request[woken]]
-            for ofid in affected:
-                advance(ofid, t)
-            for ofid in affected:
-                reschedule(ofid)
+                rw = int(flows.request[woken])
+                flows.on[woken] = sid
+                flows.start[woken] = t
+                c = server_count[sid] + 1
+                server_count[sid] = c
+                server_share[sid] = bw[sid] / c
+                c = request_count[rw] + 1
+                request_count[rw] = c
+                request_share[rw] = client_bw / c
+            idx = _NONE
+            if server_count[sid] or request_count[j]:
+                # A request's fid range holds only its own flows, so on it
+                # "active on sid or active in the request" is just "active".
+                on = flows.on[lo:n]
+                sel = on == sid
+                for r in (j, rw) if woken >= 0 else (j,):
+                    if request_count[r]:
+                        a = max(req_f0[r], lo) - lo
+                        b = req_f1[r] - lo
+                        np.not_equal(on[a:b], n_servers, out=sel[a:b])
+                idx = sel.nonzero()[0]
+                idx += lo
+            if fid == lo:
+                while lo < n and flows.done[lo]:
+                    lo += 1
 
         else:  # kind == 2: delayed straggler report reaches the client
-            notify(f_request[ident], t, f_pos[ident] if record else -1)
+            notify(int(flows.request[ident]), t, ident)
+            continue
+
+        if idx.size:
+            flows.rerate(idx, t, server_share, request_share)
 
     if np.isnan(latencies).any():  # pragma: no cover - engine invariant
         raise AssertionError("some requests never completed")
+
+    if n:
+        p_servers, p_bytes, p_gfactors, p_extra = zip(*plans)
+        servers = np.concatenate(p_servers)
+        nominal = np.concatenate(p_bytes)
+        if not track:
+            np.add.at(server_bytes, servers, nominal)
+    if record and n:
+        reqs = flows.request[:n]
+        starts = flows.start[:n]
+        gfactors = np.concatenate(
+            [
+                np.ones(b.size) if g is None else g
+                for b, g in zip(p_bytes, p_gfactors)
+            ]
+        )
+        extras = np.concatenate(
+            [
+                np.zeros(b.size) if e is None else e
+                for b, e in zip(p_bytes, p_extra)
+            ]
+        )
+        first = np.array(req_f0)
+        all_reqs = np.arange(n_requests)
+        for c in recorders:
+            c.record_request_frame(all_reqs, req_miss, req_straggled)
+            c.record_join_frame(all_reqs, np.array(req_critical) - first)
+            c.record_partition_frame(
+                reqs,
+                np.arange(n) - first[reqs],
+                servers,
+                nominal,
+                np.where(np.isnan(starts), trace.times[reqs], starts),
+                flows.end[:n],
+                extras,
+                gfactors,
+            )
 
     return lc.result(latencies, server_bytes)
 

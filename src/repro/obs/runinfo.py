@@ -179,14 +179,40 @@ def git_sha() -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
+def _json_key(key: Any) -> str:
+    """The object key ``json.dumps`` writes for a scalar ``key``."""
+    return key if isinstance(key, str) else json.dumps(key)
+
+
+def _sortable(value: Any) -> Any:
+    """``value`` with every dict's keys made mutually sortable.
+
+    A dict whose keys already sort (all ``str`` or all numbers) is kept as
+    is, so its hash does not change; one that mixes types (fig02's
+    ``PAPER`` dict has ``int`` and ``str`` keys) has its keys rewritten to
+    the strings JSON would write for them anyway.
+    """
+    if isinstance(value, dict):
+        out = {k: _sortable(v) for k, v in value.items()}
+        try:
+            sorted(out)
+        except TypeError:
+            out = {_json_key(k): v for k, v in out.items()}
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_sortable(v) for v in value]
+    return value
+
+
 def config_hash(config: dict[str, Any]) -> str:
     """sha256 over the canonical JSON rendering of ``config``.
 
-    Keys are sorted and non-JSON values fall back to ``str``, so the hash
-    is stable across dict ordering and runs.
+    Keys are sorted (mixed-type keys as their JSON strings) and non-JSON
+    values fall back to ``str``, so the hash is stable across dict
+    ordering and runs.
     """
     canonical = json.dumps(
-        config, sort_keys=True, separators=(",", ":"), default=str
+        _sortable(config), sort_keys=True, separators=(",", ":"), default=str
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

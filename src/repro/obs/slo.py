@@ -21,8 +21,8 @@ Burn rate is budget-normalized: ``burn = bad_fraction / budget``, so
 ``burn > 1`` means the objective is being missed outright and the page
 threshold scales as ``page_budget * n_windows / fast_windows``.
 
-Evaluation is **order-insensitive and vectorized**: the event-heap
-discipline completes requests out of arrival order, so rather than
+Evaluation is **order-insensitive and vectorized**: the ps/limited
+flow engine completes requests out of arrival order, so rather than
 streaming (which would force a per-completion sort), the monitor buffers
 only per-request miss flags on the hot path (one list append inside
 :meth:`~repro.cluster.engine.lifecycle.RequestLifecycle.admit`) and does

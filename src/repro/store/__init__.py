@@ -10,7 +10,7 @@ and lost partitions are recovered from the under-store via lineage
 from repro.store.lineage import LineageGraph, LineageRecord, ServerRemovedError
 from repro.store.lru import LRUCache
 from repro.store.master import FileMeta, Master, PartitionLocation
-from repro.store.store_client import StoreClient
+from repro.store.store_client import MissingReplicasError, StoreClient
 from repro.store.under_store import UnderStore
 from repro.store.worker import BlockNotFound, Worker
 
@@ -21,6 +21,7 @@ __all__ = [
     "LineageGraph",
     "LineageRecord",
     "Master",
+    "MissingReplicasError",
     "PartitionLocation",
     "ServerRemovedError",
     "StoreClient",

@@ -36,7 +36,15 @@ from repro.store.master import FileMeta, Master, PartitionLocation
 from repro.store.under_store import UnderStore
 from repro.store.worker import BlockNotFound, Worker
 
-__all__ = ["StoreClient"]
+__all__ = ["MissingReplicasError", "StoreClient"]
+
+
+class MissingReplicasError(ValueError):
+    """A replicated read found no replica groups in the file's metadata."""
+
+    def __init__(self, file_id: int) -> None:
+        super().__init__(f"file {file_id} has no replica groups to read")
+        self.file_id = file_id
 
 
 class StoreClient:
@@ -202,7 +210,8 @@ class StoreClient:
         return codec.decode_file(ids[:k], shards[:k], orig_len)
 
     def _read_replicated(self, meta: FileMeta) -> bytes:
-        assert meta.replica_groups
+        if not meta.replica_groups:
+            raise MissingReplicasError(meta.file_id)
         start = int(self._rng.integers(len(meta.replica_groups)))
         n_groups = len(meta.replica_groups)
         for offset in range(n_groups):

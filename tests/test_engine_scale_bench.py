@@ -1,0 +1,60 @@
+"""``benchmarks/bench_engine_scale.py``: doc shape and the per-discipline gate.
+
+The CI ``bench-smoke`` job gates fifo on vectorized req/s and ps on scalar
+req/s, each against its own floor in ``baseline_engine_scale.json``; a
+tiny run here keeps both paths and the committed baseline in step.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+BASELINE = json.loads(
+    (BENCH_DIR / "baseline_engine_scale.json").read_text(encoding="utf-8")
+)
+
+
+def _bench():
+    spec = importlib.util.spec_from_file_location(
+        "bench_engine_scale", BENCH_DIR / "bench_engine_scale.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("bench_engine_scale", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ps_run_reports_scalar_rate_and_gates_on_its_floor():
+    bench = _bench()
+    doc = bench.run_engine_scale(n_requests=60, discipline="ps")
+    assert doc["discipline"] == "ps"
+    assert doc["scalar_requests"] == 60
+    assert set(doc["wall_seconds"]) == {"engine_scale_scalar"}
+    assert set(doc["requests_per_sec"]) == {"scalar"}
+    label, measured, floor = bench.gate(doc, BASELINE, 0.3)
+    assert label == "scalar ps"
+    assert measured == doc["requests_per_sec"]["scalar"]
+    assert floor == pytest.approx(
+        BASELINE["ps"]["requests_per_sec"]["scalar"] * 0.7
+    )
+
+
+def test_fifo_run_gates_on_vectorized_floor():
+    bench = _bench()
+    doc = bench.run_engine_scale(
+        n_requests=200, scalar_cap=50, batch_size=64, discipline="fifo"
+    )
+    assert doc["scalar_requests"] == 50
+    assert set(doc["requests_per_sec"]) == {"scalar", "vectorized"}
+    label, measured, floor = bench.gate(doc, BASELINE, 0.3)
+    assert label == "vectorized"
+    assert measured == doc["requests_per_sec"]["vectorized"]
+    assert floor == pytest.approx(
+        BASELINE["requests_per_sec"]["vectorized"] * 0.7
+    )

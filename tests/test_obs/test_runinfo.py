@@ -57,6 +57,30 @@ def test_config_hash_is_order_independent():
     assert a != config_hash({"x": 2, "y": [1, 2]})
 
 
+def test_config_hash_keeps_existing_hashes():
+    """Configs that hashed before mixed-key support keep their hash."""
+    config = {
+        "experiment": "fig13",
+        "scale": 0.5,
+        "rates": [6, 10.5],
+        "seeds": {2: "a", 10: "b"},
+        "nested": {"z": None, "a": True},
+    }
+    assert config_hash(config) == (
+        "5f4a443c4638eb413eb86b2a58af34935605191b3b592498c957aa681eee82c1"
+    )
+
+
+def test_config_hash_accepts_mixed_key_types():
+    """fig02's PAPER dict mixes int and str keys; hashing it used to raise
+    ``TypeError: '<' not supported between instances of 'str' and 'int'``."""
+    mixed = config_hash({"paper": {1: "a", "x": "b"}})
+    assert mixed == config_hash({"paper": {"x": "b", 1: "a"}})
+    assert mixed == config_hash({"paper": {"1": "a", "x": "b"}})
+    assert mixed != config_hash({"paper": {1: "a", "x": "c"}})
+    assert config_hash({"p": [{None: 1, 2.5: 2, "k": 3}]})
+
+
 def test_build_manifest_accepts_span_records():
     with collect_spans() as collector:
         with span("root"):

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store import Master, StoreClient, Worker
+from repro.store import (
+    FileMeta,
+    Master,
+    MissingReplicasError,
+    StoreClient,
+    Worker,
+)
 
 
 def make_store(n_workers=12, capacity=float("inf"), seed=0):
@@ -43,6 +49,15 @@ def test_replicated_roundtrip(data, replicas):
     client = make_store()
     client.write_replicated(1, data, replicas=replicas)
     assert client.read(1) == data
+
+
+def test_replicated_read_without_groups_raises_typed_error():
+    """A typed error naming the file, not an ``assert`` that ``-O`` strips."""
+    client = make_store()
+    with pytest.raises(MissingReplicasError, match="file 7") as info:
+        client._read_replicated(FileMeta(file_id=7, size=10))
+    assert isinstance(info.value, ValueError)
+    assert info.value.file_id == 7
 
 
 def test_partitions_on_distinct_workers():
