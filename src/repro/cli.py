@@ -89,6 +89,10 @@ from repro.obs import events as ev
 from repro.core import optimal_scale_factor, partition_counts
 from repro.cluster.network import GoodputModel
 from repro.obs import (
+    CAUSAL,
+    CHANNELS,
+    POPULARITY,
+    TIMELINES,
     CausalConfig,
     DashBoard,
     FileSink,
@@ -633,40 +637,78 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_timelines(path: str) -> list[dict] | None:
-    """Timeline sections from a manifest, a section list, or one section.
+def _load_sections(path: str, channel, from_trace=None, *, quiet=False):
+    """One observer channel's sections from a file, as ``(sections, traced)``.
 
-    Accepts a schema-v2 run manifest (its ``timelines`` list), a bare
-    JSON list of sections, or a single section object — so both
-    ``results/<exp>.json`` and hand-extracted sections render.  Reports
-    failure to stderr and returns ``None``.
+    Accepts a run manifest (its ``channel.key`` list), a bare JSON list of
+    sections, or one section object.  Anything else — a JSONL trace, or a
+    single trace-event line — is handed to ``from_trace(path)`` when given
+    (``traced`` is then ``True``).  ``channel=None`` asks for the whole
+    run manifest instead.  Every section list read from the file must
+    pass :meth:`~repro.obs.sections.Channel.check_list`; one that does
+    not is an error naming the file and the key.  Failures go to stderr
+    (unless ``quiet``) and return ``None``.
     """
+
+    def fail(message: str) -> None:
+        if not quiet:
+            print(message, file=sys.stderr)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        print(f"no such file: {path}", file=sys.stderr)
-        return None
+        return fail(f"no such file: {path}")
     except json.JSONDecodeError as exc:
-        print(f"{path} is not JSON ({exc.msg})", file=sys.stderr)
-        return None
-    if isinstance(doc, dict) and "timelines" in doc:
-        sections = doc["timelines"]
-    elif isinstance(doc, list):
+        if from_trace is None:
+            return fail(f"{path} is not JSON ({exc.msg})")
+        doc = None  # multi-line JSONL trace — replayed below
+    sections = None
+    checks = []  # (channel, section list, where) read from the file
+    if isinstance(doc, dict) and "event" not in doc:
+        if channel is None:
+            sections = doc
+            checks = [
+                (ch, doc[ch.key], f"{path}: {ch.key}")
+                for ch in CHANNELS
+                if ch.key in doc
+            ]
+        elif channel.key in doc:
+            sections = doc[channel.key]
+            checks = [(channel, sections, f"{path}: {channel.key}")]
+        elif channel.marker in doc:
+            sections = [doc]
+            checks = [(channel, sections, path)]
+    elif isinstance(doc, list) and channel is not None:
         sections = doc
-    elif isinstance(doc, dict) and "scheme" in doc:
-        sections = [doc]
-    else:
-        print(
-            f"{path} holds neither a run manifest nor timeline sections",
-            file=sys.stderr,
+        checks = [(channel, sections, path)]
+    try:
+        for ch, listed, where in checks:
+            ch.check_list(listed, where)
+    except ValueError as exc:
+        return fail(str(exc))
+    traced = sections is None
+    if traced:
+        if from_trace is None:
+            return fail(
+                f"{path} holds neither a run manifest nor "
+                f"{channel.name} sections"
+            )
+        try:
+            sections = from_trace(path)
+        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+            what = f", {channel.name} sections," if channel else ""
+            return fail(
+                f"{path} holds neither a run manifest{what} "
+                "nor a readable JSONL trace"
+            )
+    if channel is not None and not sections:
+        hint = " (older manifest schema, or a trace without its events?)"
+        return fail(
+            f"no {channel.name} sections in {path}"
+            + (hint if from_trace else "")
         )
-        return None
-    sections = [s for s in sections if isinstance(s, dict) and "scheme" in s]
-    if not sections:
-        print(f"no timeline sections in {path}", file=sys.stderr)
-        return None
-    return sections
+    return sections, traced
 
 
 def _section_title(section: dict, i: int) -> str:
@@ -679,9 +721,10 @@ def _section_title(section: dict, i: int) -> str:
 
 def _cmd_timeline(args) -> int:
     """Render the sim-time timeline series of a manifest's sections."""
-    sections = _load_timelines(args.manifest)
-    if sections is None:
+    loaded = _load_sections(args.manifest, TIMELINES)
+    if loaded is None:
         return 2
+    sections, _ = loaded
     if args.json:
         payload = [
             {
@@ -710,9 +753,10 @@ def _cmd_timeline(args) -> int:
 
 def _cmd_tail(args) -> int:
     """Render tail-latency attribution and the slowest-request exemplars."""
-    sections = _load_timelines(args.manifest)
-    if sections is None:
+    loaded = _load_sections(args.manifest, TIMELINES)
+    if loaded is None:
         return 2
+    sections, _ = loaded
     if args.json:
         payload = [
             {
@@ -771,55 +815,6 @@ def _cmd_tail(args) -> int:
     return 0
 
 
-def _load_causal(path: str) -> tuple[list[dict], bool] | None:
-    """Causal sections from a manifest, section JSON, or JSONL trace.
-
-    Accepts a schema-v6 run manifest (its ``causal`` list), a bare JSON
-    list of sections, a single section object, or a JSONL event trace
-    (``cspan`` span trees are rebuilt into per-request DAGs via
-    :func:`repro.obs.causal_from_trace`).  Returns ``(sections,
-    from_trace)`` so callers know whether Chrome export is possible, or
-    ``None`` after reporting the failure to stderr.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"no such file: {path}", file=sys.stderr)
-        return None
-    except json.JSONDecodeError:
-        doc = None  # multi-line JSONL trace — rebuild from cspan events
-    from_trace = False
-    if isinstance(doc, dict) and "causal" in doc:
-        sections = doc["causal"]
-    elif isinstance(doc, dict) and "conservation" in doc:
-        sections = [doc]
-    elif isinstance(doc, list):
-        sections = doc
-    else:
-        try:
-            sections = causal_from_trace(path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            print(
-                f"{path} holds neither a run manifest, causal sections, "
-                "nor a readable JSONL trace",
-                file=sys.stderr,
-            )
-            return None
-        from_trace = True
-    sections = [
-        s for s in sections if isinstance(s, dict) and "conservation" in s
-    ]
-    if not sections:
-        print(
-            f"no causal sections in {path} (older manifest schema, or a "
-            "trace without cspan events?)",
-            file=sys.stderr,
-        )
-        return None
-    return sections, from_trace
-
-
 def _causal_title(section: dict, i: int) -> str:
     conservation = section.get("conservation") or {}
     title = (
@@ -872,7 +867,7 @@ def _causal_check(sections: list[dict], from_trace: bool) -> int:
 
 def _cmd_critical(args) -> int:
     """Render per-request critical paths and causal edge aggregates."""
-    loaded = _load_causal(args.source)
+    loaded = _load_sections(args.source, CAUSAL, causal_from_trace)
     if loaded is None:
         return 2
     sections, from_trace = loaded
@@ -908,54 +903,6 @@ def _cmd_critical(args) -> int:
             )
         print()
     return 0
-
-
-def _load_popularity(path: str, *, quiet: bool = False) -> list[dict] | None:
-    """Popularity sections from a manifest, section JSON, or JSONL trace.
-
-    Accepts a schema-v3 run manifest (its ``popularity`` list), a bare
-    JSON list of sections, a single section object, or a JSONL event
-    trace (``read`` events are replayed through a fresh monitor, one
-    section per scheme).  Reports failure to stderr and returns ``None``.
-    """
-
-    def _fail(message: str) -> None:
-        if not quiet:
-            print(message, file=sys.stderr)
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        _fail(f"no such file: {path}")
-        return None
-    except json.JSONDecodeError:
-        doc = None  # multi-line JSONL trace, or garbage — replay decides
-    if isinstance(doc, dict) and "popularity" in doc:
-        sections = doc["popularity"]
-    elif isinstance(doc, dict) and "scheme" in doc and "event" not in doc:
-        sections = [doc]
-    elif isinstance(doc, list):
-        sections = doc
-    else:
-        # Either unparsable as one JSON document (JSONL) or a single
-        # trace event line: replay the trace's read events.
-        try:
-            sections = popularity_from_trace(path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            _fail(
-                f"{path} holds neither a run manifest, popularity "
-                "sections, nor a readable JSONL trace"
-            )
-            return None
-    sections = [s for s in sections if isinstance(s, dict) and "scheme" in s]
-    if not sections:
-        _fail(
-            f"no popularity sections in {path} (older manifest schema, "
-            "or a trace without read events?)"
-        )
-        return None
-    return sections
 
 
 def _render_popularity(section: dict, i: int, k: int) -> None:
@@ -1033,9 +980,10 @@ def _render_popularity(section: dict, i: int, k: int) -> None:
 
 def _cmd_top(args) -> int:
     """Render top-K hot files, skew, imbalance, and alerts."""
-    sections = _load_popularity(args.source)
-    if sections is None:
+    loaded = _load_sections(args.source, POPULARITY, popularity_from_trace)
+    if loaded is None:
         return 2
+    sections, _ = loaded
     if args.json:
         print(json.dumps(sections, indent=2, default=str))
         return 0
@@ -1051,48 +999,42 @@ def _cmd_watch(args) -> int:
 
     frame = 0
     while True:
-        sections = _load_popularity(args.source, quiet=True)
+        loaded = _load_sections(
+            args.source, POPULARITY, popularity_from_trace, quiet=True
+        )
         if sys.stdout.isatty():
             print("\x1b[2J\x1b[H", end="")
-        if sections is None:
+        if loaded is None:
             print(f"waiting for popularity data in {args.source} ...")
         else:
-            for i, section in enumerate(sections):
+            for i, section in enumerate(loaded[0]):
                 _render_popularity(section, i, args.k)
                 print()
         frame += 1
         if args.frames and frame >= args.frames:
-            return 0 if sections is not None else 2
+            return 0 if loaded is not None else 2
         _time.sleep(args.interval)
+
+
+def _board_from_trace(path: str) -> DashBoard:
+    board = DashBoard()
+    board.feed_many(load_events(path))
+    return board
 
 
 def _dash_board_from_file(path: str) -> "DashBoard | None":
     """A board from a run-manifest JSON file or a JSONL event trace.
 
-    A file that parses as one JSON object with manifest-shaped keys goes
-    through :func:`dash_from_manifest`; anything else is replayed as a
-    JSONL trace.  Reports failure to stderr and returns ``None``.
+    A file that parses as one JSON object with manifest-shaped keys has
+    its section lists checked and goes through :func:`dash_from_manifest`;
+    anything else is replayed as a JSONL trace.  Reports failure to
+    stderr and returns ``None``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"no such file: {path}", file=sys.stderr)
+    loaded = _load_sections(path, None, _board_from_trace)
+    if loaded is None:
         return None
-    except json.JSONDecodeError:
-        doc = None  # multi-line JSONL trace — replay decides below
-    if isinstance(doc, dict) and "event" not in doc:
-        return dash_from_manifest(doc)
-    board = DashBoard()
-    try:
-        board.feed_many(load_events(path))
-    except (OSError, ValueError):
-        print(
-            f"{path} holds neither a run manifest nor a JSONL trace",
-            file=sys.stderr,
-        )
-        return None
-    return board
+    found, traced = loaded
+    return found if traced else dash_from_manifest(found)
 
 
 def _print_frame(board, args) -> None:

@@ -34,31 +34,12 @@ from repro.cluster.stragglers import StragglerInjector
 from repro.cluster.topology import ClusterTopology, as_cluster_spec
 from repro.common import ClusterSpec, make_rng
 from repro.obs import events as ev
-from repro.obs.causal import (
-    CausalCollector,
-    CausalConfig,
-    get_causal_config,
-    publish_causal,
-)
+from repro.obs.causal import CausalCollector, CausalConfig
 from repro.obs.metrics import get_registry
-from repro.obs.popularity import (
-    PopularityConfig,
-    PopularityMonitor,
-    get_popularity_config,
-    publish_popularity,
-)
-from repro.obs.slo import (
-    SLOConfig,
-    SLOMonitor,
-    get_slo_config,
-    publish_slo,
-)
-from repro.obs.timeline import (
-    TimelineCollector,
-    TimelineConfig,
-    get_timeline_config,
-    publish_timeline,
-)
+from repro.obs.popularity import PopularityConfig, PopularityMonitor
+from repro.obs.sections import CHANNELS
+from repro.obs.slo import SLOConfig, SLOMonitor
+from repro.obs.timeline import TimelineCollector, TimelineConfig
 from repro.obs.tracing import Tracer, get_tracer
 from repro.store.lru import LRUCache
 from repro.workloads.arrivals import ArrivalTrace
@@ -164,12 +145,13 @@ class SimulationConfig:
 
     ``tracer`` overrides the process-wide tracer for this run (``None``
     means use :func:`repro.obs.get_tracer`, a no-op unless installed).
-    ``timeline`` enables sim-time timeline collection
-    (:mod:`repro.obs.timeline`) for this run; ``None`` falls back to the
-    ambient :func:`repro.obs.timeline.get_timeline_config`, itself a
-    no-op unless installed.  ``popularity`` likewise enables streaming
-    popularity/skew observation (:mod:`repro.obs.popularity`), falling
-    back to :func:`repro.obs.popularity.get_popularity_config`.
+    ``timeline``, ``popularity``, ``slo`` and ``causal`` enable one
+    observer each for this run (:mod:`repro.obs.timeline`,
+    :mod:`repro.obs.popularity`, :mod:`repro.obs.slo`,
+    :mod:`repro.obs.causal`); ``None`` falls back to the config the
+    observer's channel has installed ambiently
+    (:meth:`repro.obs.sections.Channel.current`), itself ``None`` unless
+    a harness installed one.
     """
 
     discipline: object = "ps"  # str spec or ServerDiscipline instance
@@ -183,15 +165,7 @@ class SimulationConfig:
     tracer: Tracer | None = None
     timeline: TimelineConfig | None = None
     popularity: PopularityConfig | None = None
-    #: Declarative SLO evaluation (:mod:`repro.obs.slo`) for this run;
-    #: ``None`` falls back to the ambient
-    #: :func:`repro.obs.slo.get_slo_config`, itself a no-op unless
-    #: installed.
     slo: SLOConfig | None = None
-    #: Causal critical-path collection (:mod:`repro.obs.causal`) for
-    #: this run; ``None`` falls back to the ambient
-    #: :func:`repro.obs.causal.get_causal_config`, itself a no-op unless
-    #: installed.
     causal: CausalConfig | None = None
     #: Requests per planned batch for the vectorized planning layer
     #: (:mod:`repro.cluster.engine.batch`).  ``None`` falls back to the
@@ -214,32 +188,13 @@ class SimulationConfig:
             raise ValueError("miss_penalty must be >= 1")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.timeline is not None and not isinstance(
-            self.timeline, TimelineConfig
-        ):
-            raise TypeError(
-                f"timeline must be a TimelineConfig or None, "
-                f"got {type(self.timeline).__name__}"
-            )
-        if self.popularity is not None and not isinstance(
-            self.popularity, PopularityConfig
-        ):
-            raise TypeError(
-                f"popularity must be a PopularityConfig or None, "
-                f"got {type(self.popularity).__name__}"
-            )
-        if self.slo is not None and not isinstance(self.slo, SLOConfig):
-            raise TypeError(
-                f"slo must be an SLOConfig or None, "
-                f"got {type(self.slo).__name__}"
-            )
-        if self.causal is not None and not isinstance(
-            self.causal, CausalConfig
-        ):
-            raise TypeError(
-                f"causal must be a CausalConfig or None, "
-                f"got {type(self.causal).__name__}"
-            )
+        for ch in CHANNELS:
+            value = getattr(self, ch.name, None)
+            if value is not None and not isinstance(value, ch.config):
+                raise TypeError(
+                    f"{ch.name} must be a {ch.config.__name__} or None, "
+                    f"got {type(value).__name__}"
+                )
         if self.batch_size is not None:
             if not isinstance(self.batch_size, int) or isinstance(
                 self.batch_size, bool
@@ -408,38 +363,25 @@ class RequestLifecycle:
         if self.emit and self.topology is not None:
             self.topology.emit_events(self.tracer)
         self.scheme = planner_name(planner)
-        timeline_config = (
-            config.timeline
-            if config.timeline is not None
-            else get_timeline_config()
-        )
+        # Each observer's config: the run's own, else its channel's
+        # ambient one; ``None`` leaves that observer off.
+        on = {
+            ch.name: ch.resolve(getattr(config, ch.name))
+            for ch in CHANNELS
+            if ch.config is not None
+        }
+        run = {"scheme": self.scheme, "engine": engine}
+        size = {"n_requests": self.n_requests, "n_servers": cluster.n_servers}
         self.collector: TimelineCollector | None = (
-            TimelineCollector(
-                timeline_config,
-                n_requests=self.n_requests,
-                n_servers=cluster.n_servers,
-                scheme=self.scheme,
-                engine=engine,
-            )
-            if timeline_config is not None
+            TimelineCollector(on["timeline"], **size, **run)
+            if on["timeline"] is not None
             else None
         )
         #: Hoisted timeline check — disabled collection must stay free.
         self.observe = self.collector is not None
-        causal_config = (
-            config.causal
-            if config.causal is not None
-            else get_causal_config()
-        )
         self.causal: CausalCollector | None = (
-            CausalCollector(
-                causal_config,
-                n_requests=self.n_requests,
-                n_servers=cluster.n_servers,
-                scheme=self.scheme,
-                engine=engine,
-            )
-            if causal_config is not None
+            CausalCollector(on["causal"], **size, **run)
+            if on["causal"] is not None
             else None
         )
         #: The active per-partition recorders (timeline and/or causal).
@@ -450,33 +392,21 @@ class RequestLifecycle:
             c for c in (self.collector, self.causal) if c is not None
         )
         self.record = bool(self.recorders)
-        popularity_config = (
-            config.popularity
-            if config.popularity is not None
-            else get_popularity_config()
-        )
         self.popularity: PopularityMonitor | None = (
             PopularityMonitor(
-                popularity_config,
+                on["popularity"],
                 n_servers=cluster.n_servers,
-                scheme=self.scheme,
-                engine=engine,
                 tracer=self.tracer,
+                **run,
             )
-            if popularity_config is not None
+            if on["popularity"] is not None
             else None
         )
         #: Hoisted popularity check — disabled observation must stay free.
         self.track = self.popularity is not None
-        slo_config = config.slo if config.slo is not None else get_slo_config()
         self.slo_monitor: SLOMonitor | None = (
-            SLOMonitor(
-                slo_config,
-                scheme=self.scheme,
-                engine=engine,
-                tracer=self.tracer,
-            )
-            if slo_config is not None
+            SLOMonitor(on["slo"], tracer=self.tracer, **run)
+            if on["slo"] is not None
             else None
         )
         #: Hot-path miss log (one bool per request, arrival order) the
@@ -653,42 +583,38 @@ class RequestLifecycle:
             tracer=self.tracer,
             end_ts=float(self.trace.times[-1]) if self.n_requests else 0.0,
         )
-        timeline = None
+        # Finalize order is fixed: the trace sees timeline windows before
+        # causal spans, and SLO evaluation reads the popularity section.
+        sections: dict[str, dict | None] = {
+            ch.name: None for ch in CHANNELS if ch.config is not None
+        }
+        requests = {
+            "times": self.trace.times,
+            "file_ids": self.trace.file_ids,
+            "latencies": latencies,
+            "warmup_fraction": self.config.warmup_fraction,
+        }
         if self.collector is not None:
-            timeline = self.collector.finalize(
-                times=self.trace.times,
-                file_ids=self.trace.file_ids,
-                latencies=latencies,
-                warmup_fraction=self.config.warmup_fraction,
-            )
-            publish_timeline(timeline)
+            sections["timeline"] = self.collector.finalize(**requests)
             if self.emit:
-                self._emit_timeline_windows(timeline)
-        causal = None
+                self._emit_timeline_windows(sections["timeline"])
         if self.causal is not None:
-            causal = self.causal.finalize(
-                times=self.trace.times,
-                file_ids=self.trace.file_ids,
-                latencies=latencies,
-                warmup_fraction=self.config.warmup_fraction,
-            )
-            publish_causal(causal)
+            sections["causal"] = self.causal.finalize(**requests)
             if self.emit:
                 self.causal.emit_spans(self.tracer)
-        popularity = None
         if self.popularity is not None:
-            popularity = self.popularity.finalize()
-            publish_popularity(popularity)
-        slo = None
+            sections["popularity"] = self.popularity.finalize()
         if self.slo_monitor is not None:
-            slo = self.slo_monitor.evaluate(
+            sections["slo"] = self.slo_monitor.evaluate(
                 self.trace.times,
                 latencies,
                 missed=self._slo_miss if self.lru is not None else None,
                 server_bytes=server_bytes,
-                popularity=popularity,
+                popularity=sections["popularity"],
             )
-            publish_slo(slo)
+        for ch in CHANNELS:
+            if sections.get(ch.name) is not None:
+                ch.publish(sections[ch.name])
         return SimulationResult(
             latencies=latencies,
             arrival_times=self.trace.times.copy(),
@@ -698,10 +624,7 @@ class RequestLifecycle:
             misses=self.misses,
             config=self.config,
             metrics=metrics,
-            timeline=timeline,
-            popularity=popularity,
-            slo=slo,
-            causal=causal,
+            **sections,
         )
 
     def _emit_timeline_windows(self, timeline: dict) -> None:

@@ -49,14 +49,14 @@ import argparse
 import pathlib
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 
 from repro.analysis.tables import format_table
-from repro.obs.causal import CausalConfig, collect_causal, use_causal
-from repro.obs.membership import collect_membership
+from repro.obs.causal import CausalConfig
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.obs.popularity import collect_popularity
 from repro.obs.runinfo import build_manifest, write_manifest
-from repro.obs.slo import collect_slo, default_slo_config, parse_slo, use_slo
+from repro.obs.sections import CHANNELS
+from repro.obs.slo import default_slo_config, parse_slo
 from repro.obs.spans import (
     SpanCollector,
     collect_spans,
@@ -67,7 +67,6 @@ from repro.obs.timeline import (
     TimelineConfig,
     chrome_counter_events,
     collect_timelines,
-    use_timeline,
 )
 from repro.obs.tracing import FileSink, Tracer, use_tracer
 
@@ -109,45 +108,29 @@ def run_experiment(
     the resulting sections land in the manifest's ``slo`` list.
     """
     spec = get_spec(name)
-    slo_config = parse_slo(slo) if slo is not None else default_slo_config()
+    # Every channel's sections are collected: runs publish only what a
+    # config opts into, so the sinks are free for every other experiment.
+    # The SLO config opts every simulated run in; timeline experiments
+    # also collect causal critical paths — the same per-partition records
+    # feed both, and the sections are deterministic so ``report --diff``
+    # stays clean; membership sections come only from churn experiments.
+    configs = {
+        "slo": parse_slo(slo) if slo is not None else default_slo_config()
+    }
+    if spec.timeline:
+        configs.update(timelines=TimelineConfig(), causal=CausalConfig())
+    sections: dict[str, list[dict]] = {ch.key: [] for ch in CHANNELS}
     collector = SpanCollector()
     registry = MetricsRegistry()
-    timelines: list[dict] = []
-    popularity: list[dict] = []
-    slo_sections: list[dict] = []
-    causal_sections: list[dict] = []
-    membership_sections: list[dict] = []
     previous = set_registry(registry)
     try:
-        with collect_spans(collector):
-            # Popularity/SLO/membership sections are collected
-            # unconditionally: runs only publish them when a config opts
-            # in (the ambient SLO config below opts every simulated run
-            # in; membership sections come only from churn experiments),
-            # so the sinks are free for every other experiment.
-            with collect_popularity(popularity), collect_slo(slo_sections), \
-                    collect_membership(membership_sections):
-                with use_slo(slo_config):
-                    with span("experiment", experiment=spec.name):
-                        if spec.timeline:
-                            # Timeline experiments also collect causal
-                            # critical paths — the same per-partition
-                            # records feed both, and the sections are
-                            # deterministic so ``report --diff`` stays
-                            # clean.
-                            with collect_timelines(timelines), \
-                                    collect_causal(causal_sections):
-                                with use_timeline(TimelineConfig()), \
-                                        use_causal(CausalConfig()):
-                                    rows = spec.run(
-                                        scale=scale,
-                                        batch_size=batch_size,
-                                        **params,
-                                    )
-                        else:
-                            rows = spec.run(
-                                scale=scale, batch_size=batch_size, **params
-                            )
+        with collect_spans(collector), ExitStack() as observers:
+            for ch in CHANNELS:
+                observers.enter_context(ch.collect(sections[ch.key]))
+                if ch.key in configs:
+                    observers.enter_context(ch.use(configs[ch.key]))
+            with span("experiment", experiment=spec.name):
+                rows = spec.run(scale=scale, batch_size=batch_size, **params)
     finally:
         set_registry(previous)
     roots = [r for r in collector.roots() if r.name == "experiment"]
@@ -173,11 +156,7 @@ def run_experiment(
         config=config,
         spans=collector.records,
         metrics=registry.snapshot(),
-        timelines=timelines,
-        popularity=popularity,
-        slo=slo_sections,
-        causal=causal_sections,
-        membership=membership_sections,
+        **sections,
     )
     return rows, manifest
 

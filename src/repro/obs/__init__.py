@@ -54,16 +54,23 @@ Cooperating pieces (each documented in its module, schema tables in
     (``python -m repro critical``); sections land in schema-v6
     manifests.
 :mod:`repro.obs.membership`
-    Thread-local sinks for cluster-membership sections: churn
-    experiments publish each topology's epoch/event history and the
-    sections land in schema-v7 manifests (and the dash membership
-    panel).
+    The channel for cluster-membership sections: churn experiments
+    publish each topology's epoch/event history and the sections land
+    in schema-v7 manifests (and the dash membership panel).
+:mod:`repro.obs.sections`
+    The observer :class:`Channel` — ambient config stack, nested section
+    sinks, section checks — and the ordered :data:`CHANNELS` registry
+    every observer above publishes through.
 
 :mod:`repro.obs.events` pins the event-name vocabulary.
 """
 
+# First: the observer modules imported below build their channels from
+# repro.obs.sections, which imports them back to assemble CHANNELS.
+from repro.obs.sections import CHANNELS, Channel  # isort: skip
 from repro.obs import events
 from repro.obs.causal import (
+    CAUSAL,
     CAUSAL_SCHEMA_VERSION,
     CausalCollector,
     CausalConfig,
@@ -98,6 +105,7 @@ from repro.obs.export import (
     timeline_rates,
 )
 from repro.obs.membership import (
+    MEMBERSHIP,
     collect_membership,
     publish_membership,
 )
@@ -113,6 +121,7 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.popularity import (
+    POPULARITY,
     POPULARITY_SCHEMA_VERSION,
     CountMinSketch,
     PopularityConfig,
@@ -152,6 +161,7 @@ from repro.obs.runinfo import (
     write_manifest,
 )
 from repro.obs.slo import (
+    SLO,
     DEFAULT_OBJECTIVES,
     SLO_SCHEMA_VERSION,
     SLOConfig,
@@ -181,6 +191,7 @@ from repro.obs.spans import (
 profiled = span
 profile = span_wrap
 from repro.obs.timeline import (
+    TIMELINES,
     TIMELINE_SCHEMA_VERSION,
     TimelineCollector,
     TimelineConfig,
@@ -205,7 +216,10 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
+    "CAUSAL",
     "CAUSAL_SCHEMA_VERSION",
+    "CHANNELS",
+    "Channel",
     "CausalCollector",
     "CausalConfig",
     "CountMinSketch",
@@ -219,12 +233,15 @@ __all__ = [
     "Histogram",
     "KNOWN_EVENTS",
     "MANIFEST_SCHEMA_VERSION",
+    "MEMBERSHIP",
     "MetricsRegistry",
     "NullSink",
+    "POPULARITY",
     "POPULARITY_SCHEMA_VERSION",
     "PopularityConfig",
     "PopularityMonitor",
     "RingBufferSink",
+    "SLO",
     "SLO_SCHEMA_VERSION",
     "SLOConfig",
     "SLObjective",
@@ -234,6 +251,7 @@ __all__ = [
     "SpaceSavingTopK",
     "SpanCollector",
     "SpanRecord",
+    "TIMELINES",
     "TIMELINE_SCHEMA_VERSION",
     "TimelineCollector",
     "TimelineConfig",

@@ -57,7 +57,6 @@ and export as Chrome/Perfetto span trees with parent/child flow events
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
@@ -69,9 +68,12 @@ import numpy as np
 
 from repro.obs import events as ev
 from repro.obs.replay import load_events
+from repro.obs.sections import Channel
+from repro.obs.timeline import PartitionRecorder
 from repro.obs.tracing import Tracer, get_tracer
 
 __all__ = [
+    "CAUSAL",
     "CAUSAL_SCHEMA_VERSION",
     "CausalCollector",
     "CausalConfig",
@@ -331,73 +333,25 @@ class CausalConfig:
             raise ValueError("tolerance must be positive")
 
 
-_local = threading.local()
-
-
-def get_causal_config() -> CausalConfig | None:
-    """The ambiently installed :class:`CausalConfig`, or ``None``.
-
-    :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` consults
-    this when its config carries no explicit ``causal`` knob, matching
-    the timeline/popularity/SLO pattern.
-    """
-    stack = getattr(_local, "configs", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_causal(config: CausalConfig) -> Iterator[CausalConfig]:
-    """Ambiently enable causal collection for the block."""
-    if not isinstance(config, CausalConfig):
-        raise TypeError(
-            f"config must be a CausalConfig, got {type(config).__name__}"
-        )
-    stack = getattr(_local, "configs", None)
-    if stack is None:
-        stack = _local.configs = []
-    stack.append(config)
-    try:
-        yield config
-    finally:
-        stack.pop()
-
-
-@contextmanager
-def collect_causal(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every causal section published inside the block (nestable)."""
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        # Remove by identity: two empty list sinks compare equal.
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
-
-
-def publish_causal(section: dict[str, Any]) -> None:
-    """Hand one finalized section to every active collector."""
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+#: The causal :class:`~repro.obs.sections.Channel` (see
+#: :mod:`repro.obs.sections`).
+CAUSAL = Channel("causal", "causal", CausalConfig, "scheme")
+get_causal_config = CAUSAL.current
+use_causal = CAUSAL.use
+collect_causal = CAUSAL.collect
+publish_causal = CAUSAL.publish
 
 
 # -- the collector ---------------------------------------------------------
 
 
-class CausalCollector:
+class CausalCollector(PartitionRecorder):
     """Buffers raw per-partition records; all analysis in :meth:`finalize`.
 
-    Deliberately the same hook API as
-    :class:`~repro.obs.timeline.TimelineCollector`, so the lifecycle can
-    fan one guarded call out to both collectors and no discipline needs
-    causal-specific code.  :meth:`finalize` computes every request's
+    Shares :class:`~repro.obs.timeline.TimelineCollector`'s hook API
+    (:class:`~repro.obs.timeline.PartitionRecorder`), so the lifecycle
+    can fan one guarded call out to both collectors and no discipline
+    needs causal-specific code.  :meth:`finalize` computes every request's
     critical chain, verifies the conservation invariant, and returns a
     JSON-able section; :meth:`emit_spans` (call after finalize, only
     when tracing) emits the full per-request span trees as ``cspan``
@@ -413,136 +367,18 @@ class CausalCollector:
         scheme: str,
         engine: str,
     ) -> None:
-        self.config = config
-        self.n_requests = int(n_requests)
-        self.n_servers = int(n_servers)
-        self.scheme = scheme
-        self.engine = engine
-        self._req: list[int] = []
-        self._pos: list[int] = []
-        self._server: list[int] = []
-        self._size: list[float] = []
-        self._start: list[float] = []
-        self._end: list[float] = []
-        self._extra: list[float] = []
-        self._gfactor: list[float] = []
-        self._blocks: list[tuple] = []
-        self._frames: list[tuple] = []
-        self.crit_pos = np.full(self.n_requests, -1, dtype=np.int64)
-        self.missed = np.zeros(self.n_requests, dtype=bool)
-        self.straggled = np.zeros(self.n_requests, dtype=bool)
+        super().__init__(
+            config,
+            n_requests=n_requests,
+            n_servers=n_servers,
+            scheme=scheme,
+            engine=engine,
+        )
         #: Workload fingerprint, set by finalize; discriminates repeated
         #: same-scheme runs in one process so trace ids never collide.
         self.run_key = ""
         #: Sorted arrays stashed by finalize for :meth:`emit_spans`.
         self._fin: dict[str, Any] | None = None
-
-    # -- hot-path hooks (buffer only, no arithmetic) ------------------
-
-    def record_partition(
-        self,
-        req: int,
-        pos: int,
-        server: int,
-        size: float,
-        start: float,
-        end: float,
-        extra: float = 0.0,
-        gfactor: float = 1.0,
-    ) -> None:
-        self._req.append(req)
-        self._pos.append(pos)
-        self._server.append(server)
-        self._size.append(size)
-        self._start.append(start)
-        self._end.append(end)
-        self._extra.append(extra)
-        self._gfactor.append(gfactor)
-
-    def record_partitions(
-        self, req, servers, sizes, starts, ends, extras, gfactors
-    ) -> None:
-        self._blocks.append(
-            (
-                int(req),
-                np.array(servers, dtype=np.int64),
-                np.array(sizes, dtype=np.float64),
-                np.array(starts, dtype=np.float64),
-                np.array(ends, dtype=np.float64),
-                np.array(extras, dtype=np.float64),
-                np.array(gfactors, dtype=np.float64),
-            )
-        )
-
-    def record_request(self, req: int, *, missed: bool, straggled: bool) -> None:
-        self.missed[req] = missed
-        self.straggled[req] = straggled
-
-    def record_join(self, req: int, pos: int) -> None:
-        self.crit_pos[req] = pos
-
-    def record_partition_frame(
-        self, reqs, poss, servers, sizes, starts, ends, extras, gfactors
-    ) -> None:
-        self._frames.append(
-            (
-                np.array(reqs, dtype=np.int64),
-                np.array(poss, dtype=np.int64),
-                np.array(servers, dtype=np.int64),
-                np.array(sizes, dtype=np.float64),
-                np.array(starts, dtype=np.float64),
-                np.array(ends, dtype=np.float64),
-                np.array(extras, dtype=np.float64),
-                np.array(gfactors, dtype=np.float64),
-            )
-        )
-
-    def record_request_frame(self, reqs, missed, straggled) -> None:
-        reqs = np.asarray(reqs, dtype=np.int64)
-        self.missed[reqs] = np.asarray(missed, dtype=bool)
-        self.straggled[reqs] = np.asarray(straggled, dtype=bool)
-
-    def record_join_frame(self, reqs, poss) -> None:
-        self.crit_pos[np.asarray(reqs, dtype=np.int64)] = np.asarray(
-            poss, dtype=np.int64
-        )
-
-    # -- finalize -----------------------------------------------------
-
-    def _merged_records(self) -> tuple[np.ndarray, ...]:
-        reqs = [np.asarray(self._req, dtype=np.int64)]
-        poss = [np.asarray(self._pos, dtype=np.int64)]
-        servers = [np.asarray(self._server, dtype=np.int64)]
-        sizes = [np.asarray(self._size, dtype=np.float64)]
-        starts = [np.asarray(self._start, dtype=np.float64)]
-        ends = [np.asarray(self._end, dtype=np.float64)]
-        extras = [np.asarray(self._extra, dtype=np.float64)]
-        gfactors = [np.asarray(self._gfactor, dtype=np.float64)]
-        for r, srv, sz, st, en, ex, gf in self._blocks:
-            k = srv.size
-            reqs.append(np.full(k, r, dtype=np.int64))
-            poss.append(np.arange(k, dtype=np.int64))
-            servers.append(srv)
-            sizes.append(sz)
-            starts.append(st)
-            ends.append(en)
-            extras.append(np.broadcast_to(ex, (k,)))
-            gfactors.append(np.broadcast_to(gf, (k,)))
-        for rq, ps, srv, sz, st, en, ex, gf in self._frames:
-            reqs.append(rq)
-            poss.append(ps)
-            servers.append(srv)
-            sizes.append(sz)
-            starts.append(st)
-            ends.append(en)
-            extras.append(ex)
-            gfactors.append(gf)
-        return tuple(
-            np.concatenate(parts)
-            for parts in (
-                reqs, poss, servers, sizes, starts, ends, extras, gfactors
-            )
-        )
 
     def finalize(
         self,

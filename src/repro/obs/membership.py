@@ -3,65 +3,30 @@
 :class:`~repro.cluster.topology.ClusterTopology` renders its epoch and
 event history as one JSON-able *membership section*
 (:meth:`~repro.cluster.topology.ClusterTopology.membership_section`);
-this module is the thread-local plumbing that carries those sections from
-wherever a churn experiment runs into the manifest builder — the same
-nested-sink pattern as :func:`repro.obs.timeline.collect_timelines`, so a
-session-level collector sees everything a per-experiment collector does.
+this module's :class:`~repro.obs.sections.Channel` carries those sections
+from wherever a churn experiment runs into the manifest builder — the
+same nested sinks as every other observer, so a session-level collector
+sees everything a per-experiment collector does.  Membership has no
+ambient config: churn experiments publish explicitly.
 
 Manifests store the collected sections under the ``membership`` key
 (schema version 7, :mod:`repro.obs.runinfo`); fixed-topology experiments
-publish nothing and the key stays an empty list.
+publish nothing and the key stays an empty list.  Every section must
+carry its ``epochs`` list; a ``scheme`` label is conventional when an
+experiment publishes one section per placement strategy.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Any, Iterator
+from repro.obs.sections import Channel
 
 __all__ = [
+    "MEMBERSHIP",
     "collect_membership",
     "publish_membership",
 ]
 
-_local = threading.local()
-
-
-@contextmanager
-def collect_membership(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every membership section published inside the block.
-
-    Collectors nest: an inner ``collect_membership`` does not hide
-    sections from an outer one (both receive every publish).
-    """
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        # Remove by identity: two empty list sinks compare equal, so
-        # ``list.remove`` could detach the wrong one.
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
-
-
-def publish_membership(section: dict[str, Any]) -> None:
-    """Hand one membership section to every active collector.
-
-    ``section`` must carry at least the ``epochs`` list (the manifest
-    validator enforces this); a ``scheme`` label is conventional when an
-    experiment publishes one section per placement strategy.
-    """
-    if not isinstance(section, dict) or "epochs" not in section:
-        raise ValueError(
-            "a membership section must be a dict with an 'epochs' list"
-        )
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+#: The membership :class:`~repro.obs.sections.Channel`.
+MEMBERSHIP = Channel("membership", "membership", None, "epochs", list)
+collect_membership = MEMBERSHIP.collect
+publish_membership = MEMBERSHIP.publish

@@ -41,19 +41,19 @@ they serialize into run manifests (schema version 3) and render through
 from __future__ import annotations
 
 import heapq
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import exp, log
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
+from repro.obs.sections import Channel
 from repro.obs.tracing import Tracer, get_tracer
 
 __all__ = [
+    "POPULARITY",
     "POPULARITY_SCHEMA_VERSION",
     "CountMinSketch",
     "PopularityConfig",
@@ -312,57 +312,14 @@ class PopularityConfig:
             raise ValueError("estimate_ids must be positive (or None)")
 
 
-# -- ambient config + section sinks (mirrors obs.timeline) -----------------
+# -- ambient config + section sinks (see repro.obs.sections) --------------
 
-_local = threading.local()
-
-
-def get_popularity_config() -> PopularityConfig | None:
-    """The ambiently installed :class:`PopularityConfig`, or ``None``."""
-    stack = getattr(_local, "configs", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_popularity(config: PopularityConfig) -> Iterator[PopularityConfig]:
-    """Ambiently enable popularity observation for the block."""
-    if not isinstance(config, PopularityConfig):
-        raise TypeError(
-            f"config must be a PopularityConfig, got {type(config).__name__}"
-        )
-    stack = getattr(_local, "configs", None)
-    if stack is None:
-        stack = _local.configs = []
-    stack.append(config)
-    try:
-        yield config
-    finally:
-        stack.pop()
-
-
-@contextmanager
-def collect_popularity(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every popularity section published inside the block."""
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
-
-
-def publish_popularity(section: dict[str, Any]) -> None:
-    """Hand one finalized section to every active collector."""
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+#: The popularity :class:`~repro.obs.sections.Channel`.
+POPULARITY = Channel("popularity", "popularity", PopularityConfig, "scheme")
+get_popularity_config = POPULARITY.current
+use_popularity = POPULARITY.use
+collect_popularity = POPULARITY.collect
+publish_popularity = POPULARITY.publish
 
 
 # -- the monitor -----------------------------------------------------------

@@ -33,10 +33,12 @@ Schema (version 7) — one flat JSON object:
                      ``start``/``wall_s`` (+ optional ``labels``)
 ``metrics``          metrics-registry snapshot at end of run
 ``timelines``        sim-time timeline sections published during the run
-                     (:mod:`repro.obs.timeline`); empty list when the
-                     experiment records none.  New in version 2.
+                     (channel ``TIMELINES``, :mod:`repro.obs.timeline`);
+                     empty list when the experiment records none.  New in
+                     version 2.
 ``popularity``       streaming popularity sections published during the
-                     run (:mod:`repro.obs.popularity`): sketched top-K,
+                     run (channel ``POPULARITY``,
+                     :mod:`repro.obs.popularity`): sketched top-K,
                      Zipf-exponent estimate, drift/hot-spot alerts.
                      Empty list when the run observed none.  New in
                      version 3.
@@ -47,24 +49,32 @@ Schema (version 7) — one flat JSON object:
                      runs (summed from the ``sim.requests`` counters in
                      the metrics snapshot).  New in version 4.
 ``slo``              SLO evaluation sections published during the run
-                     (:mod:`repro.obs.slo`): per-objective budget
-                     accounting plus burn-rate breach/recovery alerts.
+                     (channel ``SLO``, :mod:`repro.obs.slo`): per-objective
+                     budget accounting plus burn-rate breach/recovery
+                     alerts.
                      Empty list when the run evaluated none.  New in
                      version 5.
 ``causal``           causal critical-path sections published during the
-                     run (:mod:`repro.obs.causal`): per-scheme edge-type
-                     aggregation, conservation-invariant check, and the
-                     slowest-K requests with their critical chains.
+                     run (channel ``CAUSAL``, :mod:`repro.obs.causal`):
+                     per-scheme edge-type aggregation,
+                     conservation-invariant check, and the slowest-K
+                     requests with their critical chains.
                      Empty list when the run collected none.  New in
                      version 6.
 ``membership``       cluster-membership sections published during the run
-                     (:mod:`repro.obs.membership`): the epoch/event
-                     history of each :class:`~repro.cluster.topology.ClusterTopology`
+                     (channel ``MEMBERSHIP``, :mod:`repro.obs.membership`):
+                     the epoch/event history of each
+                     :class:`~repro.cluster.topology.ClusterTopology`
                      a churn experiment ran against, with per-epoch
                      server sets and (when the experiment recorded them)
                      per-epoch bytes moved.  Empty list for
                      fixed-topology runs.  New in version 7.
 ===================  ==========================================================
+
+The five section keys are the :data:`~repro.obs.sections.CHANNELS` keys,
+written in registry order; each holds a list of objects whose channel
+marker (``scheme``, or the ``epochs`` list for membership) passes
+:meth:`~repro.obs.sections.Channel.check`.
 
 Older manifests still load: readers treat a missing ``timelines`` (v1),
 ``popularity`` (v1/v2), ``slo`` (v1-v4), ``causal`` (v1-v5), or
@@ -85,6 +95,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Any, Iterable
+
+from repro.obs.sections import CHANNELS
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -234,27 +246,27 @@ def build_manifest(
     config: dict[str, Any] | None = None,
     spans: Iterable[Any] = (),
     metrics: dict[str, Any] | None = None,
-    timelines: Iterable[dict[str, Any]] = (),
-    popularity: Iterable[dict[str, Any]] = (),
-    slo: Iterable[dict[str, Any]] = (),
-    causal: Iterable[dict[str, Any]] = (),
-    membership: Iterable[dict[str, Any]] = (),
     peak_rss: int | None = None,
     total_requests: int | None = None,
+    **sections: Iterable[dict[str, Any]],
 ) -> dict[str, Any]:
     """Assemble and validate one current-schema manifest.
 
     ``spans`` accepts :class:`~repro.obs.spans.SpanRecord` objects or
-    plain dicts; ``config`` is hashed with :func:`config_hash`;
-    ``timelines`` takes sections from :mod:`repro.obs.timeline`,
-    ``popularity`` sections from :mod:`repro.obs.popularity`,
-    ``slo`` sections from :mod:`repro.obs.slo`, ``causal``
-    critical-path sections from :mod:`repro.obs.causal`, and
-    ``membership`` topology sections from :mod:`repro.obs.membership`.
+    plain dicts; ``config`` is hashed with :func:`config_hash`.  Observer
+    sections come in by manifest key, one keyword per
+    :data:`~repro.obs.sections.CHANNELS` entry: ``timelines``,
+    ``popularity``, ``slo``, ``causal`` and ``membership``.
     ``peak_rss`` defaults to :func:`peak_rss_bytes` measured at build
     time; ``total_requests`` defaults to summing the ``sim.requests``
     counters in ``metrics``.
     """
+    unknown = set(sections).difference(ch.key for ch in CHANNELS)
+    if unknown:
+        raise TypeError(
+            f"build_manifest() got unexpected keyword argument(s) "
+            f"{', '.join(sorted(unknown))}"
+        )
     config = dict(config or {})
     metrics = dict(metrics or {})
     if peak_rss is None:
@@ -274,14 +286,11 @@ def build_manifest(
         "rows": [dict(r) for r in rows],
         "spans": _span_dicts(spans),
         "metrics": metrics,
-        "timelines": [dict(t) for t in timelines],
-        "popularity": [dict(p) for p in popularity],
-        "slo": [dict(s) for s in slo],
-        "causal": [dict(c) for c in causal],
-        "membership": [dict(m) for m in membership],
-        "peak_rss_bytes": peak_rss,
-        "total_requests": int(total_requests),
     }
+    for ch in CHANNELS:
+        manifest[ch.key] = [dict(s) for s in sections.get(ch.key, ())]
+    manifest["peak_rss_bytes"] = peak_rss
+    manifest["total_requests"] = int(total_requests)
     return validate_manifest(manifest)
 
 
@@ -338,34 +347,9 @@ def validate_manifest(manifest: Any) -> dict[str, Any]:
             )
         if s["wall_s"] < 0:
             raise ValueError(f"manifest span {i} has negative wall_s")
-    for i, section in enumerate(manifest.get("timelines", ())):
-        if not isinstance(section, dict) or "scheme" not in section:
-            raise ValueError(
-                f"manifest timeline {i} must be an object with a scheme"
-            )
-    for i, section in enumerate(manifest.get("popularity", ())):
-        if not isinstance(section, dict) or "scheme" not in section:
-            raise ValueError(
-                f"manifest popularity section {i} must be an object "
-                "with a scheme"
-            )
-    for i, section in enumerate(manifest.get("slo", ())):
-        if not isinstance(section, dict) or "scheme" not in section:
-            raise ValueError(
-                f"manifest slo section {i} must be an object with a scheme"
-            )
-    for i, section in enumerate(manifest.get("causal", ())):
-        if not isinstance(section, dict) or "scheme" not in section:
-            raise ValueError(
-                f"manifest causal section {i} must be an object "
-                "with a scheme"
-            )
-    for i, section in enumerate(manifest.get("membership", ())):
-        if not isinstance(section, dict) or "epochs" not in section:
-            raise ValueError(
-                f"manifest membership section {i} must be an object "
-                "with an epochs list"
-            )
+    for ch in CHANNELS:
+        if ch.key in manifest:
+            ch.check_list(manifest[ch.key], f"manifest {ch.key}")
     return manifest
 
 

@@ -49,19 +49,19 @@ healthy run stays quiet).
 from __future__ import annotations
 
 import re
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
+from repro.obs.sections import Channel
 from repro.obs.tracing import Tracer, get_tracer
 
 __all__ = [
     "DEFAULT_OBJECTIVES",
+    "SLO",
     "SLO_SCHEMA_VERSION",
     "SLOConfig",
     "SLObjective",
@@ -260,57 +260,14 @@ def default_slo_config() -> SLOConfig:
     return SLOConfig()
 
 
-# -- ambient config + section sinks (mirrors obs.popularity) ---------------
+# -- ambient config + section sinks (see repro.obs.sections) --------------
 
-_local = threading.local()
-
-
-def get_slo_config() -> SLOConfig | None:
-    """The ambiently installed :class:`SLOConfig`, or ``None``."""
-    stack = getattr(_local, "configs", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_slo(config: SLOConfig) -> Iterator[SLOConfig]:
-    """Ambiently enable SLO evaluation for the block."""
-    if not isinstance(config, SLOConfig):
-        raise TypeError(
-            f"config must be an SLOConfig, got {type(config).__name__}"
-        )
-    stack = getattr(_local, "configs", None)
-    if stack is None:
-        stack = _local.configs = []
-    stack.append(config)
-    try:
-        yield config
-    finally:
-        stack.pop()
-
-
-@contextmanager
-def collect_slo(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every SLO section published inside the block."""
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
-
-
-def publish_slo(section: dict[str, Any]) -> None:
-    """Hand one finalized section to every active collector."""
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+#: The SLO :class:`~repro.obs.sections.Channel`.
+SLO = Channel("slo", "slo", SLOConfig, "scheme")
+get_slo_config = SLO.current
+use_slo = SLO.use
+collect_slo = SLO.collect
+publish_slo = SLO.publish
 
 
 # -- the evaluator ---------------------------------------------------------

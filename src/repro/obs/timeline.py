@@ -36,17 +36,18 @@ counter events (:func:`chrome_counter_events`), and render through the
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.obs.metrics import Histogram
+from repro.obs.sections import Channel
 
 __all__ = [
+    "TIMELINES",
     "TIMELINE_SCHEMA_VERSION",
+    "PartitionRecorder",
     "TimelineConfig",
     "TimelineCollector",
     "chrome_counter_events",
@@ -96,88 +97,33 @@ class TimelineConfig:
             raise ValueError("reservoir_size must be >= 1")
 
 
-# -- ambient config + section sinks (mirrors spans.collect_spans) ---------
+# -- ambient config + section sinks (see repro.obs.sections) --------------
 
-_local = threading.local()
-
-
-def get_timeline_config() -> TimelineConfig | None:
-    """The ambiently installed :class:`TimelineConfig`, or ``None``.
-
-    :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` consults
-    this when its config carries no explicit timeline, so a harness can
-    switch collection on for a whole block without threading a knob
-    through every call site.
-    """
-    stack = getattr(_local, "configs", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_timeline(config: TimelineConfig) -> Iterator[TimelineConfig]:
-    """Ambiently enable timeline collection for the block."""
-    if not isinstance(config, TimelineConfig):
-        raise TypeError(
-            f"config must be a TimelineConfig, got {type(config).__name__}"
-        )
-    stack = getattr(_local, "configs", None)
-    if stack is None:
-        stack = _local.configs = []
-    stack.append(config)
-    try:
-        yield config
-    finally:
-        stack.pop()
-
-
-@contextmanager
-def collect_timelines(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every timeline section published inside the block.
-
-    Collectors nest: an inner ``collect_timelines`` does not hide
-    sections from an outer one (both receive every publish), so a
-    session-level sink can accumulate what per-experiment sinks see.
-    """
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        # Remove by identity: two empty list sinks compare equal, so
-        # ``list.remove`` could detach the wrong one.
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
-
-
-def publish_timeline(section: dict[str, Any]) -> None:
-    """Hand one finalized section to every active collector."""
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+#: The timeline :class:`~repro.obs.sections.Channel`: manifest key
+#: ``timelines``, :class:`TimelineConfig` ambient config.
+TIMELINES = Channel("timeline", "timelines", TimelineConfig, "scheme")
+get_timeline_config = TIMELINES.current
+use_timeline = TIMELINES.use
+collect_timelines = TIMELINES.collect
+publish_timeline = TIMELINES.publish
 
 
 # -- the collector --------------------------------------------------------
 
 
-class TimelineCollector:
-    """Buffers raw per-partition/per-request records during one run.
+class PartitionRecorder:
+    """The buffer-only per-partition hook API of the recording observers.
 
-    Disciplines call the ``record_*`` hooks (guarded by the lifecycle's
-    hoisted ``observe`` flag); :meth:`finalize` does all aggregation.  A
-    discipline that never calls the partition hooks still finalizes to a
-    valid (empty-series) section — attribution then charges everything to
-    the ``join`` component.
+    Timeline and causal collection read the same raw records, so both
+    collectors inherit these hooks and the lifecycle fans one guarded
+    ``for c in lc.recorders:`` out to whichever are enabled — no
+    discipline needs observer-specific code.  Hooks only buffer;
+    subclasses aggregate in ``finalize`` from :meth:`_merged_records`.
     """
 
     def __init__(
         self,
-        config: TimelineConfig,
+        config: Any,
         *,
         n_requests: int,
         n_servers: int,
@@ -343,6 +289,17 @@ class TimelineCollector:
                 reqs, poss, servers, sizes, starts, ends, extras, gfactors
             )
         )
+
+
+class TimelineCollector(PartitionRecorder):
+    """Buffers raw per-partition/per-request records during one run.
+
+    Disciplines call the ``record_*`` hooks (guarded by the lifecycle's
+    hoisted ``observe`` flag); :meth:`finalize` does all aggregation.  A
+    discipline that never calls the partition hooks still finalizes to a
+    valid (empty-series) section — attribution then charges everything to
+    the ``join`` component.
+    """
 
     def finalize(
         self,

@@ -867,3 +867,26 @@ def test_stats_layered_event_table_with_store_kinds(tmp_path, capsys):
     ):
         assert kind in printed, kind
         assert layer in printed, layer
+
+
+@pytest.mark.parametrize(
+    ("viewer", "doc", "key"),
+    [
+        ("timeline", {"timelines": None}, "timelines"),
+        ("tail", {"timelines": None}, "timelines"),
+        ("tail", [{"no": "scheme"}], "[0]"),
+        ("critical", {"causal": 5}, "causal"),
+        ("top", {"popularity": {"scheme": "x"}}, "popularity"),
+        ("dash", {"causal": 5}, "causal"),
+        ("dash", {"popularity": [1]}, "popularity[0]"),
+        ("dash", {"membership": [{"epochs": 3}]}, "membership[0]"),
+    ],
+)
+def test_viewers_reject_malformed_sections(tmp_path, capsys, viewer, doc, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--plain"] if viewer == "dash" else []
+    assert main([viewer, str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+    assert "Traceback" not in err

@@ -182,9 +182,6 @@ def test_causal_config_validation():
         CausalConfig(top_k=0)
     with pytest.raises(ValueError):
         CausalConfig(tolerance=0.0)
-    with pytest.raises(TypeError):
-        with use_causal("yes"):
-            pass
 
 
 def test_ambient_config_and_collection():

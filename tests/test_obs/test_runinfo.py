@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.obs import (
+    CHANNELS,
     MANIFEST_SCHEMA_VERSION,
     build_manifest,
     collect_spans,
@@ -144,22 +145,30 @@ def test_v1_manifest_without_timelines_still_loads():
     assert validate_manifest(m) is m
 
 
-def test_build_manifest_carries_timeline_sections():
-    section = {"scheme": "sp-cache", "engine": "ps", "n_windows": 3}
-    m = build_manifest("figZ", [], wall_s=0.0, timelines=[section])
-    assert m["timelines"] == [section]
+@pytest.mark.parametrize("ch", CHANNELS, ids=lambda ch: ch.key)
+def test_build_manifest_carries_sections(ch):
+    """Every channel's sections round-trip under its key, keys in order."""
+    section = {"scheme": "sp-cache", "engine": "fifo", "n_windows": 3}
+    if ch.marker_type is list:  # membership: the epochs list
+        section[ch.marker] = [{"epoch": 0, "n_servers": 4}]
+    m = build_manifest("figZ", [], wall_s=0.0, **{ch.key: [section]})
+    assert m[ch.key] == [section]
     assert m["schema_version"] == MANIFEST_SCHEMA_VERSION == 7
-
-
-def test_build_manifest_carries_causal_sections():
-    section = {
-        "scheme": "sp-cache",
-        "engine": "fifo",
-        "conservation": {"ok": True, "max_rel_err": 0.0},
-    }
-    m = build_manifest("figZ", [], wall_s=0.0, causal=[section])
-    assert m["causal"] == [section]
+    assert all(m[other.key] == [] for other in CHANNELS if other is not ch)
+    keys = list(m)
+    assert keys[keys.index("metrics") + 1 : keys.index("peak_rss_bytes")] == [
+        "timelines", "popularity", "slo", "causal", "membership",
+    ]
     assert validate_manifest(m) is m
+    assert validate_manifest(json.loads(json.dumps(m))) == m
+
+    bad = dict(m)
+    bad[ch.key] = [{"no": ch.marker}]
+    with pytest.raises(ValueError, match=rf"{ch.key}\[0\]"):
+        validate_manifest(bad)
+    bad[ch.key] = {"not": "a list"}
+    with pytest.raises(ValueError, match=ch.key):
+        validate_manifest(bad)
 
 
 def test_v5_manifest_without_causal_still_loads():
@@ -171,17 +180,6 @@ def test_v5_manifest_without_causal_still_loads():
     assert validate_manifest(m) is m
 
 
-def test_build_manifest_carries_membership_sections():
-    section = {
-        "scheme": "sp-cache",
-        "n_epochs": 2,
-        "epochs": [{"epoch": 0, "n_servers": 4}, {"epoch": 1, "n_servers": 5}],
-    }
-    m = build_manifest("figZ", [], wall_s=0.0, membership=[section])
-    assert m["membership"] == [section]
-    assert validate_manifest(m) is m
-
-
 def test_v6_manifest_without_membership_still_loads():
     """Manifests written before the membership key keep validating."""
     m = _manifest()
@@ -190,25 +188,11 @@ def test_v6_manifest_without_membership_still_loads():
     assert validate_manifest(m) is m
 
 
-def test_build_manifest_carries_slo_sections():
-    section = {"scheme": "sp-cache", "engine": "fifo", "breaches": 2}
-    m = build_manifest("figZ", [], wall_s=0.0, slo=[section])
-    assert m["slo"] == [section]
-    assert validate_manifest(m) is m
-
-
 def test_v4_manifest_without_slo_still_loads():
     """Manifests written before the slo key keep validating."""
     m = _manifest()
     m["schema_version"] = 4
     del m["slo"]
-    assert validate_manifest(m) is m
-
-
-def test_build_manifest_carries_popularity_sections():
-    section = {"scheme": "sp-cache", "engine": "fifo", "requests": 100}
-    m = build_manifest("figZ", [], wall_s=0.0, popularity=[section])
-    assert m["popularity"] == [section]
     assert validate_manifest(m) is m
 
 
