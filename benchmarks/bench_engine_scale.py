@@ -10,12 +10,15 @@ the bench reports requests/sec for both, the speedup, and peak RSS.
 
 ``--discipline ps`` times the figures' engine instead: the same workload
 on scalar processor sharing (the ``ps`` flow engine), ``--requests``
-arrivals, reported as scalar requests/sec.
+arrivals, reported as scalar requests/sec.  ``--policy`` swaps SP-Cache
+for one of the redundancy baselines at the paper's settings — EC-Cache
+(10, 14) with late binding, or 4-replica top-10 % selective replication.
 
 Run directly::
 
     python benchmarks/bench_engine_scale.py --requests 1000000
     python benchmarks/bench_engine_scale.py --discipline ps --requests 4000
+    python benchmarks/bench_engine_scale.py --policy ec-cache --requests 20000
 
 Writes ``BENCH_<timestamp>_engine_scale.json`` in the working directory
 (same family as the ``BENCH_<ts>.json`` archives the pytest-benchmark
@@ -25,7 +28,9 @@ measured vectorized requests/sec fall below ``(1 - tolerance)`` of the
 baseline's — the CI job pins ``benchmarks/baseline_engine_scale.json``
 (a deliberately conservative floor, so only real regressions trip it).
 The gated number is vectorized req/s for ``fifo`` and scalar req/s for
-``ps``, each against its own floor in the baseline file.
+``ps``, each against its own floor in the baseline file: the top-level
+block is SP-Cache on fifo, ``"ps"`` SP-Cache on ps, and a policy's name
+(``"ec-cache"``) that policy on fifo.
 """
 
 from __future__ import annotations
@@ -39,7 +44,11 @@ from repro.cluster.simulation import SimulationConfig, simulate_reads
 from repro.cluster.stragglers import StragglerInjector
 from repro.common import ClusterSpec, Gbps
 from repro.obs.runinfo import git_sha, peak_rss_bytes
-from repro.policies import SPCachePolicy
+from repro.policies import (
+    ECCachePolicy,
+    SelectiveReplicationPolicy,
+    SPCachePolicy,
+)
 from repro.workloads import PoissonStream, paper_fileset
 
 DEFAULT_REQUESTS = 1_000_000
@@ -47,14 +56,22 @@ DEFAULT_SCALAR_CAP = 20_000
 DEFAULT_BATCH = 4096
 DEFAULT_TOLERANCE = 0.3
 
+#: The benched policies at the paper's settings.
+POLICIES = {
+    "sp-cache": lambda pop, cl: SPCachePolicy(pop, cl, seed=0),
+    "ec-cache": lambda pop, cl: ECCachePolicy(pop, cl, k=10, n=14, seed=0),
+    "selective-replication": lambda pop, cl: SelectiveReplicationPolicy(
+        pop, cl, top_fraction=0.10, replicas=4, seed=0
+    ),
+}
 
-def _workload(rate: float):
+
+def _workload(rate: float, policy: str = "sp-cache"):
     cluster = ClusterSpec(n_servers=30, bandwidth=Gbps)
     pop = paper_fileset(
         500, size_mb=100.0, zipf_exponent=1.05, total_rate=rate
     )
-    policy = SPCachePolicy(pop, cluster, seed=0)
-    return pop, cluster, policy
+    return pop, cluster, POLICIES[policy](pop, cluster)
 
 
 def _config(batch_size: int | None, discipline: str) -> SimulationConfig:
@@ -84,24 +101,26 @@ def run_engine_scale(
     batch_size: int = DEFAULT_BATCH,
     rate: float = 20.0,
     discipline: str = "fifo",
+    policy: str = "sp-cache",
 ) -> dict:
-    """The timed runs of one discipline; returns the doc.
+    """The timed runs of one discipline and policy; returns the doc.
 
     ``fifo``: one calibrated scalar run plus one full vectorized run.
     ``ps``: one scalar run over all ``n_requests``.
     """
-    pop, cluster, policy = _workload(rate)
+    pop, cluster, planner = _workload(rate, policy)
     doc = {
         "schema_version": 1,
         "bench": "engine_scale",
         "created_unix": time.time(),
         "git_sha": git_sha(),
         "discipline": discipline,
+        "policy": policy,
         "n_requests": n_requests,
     }
 
     if discipline == "ps":
-        wall, _ = _timed_run(pop, cluster, policy, n_requests, None, "ps")
+        wall, _ = _timed_run(pop, cluster, planner, n_requests, None, "ps")
         doc.update(
             scalar_requests=n_requests,
             wall_seconds={"engine_scale_scalar": wall},
@@ -111,11 +130,11 @@ def run_engine_scale(
         return doc
 
     n_scalar = min(n_requests, scalar_cap)
-    scalar_wall, _ = _timed_run(pop, cluster, policy, n_scalar, None, "fifo")
+    scalar_wall, _ = _timed_run(pop, cluster, planner, n_scalar, None, "fifo")
     scalar_rps = n_scalar / scalar_wall
 
     vec_wall, _ = _timed_run(
-        pop, cluster, policy, n_requests, batch_size, "fifo"
+        pop, cluster, planner, n_requests, batch_size, "fifo"
     )
     vec_rps = n_requests / vec_wall
 
@@ -138,12 +157,19 @@ def gate(
     doc: dict, baseline: dict, tolerance: float
 ) -> tuple[str, float, float]:
     """``(label, measured, floor)`` of the gated req/s for ``doc``'s
-    discipline: vectorized for fifo, scalar for ps (its own baseline
-    block)."""
+    discipline and policy: vectorized for fifo, scalar for ps, each
+    against its own baseline block (``KeyError`` naming the block when
+    the baseline has no floor for the pair)."""
+    policy = doc.get("policy", "sp-cache")
     if doc["discipline"] == "ps":
-        label, kind, floors = "scalar ps", "scalar", baseline["ps"]
+        label, kind, key = "scalar ps", "scalar", "ps"
     else:
-        label, kind, floors = "vectorized", "vectorized", baseline
+        label, kind, key = "vectorized", "vectorized", None
+    if policy != "sp-cache":
+        if key is not None:
+            raise KeyError(f"no {key} floor for {policy} in the baseline")
+        label, key = f"{label} {policy}", policy
+    floors = baseline if key is None else baseline[key]
     base = floors["requests_per_sec"][kind]
     return label, doc["requests_per_sec"][kind], base * (1.0 - tolerance)
 
@@ -160,6 +186,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--discipline", choices=("fifo", "ps"), default="fifo",
         help="fifo: scalar vs vectorized; ps: scalar processor sharing",
+    )
+    parser.add_argument(
+        "--policy", choices=sorted(POLICIES), default="sp-cache",
+        help="caching scheme at the paper's settings (default %(default)s)",
     )
     parser.add_argument(
         "--baseline", default=None, metavar="PATH",
@@ -181,6 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         batch_size=args.batch_size,
         rate=args.rate,
         discipline=args.discipline,
+        policy=args.policy,
     )
 
     out = args.out or time.strftime("BENCH_%Y%m%d-%H%M%S_engine_scale.json")
@@ -192,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     rss = doc["peak_rss_bytes"]
     lines = [
         f"engine scale: {doc['n_requests']} requests, "
-        f"discipline={doc['discipline']}"
+        f"discipline={doc['discipline']}, policy={doc['policy']}"
         + (f", batch={doc['batch_size']}" if "batch_size" in doc else ""),
         f"  scalar      {rps['scalar']:>12.0f} req/s "
         f"({doc['wall_seconds']['engine_scale_scalar']:.2f}s over "

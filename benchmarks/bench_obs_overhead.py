@@ -42,10 +42,17 @@ def uninstrumented_fifo(trace, planner, cluster, config) -> np.ndarray:
     engine) so the overhead comparison isolates exactly the observability
     additions.  Returns the latency vector only.
     """
+    from repro.cluster.engine.draws import PLAN, DrawTable, uniforms
     from repro.common import make_rng
     from repro.store.lru import LRUCache
 
     rng = make_rng(config.seed)
+    # Plans read the request's keyed plan uniforms, as in the live engine.
+    plan_slots = getattr(planner, "plan_slots", 0)
+    plan_rows = DrawTable(
+        lambda r, s: uniforms(config.seed, PLAN, r, s), plan_slots
+    )
+    no_draws = np.empty(0)
     bandwidths = cluster.bandwidths
     n_requests = trace.n_requests
 
@@ -84,7 +91,9 @@ def uninstrumented_fifo(trace, planner, cluster, config) -> np.ndarray:
     for j in range(n_requests):
         t = times[j]
         fid = int(file_ids[j])
-        op = planner.plan_read(fid, rng)
+        op = planner.plan_read(
+            fid, plan_rows.row(j, plan_slots) if plan_slots else no_draws
+        )
         servers = op.server_ids
         bw = bandwidths[servers]
 

@@ -10,8 +10,12 @@ Planners are discipline-agnostic: the shared request lifecycle
 (:class:`repro.cluster.engine.RequestLifecycle`) calls ``plan_read`` once
 per request regardless of which registered server discipline (``fifo``,
 ``ps``, ``limited(c)``, ...) schedules the resulting flows, so one policy
-implementation serves every service model.  ``footprint`` feeds the
-cluster-wide LRU when a cache budget is set.
+implementation serves every service model.  The batched planner calls
+``plan_reads`` once per batch instead and gets a :class:`ReadBatch`; both
+receive the request's counter-keyed ``PLAN`` uniforms
+(:mod:`repro.cluster.engine.draws`), never a generator, so the two agree
+plan for plan.  ``footprint`` feeds the cluster-wide LRU when a cache
+budget is set.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ import numpy as np
 
 from repro.cluster.network import GoodputModel
 
-__all__ = ["ReadOp", "WriteOp", "ReadPlanner", "write_latency"]
+__all__ = [
+    "ReadBatch",
+    "ReadLayout",
+    "ReadOp",
+    "ReadPlanner",
+    "WriteOp",
+    "write_latency",
+]
 
 
 @dataclass(frozen=True)
@@ -114,13 +125,128 @@ class WriteOp:
         return int(self.sizes.size)
 
 
+@dataclass(frozen=True)
+class ReadBatch:
+    """Read plans for a run of requests, CSR layout.
+
+    Request ``b`` owns flows ``off[b]:off[b + 1]`` (``off`` the exclusive
+    cumsum of ``k``) of ``servers``/``sizes``; the per-request fields
+    mirror :class:`ReadOp`'s (``join_count`` already resolved, never -1).
+    ``has_dup`` flags a batch where some request reads one server twice.
+    """
+
+    k: np.ndarray
+    servers: np.ndarray
+    sizes: np.ndarray
+    join_count: np.ndarray
+    post_fraction: np.ndarray
+    post_seconds: np.ndarray
+    has_dup: bool = False
+
+    @staticmethod
+    def uniform(
+        k: np.ndarray,
+        servers: np.ndarray,
+        sizes: np.ndarray,
+        *,
+        join_count: np.ndarray | None = None,
+        post_fraction: float = 0.0,
+        has_dup: bool = False,
+    ) -> "ReadBatch":
+        """A batch whose requests share one post-join fraction and no
+        absolute post delay; ``join_count=None`` joins on every flow."""
+        n = k.size
+        return ReadBatch(
+            k=k,
+            servers=servers,
+            sizes=sizes,
+            join_count=k if join_count is None else join_count,
+            post_fraction=np.full(n, post_fraction),
+            post_seconds=np.zeros(n),
+            has_dup=has_dup,
+        )
+
+    @staticmethod
+    def from_ops(ops: list[ReadOp]) -> "ReadBatch":
+        """Pack per-request :class:`ReadOp` plans into one batch."""
+        if not ops:
+            none = np.empty(0, dtype=np.int64)
+            return ReadBatch.uniform(none, none, np.empty(0))
+        return ReadBatch(
+            k=np.array([op.parallelism for op in ops], dtype=np.int64),
+            servers=np.concatenate([op.server_ids for op in ops]),
+            sizes=np.concatenate([op.sizes for op in ops]),
+            join_count=np.array([op.join_count for op in ops], dtype=np.int64),
+            post_fraction=np.array([op.post_fraction for op in ops]),
+            post_seconds=np.array([op.post_seconds for op in ops]),
+            has_dup=any(
+                np.unique(op.server_ids).size < op.parallelism for op in ops
+            ),
+        )
+
+
+class ReadLayout:
+    """A per-file ``(servers, piece sizes)`` layout as flat pools.
+
+    Row ``f`` of the layout is pool slice ``off[f]:off[f + 1]``;
+    :meth:`gather` turns a batch of file ids into the fetch-everything
+    :class:`ReadBatch` with a handful of array ops.
+    """
+
+    def __init__(
+        self, servers_of: list[np.ndarray], piece_sizes: list[np.ndarray]
+    ) -> None:
+        servers = [np.asarray(s, dtype=np.int64) for s in servers_of]
+        self.k = np.array([s.size for s in servers], dtype=np.int64)
+        self.off = np.zeros(self.k.size + 1, dtype=np.int64)
+        np.cumsum(self.k, out=self.off[1:])
+        self.servers = (
+            np.concatenate(servers) if servers else np.empty(0, np.int64)
+        )
+        self.sizes = (
+            np.concatenate([np.asarray(p, dtype=np.float64) for p in piece_sizes])
+            if servers
+            else np.empty(0)
+        )
+        self.dup = np.array(
+            [np.unique(s).size < s.size for s in servers], dtype=bool
+        )
+
+    def gather(self, file_ids: np.ndarray) -> ReadBatch:
+        """Every piece of each file in ``file_ids``, in layout order."""
+        k = self.k[file_ids]
+        # Flow i of request b reads pool slot off[file] + (i - first[b]).
+        shift = np.repeat(self.off[file_ids] - (np.cumsum(k) - k), k)
+        src = np.arange(shift.size) + shift
+        return ReadBatch.uniform(
+            k,
+            self.servers[src],
+            self.sizes[src],
+            has_dup=bool(self.dup[file_ids].any()),
+        )
+
+
 class ReadPlanner(Protocol):
-    """What the simulator requires of a placement policy."""
+    """What the simulator requires of a placement policy.
+
+    ``plan_slots`` (default 0 when absent) is how many ``PLAN`` uniforms
+    one request's plan reads; ``plan_reads`` is only needed for batched
+    runs.
+    """
 
     def plan_read(
-        self, file_id: int, rng: np.random.Generator
+        self, file_id: int, u: np.ndarray
     ) -> ReadOp:  # pragma: no cover - protocol
-        """Build the fork-join read for one request of ``file_id``."""
+        """Build the fork-join read for one request of ``file_id`` from
+        the request's ``plan_slots`` uniforms ``u``."""
+        ...
+
+    def plan_reads(
+        self, file_ids: np.ndarray, u: np.ndarray | None
+    ) -> ReadBatch:  # pragma: no cover - protocol
+        """Plan a batch of requests; row ``b`` of ``u`` (shape
+        ``(n, plan_slots)``, ``None`` when ``plan_slots`` is 0) is what
+        ``plan_read`` would get for request ``b``."""
         ...
 
     def footprint(self, file_id: int) -> float:  # pragma: no cover - protocol

@@ -1,50 +1,36 @@
 """Vectorized batch planning for the request lifecycle.
 
-One scalar simulated request costs a ``plan_read`` call, a goodput memo
-lookup per flow, one or two RNG draws, and a handful of tiny-array numpy
-ops — tens of microseconds of Python overhead that caps runs near 10⁴–10⁵
-requests.  :class:`BatchPlanner` lifts the *planning* stations (layout
-gather, goodput factors, jitter, straggler draws) out of the per-request
-loop into per-batch array operations, producing a :class:`PlanBatch` the
-disciplines consume: the ``fifo`` discipline schedules whole batches with
-array arithmetic, while the heap disciplines (``ps``/``limited``) pop one
-request's slice per arrival event.
+One scalar simulated request costs a ``plan_read`` call, a goodput
+lookup per flow, a few draw-table row slices, and a handful of tiny-array
+numpy ops — microseconds of Python overhead that caps runs near
+10⁴–10⁵ requests.  :class:`BatchPlanner` lifts the *planning* stations
+(the policy's plan, goodput factors, jitter, straggler multipliers) out
+of the per-request loop into per-batch array operations, producing a
+:class:`PlanBatch` the disciplines consume: the ``fifo`` discipline
+schedules whole batches with array arithmetic, while the heap
+disciplines (``ps``/``limited``) pop one request's slice per arrival
+event.
 
 The contract is **bitwise parity with the scalar path**, not merely
-statistical equivalence — the golden suites compare ``float.hex``.  Two
-facts about numpy's PCG64 generator carry the whole design (pinned by
-``tests/test_cluster/test_batch_engine.py``):
+statistical equivalence — the parity suites compare ``float.hex``.  It
+holds by construction: every draw is keyed, not streamed
+(:mod:`repro.cluster.engine.draws`), so the batch reads exactly the
+values the scalar loops read, and every transform is elementwise:
 
-* chunked ``Generator.random``/``exponential``/``choice(..., p=...)``
-  draws concatenate bitwise to the single-call draw, and zero-size draws
-  consume no state, so per-batch draws replay the per-request stream; and
-* ``rng.exponential(scale_array)`` equals
-  ``rng.exponential(1.0, n) * scale_array`` bitwise, so jitter can be
-  stored as standard draws and applied by multiplication.
+=============== ================= =====================================
+draw            key               scalar table → batched gather
+=============== ================= =====================================
+plan            (request, slot)   ``plan_read(fid, row)`` →
+                                  ``plan_reads(fids, rows)``
+jitter          (request, flow)   ``-log1p(-u)`` row → flat flows
+straggler test  (request, flow)   ``u < p`` row → flat flows
+slowdown factor (request, flow)   ``interp(u)`` row → flat hits only
+server mask     (0, server)       computed once per run, shared
+=============== ================= =====================================
 
-RNG stream keying: the scalar engines consume draws strictly in request
-order — plan, then jitter, then straggler multipliers — with no consumer
-between requests.  The planner therefore picks, per configuration, the
-widest batching that preserves that exact order:
-
-* deterministic plans + jitter only → one standard-exponential draw per
-  batch (chunk concatenation);
-* deterministic plans + per-read stragglers only → the uniform draws are
-  the run's *only* RNG consumer, so they are drawn into a persistent
-  buffer in large chunks and scanned with per-request offsets (a handful
-  of unused draws may remain at end of run — nothing observes them);
-* deterministic plans + per-server stragglers only → straggler hits are
-  a deterministic mask lookup, so exactly ``total_hits`` uniforms are
-  drawn per batch;
-* jitter *and* stragglers together, or a policy that overrides
-  ``plan_read`` (EC-Cache late binding, selective replication) → a
-  per-request loop that replays the scalar call sequence verbatim.  The
-  batch arrays are still built, so scheduling downstream stays
-  vectorized.
-
-A policy whose reads never randomize (``plan_read`` not overridden) is
-planned from template pools gathered once from its ``servers_of``/
-``piece_sizes`` layout, with goodput factors memoized per flow.
+Goodput factors come from one ``(fan-out, server)`` table whose rows are
+the lifecycle's memoized :meth:`~RequestLifecycle.goodput_row` values, the
+same values the scalar loops index.
 """
 
 from __future__ import annotations
@@ -54,6 +40,8 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+from repro.cluster.engine import draws
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.engine.lifecycle import RequestLifecycle
@@ -127,7 +115,7 @@ class PlanBatch:
 
     __slots__ = (
         "n", "times", "file_ids", "k", "req_off", "servers", "sizes",
-        "bw", "gfactors", "service0", "pos", "jitter", "mult", "extra",
+        "bw", "gfactors", "pos", "jitter", "mult", "extra",
         "straggled_mult", "straggled_extra", "join_count",
         "post_fraction", "post_seconds", "has_dup",
     )
@@ -142,10 +130,9 @@ class PlanBatch:
         req_off: np.ndarray,
         servers: np.ndarray,
         sizes: np.ndarray,
-        bw: np.ndarray | None,
+        bw: np.ndarray,
         gfactors: np.ndarray,
         pos: np.ndarray,
-        service0: np.ndarray | None = None,
         jitter: np.ndarray | None,
         mult: np.ndarray | None,
         extra: np.ndarray | None,
@@ -165,7 +152,6 @@ class PlanBatch:
         self.sizes = sizes
         self.bw = bw
         self.gfactors = gfactors
-        self.service0 = service0
         self.pos = pos
         self.jitter = jitter
         self.mult = mult
@@ -178,426 +164,86 @@ class PlanBatch:
         self.has_dup = has_dup
 
 
-class _UniformStream:
-    """Chunk-buffered view of one generator's uniform stream.
-
-    Chunked ``Generator.random`` draws concatenate bitwise, so reading
-    this buffer left to right observes exactly the uniforms a scalar
-    per-request consumer would draw.  ``reserve`` may overdraw past what
-    the run consumes — callers use it only when these uniforms are the
-    run's sole RNG consumer, so the surplus is never observable.
-    """
-
-    def __init__(self, rng: np.random.Generator, chunk: int = 1 << 17) -> None:
-        self.rng = rng
-        self.chunk = chunk
-        self.buf = np.empty(0, dtype=np.float64)
-        self.pos = 0
-
-    def reserve(self, need: int) -> np.ndarray:
-        """Return a view of at least ``need`` upcoming uniforms."""
-        avail = self.buf.size - self.pos
-        if avail < need:
-            parts = [self.buf[self.pos:]]
-            while avail < need:
-                draw = self.rng.random(max(self.chunk, need - avail))
-                parts.append(draw)
-                avail += draw.size
-            self.buf = np.concatenate(parts)
-            self.pos = 0
-        return self.buf[self.pos : self.pos + need]
-
-    def advance(self, consumed: int) -> None:
-        self.pos += consumed
-
-
 class BatchPlanner:
-    """Plans request batches with the same RNG stream as the scalar path."""
+    """Plans request batches with the draws the scalar path reads."""
 
     def __init__(self, lc: "RequestLifecycle") -> None:
-        from repro.cluster.stragglers import StragglerInjector
-        from repro.policies.base import CachePolicy
-        from repro.workloads.bing import BingStragglerProfile
-
-        self.lc = lc
         planner = lc.planner
-        injector = lc.injector
-        #: Deterministic plans: the stock layout-gather ``plan_read`` —
-        #: any override may draw RNG or reshape the fork-join.
-        self.deterministic = (
-            isinstance(planner, CachePolicy)
-            and type(planner).plan_read is CachePolicy.plan_read
-        )
-        stock_injector = (
-            type(injector).multipliers is StragglerInjector.multipliers
-            and isinstance(injector.profile, BingStragglerProfile)
-            and type(injector.profile).sample_multipliers
-            is BingStragglerProfile.sample_multipliers
-            and type(injector.profile).sample_factors
-            is BingStragglerProfile.sample_factors
-        )
-        # Which RNG strategy keeps the stream byte-identical (see module
-        # docstring).  ``loop`` replays the scalar call sequence.
-        if not self.deterministic:
-            self.rng_mode = "loop"
-        elif lc.exponential and injector.enabled:
-            self.rng_mode = "loop"
-        elif lc.exponential:
-            self.rng_mode = "jitter"
-        elif injector.enabled and stock_injector and injector.mode == "per_read":
-            self.rng_mode = "scan"
-        elif injector.enabled and stock_injector and injector.mode == "per_server":
-            self.rng_mode = "mask"
-        elif injector.enabled:
-            self.rng_mode = "loop"
-        else:
-            self.rng_mode = "none"
-        self._ustream = (
-            _UniformStream(lc.rng) if self.rng_mode == "scan" else None
-        )
-        self._pools_built = False
+        if not callable(getattr(planner, "plan_reads", None)):
+            raise TypeError(
+                "batched runs need a planner with plan_reads(file_ids, u); "
+                f"{type(planner).__name__} has none"
+            )
+        self.lc = lc
+        self._gtab = np.ones((1, lc.cluster.n_servers))
 
-    # -- template pools (deterministic planners) ----------------------
+    def _goodput_table(self, k_max: int) -> np.ndarray:
+        """``(fan-out, server)`` goodput factors, rows ``0 .. k_max``."""
+        if self._gtab.shape[0] <= k_max:
+            rows = [self._gtab]
+            rows += [
+                self.lc.goodput_row(k)[None, :]
+                for k in range(self._gtab.shape[0], k_max + 1)
+            ]
+            self._gtab = np.concatenate(rows)
+        return self._gtab
 
-    def _build_pools(self) -> None:
-        planner = self.lc.planner
-        bandwidths = self.lc.bandwidths
-        servers_of = [
-            np.asarray(s, dtype=np.int64) for s in planner.servers_of
-        ]
-        piece_sizes = [
-            np.asarray(p, dtype=np.float64) for p in planner.piece_sizes
-        ]
-        n_files = len(servers_of)
-        self._k_file = np.array([s.size for s in servers_of], dtype=np.int64)
-        self._off_file = np.zeros(n_files + 1, dtype=np.int64)
-        np.cumsum(self._k_file, out=self._off_file[1:])
-        self._pool_servers = (
-            np.concatenate(servers_of)
-            if n_files
-            else np.empty(0, dtype=np.int64)
-        )
-        self._pool_sizes = (
-            np.concatenate(piece_sizes) if n_files else np.empty(0)
-        )
-        pool_g = np.empty(self._pool_servers.size, dtype=np.float64)
-        for f in range(n_files):
-            kf = int(self._k_file[f])
-            for flow in range(int(self._off_file[f]), int(self._off_file[f + 1])):
-                pool_g[flow] = self.lc.goodput_factor(
-                    kf, float(bandwidths[self._pool_servers[flow]])
-                )
-        self._pool_g = pool_g
-        # Per-flow effective service and straggler scale are pure
-        # functions of the layout — hoist the float ops out of the
-        # per-batch path (the divisions are elementwise, so gathering
-        # the precomputed values is bitwise-equal to recomputing them).
-        pool_bw = bandwidths[self._pool_servers]
-        self._pool_service = self._pool_sizes / (pool_bw * pool_g)
-        self._pool_sob = self._pool_sizes / pool_bw
-        self._dup_file = np.array(
-            [np.unique(s).size < s.size for s in servers_of], dtype=bool
-        )
-        self._pools_built = True
-
-    # -- batch construction -------------------------------------------
-
-    def plan_batch(self, times: np.ndarray, file_ids: np.ndarray) -> PlanBatch:
-        """Plan one contiguous batch, consuming RNG exactly as the scalar
-        engines would at these requests' arrivals."""
+    def plan_batch(
+        self, times: np.ndarray, file_ids: np.ndarray, j0: int
+    ) -> PlanBatch:
+        """Plan requests ``j0 .. j0 + n - 1`` from their keyed draws."""
         times = np.ascontiguousarray(times, dtype=np.float64)
         file_ids = np.ascontiguousarray(file_ids, dtype=np.int64)
-        if self.deterministic:
-            return self._plan_template(times, file_ids)
-        return self._plan_generic(times, file_ids)
-
-    def _plan_template(
-        self, times: np.ndarray, file_ids: np.ndarray
-    ) -> PlanBatch:
-        if not self._pools_built:
-            self._build_pools()
         lc = self.lc
+        seed = lc.seed
         n = int(times.size)
-        k = self._k_file[file_ids]
+        reqs = np.arange(j0, j0 + n)
+        slots = lc.plan_slots
+        u_plan = (
+            draws.uniforms(seed, draws.PLAN, reqs[:, None], np.arange(slots))
+            if slots
+            else None
+        )
+        plan = lc.planner.plan_reads(file_ids, u_plan)
+        k = plan.k
+        servers = plan.servers
+        sizes = plan.sizes
         req_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(k, out=req_off[1:])
         total = int(req_off[-1])
-        pos = np.arange(total, dtype=np.int64) - np.repeat(req_off[:-1], k)
-        src = np.repeat(self._off_file[file_ids], k) + pos
-        servers = self._pool_servers[src]
-        sizes = self._pool_sizes[src]
-        gfactors = self._pool_g[src]
-        service0 = self._pool_service[src]
-        has_dup = bool(self._dup_file[file_ids].any())
-
-        jitter: np.ndarray | None = None
-        mult: np.ndarray | None = None
-        rng = lc.rng
-        injector = lc.injector
-        if self.rng_mode == "loop":
-            # Jitter and straggler draws interleave per request — replay
-            # the scalar order verbatim.
-            jitter = np.empty(total) if lc.exponential else None
-            mult = np.empty(total) if injector.enabled else None
-            mask = lc.straggler_mask
-            off_list = req_off.tolist()
-            for b in range(n):
-                lo, hi = off_list[b], off_list[b + 1]
-                if jitter is not None:
-                    jitter[lo:hi] = rng.exponential(1.0, size=hi - lo)
-                if mult is not None:
-                    mult[lo:hi] = injector.multipliers(
-                        servers[lo:hi], straggler_mask=mask, seed=rng
-                    )
-        elif self.rng_mode == "jitter":
-            jitter = rng.exponential(1.0, size=total)
-        elif self.rng_mode == "scan":
-            mult = self._scan_per_read(n, k, req_off, total, pos)
-        elif self.rng_mode == "mask":
-            mult = self._mask_per_server(servers, total)
-
-        extra: np.ndarray | None = None
-        if mult is not None:
-            extra = (mult - 1.0) * self._pool_sob[src]
-            straggled_mult = np.logical_or.reduceat(mult > 1.0, req_off[:-1])
-            straggled_extra = np.logical_or.reduceat(extra > 0.0, req_off[:-1])
-        else:
-            straggled_mult = np.zeros(n, dtype=bool)
-            straggled_extra = np.zeros(n, dtype=bool)
-
-        return PlanBatch(
-            n=n,
-            times=times,
-            file_ids=file_ids,
-            k=k,
-            req_off=req_off,
-            servers=servers,
-            sizes=sizes,
-            bw=None,
-            gfactors=gfactors,
-            pos=pos,
-            service0=service0,
-            jitter=jitter,
-            mult=mult,
-            extra=extra,
-            straggled_mult=straggled_mult,
-            straggled_extra=straggled_extra,
-            join_count=k,
-            post_fraction=np.zeros(n),
-            post_seconds=np.zeros(n),
-            has_dup=has_dup,
-        )
-
-    def _scan_per_read(
-        self,
-        n: int,
-        k: np.ndarray,
-        req_off: np.ndarray,
-        total: int,
-        pos: np.ndarray,
-    ) -> np.ndarray:
-        """Per-read straggler multipliers from the buffered uniform stream.
-
-        Scalar ``sample_multipliers`` draws, per request, ``k`` test
-        uniforms then ``hits`` factor uniforms (skipping the factor draw
-        when nothing hit).  The per-request offsets into the shared
-        stream depend on earlier hit counts; :meth:`_scan_offsets`
-        recovers them exactly with a vectorized fixpoint iteration, so
-        every op — integer and float alike — stays vectorized.
-
-        The reserve starts at expectation plus generous slack rather
-        than the ``2 * total`` worst case — overdrawn uniforms are never
-        observable (the buffer persists), but the cumulative-hit table
-        costs a pass per element, so sizing it to ~``(1 + 2p) * total``
-        halves the scan's fixed cost.  If a batch's hits genuinely
-        outrun the slack the scan retries with a doubled reserve; the
-        offsets are a pure function of the stream so the replay is
-        exact.
-        """
-        us = self._ustream
-        p = self.lc.injector.profile.probability
-        slack = max(256, int(2.0 * p * total) + 8 * int(total**0.5))
-        reserve = min(total + slack, 2 * total)
-        while True:
-            local = us.reserve(reserve)
-            hcum = np.empty(reserve + 1, dtype=np.int64)
-            hcum[0] = 0
-            np.cumsum(local < p, out=hcum[1:])
-            offs = self._scan_offsets(k, hcum, reserve)
-            if offs is not None:
-                o = int(offs[-1]) + int(k[-1])
-                o += int(hcum[o]) - int(hcum[offs[-1]])
-                if o <= reserve:
-                    break
-            # Hits outran the slack (vanishingly rare): double up.
-            reserve = min(reserve * 2, 2 * total)
-        us.advance(o)
-
-        test_idx = np.repeat(offs, k) + pos
-        u_test = local[test_idx]
-        hit = u_test < p
-        mult = np.ones(total)
-        if hit.any():
-            csum = np.cumsum(hit)
-            csum0 = np.concatenate(([0], csum))
-            hits_before = csum0[np.repeat(req_off[:-1], k)]
-            rank = csum - 1 - hits_before
-            fac_idx = np.repeat(offs + k, k) + rank
-            profile = self.lc.injector.profile
-            mult[hit] = np.interp(
-                local[fac_idx[hit]], profile.quantiles, profile.factors
-            )
-        return mult
-
-    def _scan_offsets(
-        self, k: np.ndarray, hcum: np.ndarray, reserve: int
-    ) -> np.ndarray | None:
-        """Exact per-request stream offsets as a vectorized fixpoint.
-
-        The scalar recurrence ``o_{b+1} = o_b + k_b + hits[o_b, o_b+k_b)``
-        tiles the uniform tape contiguously, so with ``K`` the exclusive
-        cumsum of ``k`` the offsets are ``K + D`` where ``D`` is the
-        unique fixpoint of ``D = exclusive-cumsum(window hits at K + D)``
-        — any self-consistent ``D`` replays the forward recurrence from
-        ``o_0 = 0``, which has exactly one trajectory.  The system is
-        lower-triangular, so the Jacobi rounds are guaranteed exact
-        after at most the block length (in practice each round settles
-        tens of requests), confirmed by an unchanged pass.  Rounds
-        scale with block length, making the cost quadratic per block —
-        so the batch is cut into modest blocks with the exact offset
-        carried between them, keeping total work a small multiple of
-        one request-sized pass.  Returns ``None`` when a proposal
-        indexes past the reserved tape (the caller re-reserves and
-        retries; offsets are bounded by ``2 * total``, so a full
-        reserve always fits).
-        """
-        n = k.size
-        offs = np.empty(n, dtype=np.int64)
-        o = 0
-        tests_done = 0
-        p = float(self.lc.injector.profile.probability)
-        block = 256
-        for lo in range(0, n, block):
-            kb = k[lo : lo + block]
-            nb = kb.size
-            K = np.empty(nb, dtype=np.int64)
-            K[0] = o
-            np.cumsum(kb[:-1], out=K[1:])
-            K[1:] += o
-            # Warm start from the observed hit rate so far: the exact
-            # fixpoint is unaffected by the guess, but starting near it
-            # (error ~ a random-walk deviation instead of the full
-            # expected drift) cuts the rounds to a handful.
-            rho = (o - tests_done) / tests_done if tests_done else p
-            D = np.rint((K - o) * rho).astype(np.int64)
-            D[0] = 0
-            while True:
-                x = K + D
-                win_end = x + kb
-                try:
-                    h = hcum[win_end] - hcum[x]
-                except IndexError:
-                    # Proposal left the reserved tape: re-reserve.
-                    return None
-                D_new = np.empty(nb, dtype=np.int64)
-                D_new[0] = 0
-                np.cumsum(h[:-1], out=D_new[1:])
-                if bool((D_new == D).all()):
-                    break
-                D = D_new
-            offs[lo : lo + block] = x
-            o = int(x[-1]) + int(kb[-1]) + int(h[-1])
-            tests_done += int(K[-1]) - int(K[0]) + int(kb[-1])
-        return offs
-
-    def _mask_per_server(self, servers: np.ndarray, total: int) -> np.ndarray:
-        """Per-server straggler multipliers: hits are a deterministic mask
-        lookup, so exactly ``total_hits`` uniforms are drawn (zero-size
-        scalar draws consume no state, so batching them is exact)."""
-        lc = self.lc
-        hit = lc.straggler_mask[servers]
-        mult = np.ones(total)
-        n_hit = int(hit.sum())
-        if n_hit:
-            profile = lc.injector.profile
-            mult[hit] = np.interp(
-                lc.rng.random(n_hit), profile.quantiles, profile.factors
-            )
-        return mult
-
-    def _plan_generic(
-        self, times: np.ndarray, file_ids: np.ndarray
-    ) -> PlanBatch:
-        """Per-request planning for policies that override ``plan_read``.
-
-        Replays the scalar RNG call sequence (plan, jitter, multipliers)
-        verbatim and packs the results into batch arrays so scheduling
-        downstream stays vectorized.
-        """
-        lc = self.lc
-        rng = lc.rng
-        injector = lc.injector
-        exponential = lc.exponential
-        mask = lc.straggler_mask
-        n = int(times.size)
-        servers_parts: list[np.ndarray] = []
-        sizes_parts: list[np.ndarray] = []
-        jitter_parts: list[np.ndarray] = []
-        mult_parts: list[np.ndarray] = []
-        k = np.empty(n, dtype=np.int64)
-        join_count = np.empty(n, dtype=np.int64)
-        post_fraction = np.empty(n)
-        post_seconds = np.empty(n)
-        has_dup = False
-        for b in range(n):
-            op = lc.plan(int(file_ids[b]))
-            srv = op.server_ids
-            kb = srv.size
-            servers_parts.append(srv)
-            sizes_parts.append(op.sizes)
-            k[b] = kb
-            join_count[b] = op.join_count
-            post_fraction[b] = op.post_fraction
-            post_seconds[b] = op.post_seconds
-            if not has_dup and np.unique(srv).size < kb:
-                has_dup = True
-            if exponential:
-                jitter_parts.append(rng.exponential(1.0, size=kb))
-            if injector.enabled:
-                mult_parts.append(
-                    injector.multipliers(srv, straggler_mask=mask, seed=rng)
-                )
-        req_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(k, out=req_off[1:])
-        total = int(req_off[-1])
-        servers = (
-            np.concatenate(servers_parts)
-            if n
-            else np.empty(0, dtype=np.int64)
-        )
-        sizes = np.concatenate(sizes_parts) if n else np.empty(0)
         pos = np.arange(total, dtype=np.int64) - np.repeat(req_off[:-1], k)
         bw = lc.bandwidths[servers]
-        gfactors = np.empty(total)
-        goodput = lc.goodput
-        if goodput is None:
-            gfactors.fill(1.0)
-        else:
-            bw_list = bw.tolist()
-            k_flow = np.repeat(k, k).tolist()
-            factor = lc.goodput_factor
-            for i in range(total):
-                gfactors[i] = factor(k_flow[i], bw_list[i])
-        jitter = np.concatenate(jitter_parts) if jitter_parts else None
-        mult = np.concatenate(mult_parts) if mult_parts else None
-        extra: np.ndarray | None = None
-        if mult is not None:
+        k_flow = np.repeat(k, k)
+        gtab = self._goodput_table(int(k.max()) if n else 0)
+        gfactors = gtab[k_flow, servers]
+
+        def flow_uniforms(purpose: int, sel=None) -> np.ndarray:
+            keys = np.repeat(draws.request_keys(seed, purpose, reqs), k)
+            if sel is None:
+                return draws.slot_uniforms(keys, pos)
+            return draws.slot_uniforms(keys[sel], pos[sel])
+
+        jitter = (
+            draws.exponential(flow_uniforms(draws.JITTER))
+            if lc.exponential
+            else None
+        )
+        mult = extra = None
+        if lc.injector.enabled:
+            profile = lc.injector.profile
+            if lc.per_server:
+                hit = lc.straggler_mask[servers]
+            else:
+                hit = flow_uniforms(draws.STRAGGLE) < profile.probability
+            mult = np.ones(total)
+            mult[hit] = profile.factor_at(flow_uniforms(draws.FACTOR, hit))
             extra = (mult - 1.0) * (sizes / bw)
             straggled_mult = np.logical_or.reduceat(mult > 1.0, req_off[:-1])
             straggled_extra = np.logical_or.reduceat(extra > 0.0, req_off[:-1])
         else:
             straggled_mult = np.zeros(n, dtype=bool)
             straggled_extra = np.zeros(n, dtype=bool)
+
         return PlanBatch(
             n=n,
             times=times,
@@ -614,10 +260,10 @@ class BatchPlanner:
             extra=extra,
             straggled_mult=straggled_mult,
             straggled_extra=straggled_extra,
-            join_count=join_count,
-            post_fraction=post_fraction,
-            post_seconds=post_seconds,
-            has_dup=has_dup,
+            join_count=plan.join_count,
+            post_fraction=plan.post_fraction,
+            post_seconds=plan.post_seconds,
+            has_dup=plan.has_dup,
         )
 
 

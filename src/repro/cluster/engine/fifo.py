@@ -34,7 +34,6 @@ class FifoDiscipline:
     def run(self, lc: RequestLifecycle) -> SimulationResult:
         if lc.batch_planner is not None:
             return _run_batched(lc)
-        rng = lc.rng
         bandwidths = lc.bandwidths
         n_requests = lc.n_requests
 
@@ -58,23 +57,19 @@ class FifoDiscipline:
         for j in range(n_requests):
             t = times[j]
             fid = int(file_ids[j])
-            op = lc.plan(fid)
+            op = lc.plan(j, fid)
             if track:
                 lc.observe_popularity(t, fid, op)
             servers = op.server_ids
+            k = servers.size
             bw = bandwidths[servers]
 
             # Base service times, with goodput loss from this request's
             # fan-out.
-            if bw.size > 1 and np.ptp(bw) > 0:
-                factors = np.array(
-                    [lc.goodput_factor(op.parallelism, b) for b in bw]
-                )
-            else:
-                factors = lc.goodput_factor(op.parallelism, float(bw[0]))
+            factors = lc.goodput_row(k)[servers]
             service = op.sizes / (bw * factors)
             if exponential:
-                service = rng.exponential(service)
+                service = service * lc.jitter(j, k)
 
             start = np.maximum(t, free_at[servers])
             completion = start + service
@@ -87,7 +82,7 @@ class FifoDiscipline:
             straggled = False
             extra = None
             if injector.enabled:
-                extra, mult = lc.report_delays(op)
+                extra, mult = lc.report_delays(j, op)
                 reported = completion + extra
                 straggled = bool(np.any(mult > 1.0))
                 lc.count_straggled(straggled)
@@ -110,12 +105,9 @@ class FifoDiscipline:
                 extras = (
                     extra if extra is not None else np.zeros(reported.size)
                 )
-                gfs = np.broadcast_to(
-                    np.asarray(factors, dtype=np.float64), (reported.size,)
-                )
                 for c in recorders:
                     c.record_partitions(
-                        j, servers, op.sizes, start, completion, extras, gfs
+                        j, servers, op.sizes, start, completion, extras, factors
                     )
                     c.record_request(j, missed=missed, straggled=straggled)
                     c.record_join(j, crit)
@@ -155,9 +147,10 @@ def _run_batched(lc: RequestLifecycle) -> SimulationResult:
     """Vectorized fifo: schedule whole plan batches with array arithmetic.
 
     Bitwise-equal to the scalar loop above (the parity tests compare
-    ``float.hex``): the batch planner replays the scalar RNG stream, the
-    per-server schedule comes from :func:`fifo_schedule_grouped` (same
-    float additions in the same order), and per-server byte accounting uses
+    ``float.hex``): the batch planner gathers the scalar loop's keyed
+    draws, the per-server schedule comes from
+    :func:`fifo_schedule_grouped` (same float additions in the same
+    order), and per-server byte accounting uses
     ``np.add.at`` (element-order accumulation, matching the per-request
     fancy adds).  Requests with duplicate servers inside one fork-join
     fall back to a per-request replay of the scalar array semantics
@@ -177,7 +170,7 @@ def _run_batched(lc: RequestLifecycle) -> SimulationResult:
 
     j0 = 0
     for times, file_ids in _request_batches(lc):
-        batch = lc.batch_planner.plan_batch(times, file_ids)
+        batch = lc.batch_planner.plan_batch(times, file_ids, j0)
         if assemble:
             all_times[j0 : j0 + batch.n] = batch.times
             all_fids[j0 : j0 + batch.n] = batch.file_ids
@@ -206,10 +199,9 @@ def _consume_fifo_batch(
     off = batch.req_off
     total = servers.size
 
-    base = batch.service0
-    if base is None:
-        base = sizes / (batch.bw * batch.gfactors)
-    service = base if batch.jitter is None else base * batch.jitter
+    service = sizes / (batch.bw * batch.gfactors)
+    if batch.jitter is not None:
+        service = service * batch.jitter
 
     if batch.has_dup:
         _consume_fifo_scalar(
@@ -277,10 +269,10 @@ def _consume_fifo_batch(
 
     join_at = np.maximum.reduceat(reported, off[:-1])
     partial = np.flatnonzero(batch.join_count < k)
-    for b in partial:
-        jc = int(batch.join_count[b])
-        seg = reported[off_list[b] : off_list[b + 1]]
-        join_at[b] = np.partition(seg, jc - 1)[jc - 1]
+    if partial.size:
+        join_at[partial] = _partial_joins(
+            reported, off, k[partial], batch.join_count[partial], partial
+        )
 
     missed = np.zeros(n, dtype=bool)
     if lc.lru is not None:
@@ -321,6 +313,27 @@ def _consume_fifo_batch(
                 file_id=f_list[b],
                 latency=float(lat[b]),
             )
+
+
+def _partial_joins(
+    reported: np.ndarray,
+    off: np.ndarray,
+    k: np.ndarray,
+    join: np.ndarray,
+    reqs: np.ndarray,
+) -> np.ndarray:
+    """The ``join``-th smallest reported completion of each request in
+    ``reqs`` (fan-out ``k``), one row-wise partition per distinct
+    ``(k, join)`` pair — a selection, so the value is the scalar
+    ``np.partition``'s bit for bit."""
+    out = np.empty(reqs.size)
+    pair = k * (int(join.max()) + 1) + join
+    for key in np.unique(pair).tolist():
+        sel = pair == key
+        kk, jj = int(k[sel][0]), int(join[sel][0])
+        rows = reported[off[reqs[sel]][:, None] + np.arange(kk)]
+        out[sel] = np.partition(rows, jj - 1, axis=1)[:, jj - 1]
+    return out
 
 
 def _record_frames(
@@ -375,9 +388,8 @@ def _consume_fifo_scalar(
 ) -> None:
     """Per-request replay for batches containing duplicate-server plans.
 
-    Reuses the batch's precomputed draws (no RNG is consumed here) but
-    applies them with the scalar loop's exact fancy-indexing semantics:
-    with duplicate indices, ``free_at[servers] = completion`` keeps the
+    Reuses the batch's precomputed draws but applies them with the scalar
+    loop's exact fancy-indexing semantics: with duplicate indices, ``free_at[servers] = completion`` keeps the
     last write and ``server_bytes[servers] += sizes`` collapses the adds.
     """
     recorders = lc.recorders

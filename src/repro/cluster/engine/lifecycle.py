@@ -3,9 +3,9 @@
 Whatever the service discipline, one simulated read goes through the same
 stations: the policy plans a fork-join (:meth:`RequestLifecycle.plan`),
 per-connection goodput shrinks effective bandwidth (memoized in
-:meth:`RequestLifecycle.goodput_factor`), optional exponential jitter
-perturbs service, straggler injection delays the *reported* completion
-without holding the NIC (:meth:`RequestLifecycle.report_delays` — the
+:meth:`RequestLifecycle.goodput_row`), optional exponential jitter
+perturbs service (:meth:`RequestLifecycle.jitter`), straggler injection
+delays the *reported* completion without holding the NIC (:meth:`RequestLifecycle.report_delays` — the
 paper injects by sleeping the serving thread), a cluster-wide LRU decides
 hit/miss under a cache budget (:meth:`RequestLifecycle.admit`), the join
 fires after ``join_count`` completions and the latency folds in post-join
@@ -19,11 +19,14 @@ Disciplines (:mod:`repro.cluster.engine.registry`) own only the queueing:
 
 from __future__ import annotations
 
+import numbers
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cluster.client import ReadOp
+from repro.cluster.engine import draws
 from repro.cluster.metrics import (
     LatencySummary,
     imbalance_factor,
@@ -32,7 +35,7 @@ from repro.cluster.metrics import (
 from repro.cluster.network import GoodputModel
 from repro.cluster.stragglers import StragglerInjector
 from repro.cluster.topology import ClusterTopology, as_cluster_spec
-from repro.common import ClusterSpec, make_rng
+from repro.common import ClusterSpec
 from repro.obs import events as ev
 from repro.obs.causal import CausalCollector, CausalConfig
 from repro.obs.metrics import get_registry
@@ -71,6 +74,11 @@ METRIC_SNAPSHOT_KEYS: tuple[str, ...] = (
     "imbalance_eta",
     "straggler_reads",
 )
+
+
+#: The ``u`` a planner with no plan slots receives.
+_NO_DRAWS = np.empty(0)
+_NO_DRAWS.flags.writeable = False
 
 
 def planner_name(planner: object) -> str:
@@ -158,6 +166,9 @@ class SimulationConfig:
     jitter: str = "exponential"  # or "deterministic"
     goodput: GoodputModel | None = field(default_factory=GoodputModel)
     stragglers: StragglerInjector = field(default_factory=StragglerInjector.none)
+    #: Key of every draw the run makes (:mod:`repro.cluster.engine.draws`):
+    #: an int in ``[0, 2**64)``, or ``None`` for fresh entropy (the drawn
+    #: key is recorded on :attr:`SimulationResult.seed`).
     seed: int | None = 0
     cache_budget: float | None = None  # cluster-wide bytes; None = unbounded
     miss_penalty: float = 3.0
@@ -177,6 +188,18 @@ class SimulationConfig:
         from repro.cluster.engine.registry import resolve_discipline
 
         resolve_discipline(self.discipline)  # fail fast on unknown specs
+        if self.seed is not None:
+            if isinstance(self.seed, (bool, np.bool_)) or not isinstance(
+                self.seed, numbers.Integral
+            ):
+                raise TypeError(
+                    f"seed must be an int in [0, 2**64) or None, "
+                    f"got {type(self.seed).__name__} {self.seed!r}"
+                )
+            if not 0 <= self.seed < 2**64:
+                raise ValueError(
+                    f"seed must be in [0, 2**64), got {self.seed!r}"
+                )
         if self.jitter not in ("exponential", "deterministic"):
             raise ValueError(
                 f"jitter must be 'exponential' or 'deterministic', "
@@ -237,6 +260,9 @@ class SimulationResult:
     #: Finalized causal critical-path section (``None`` unless the run
     #: had causal collection enabled) — see :mod:`repro.obs.causal`.
     causal: dict | None = None
+    #: The draw key the run used: ``config.seed``, or the fresh key drawn
+    #: when that is ``None`` (pass it back as ``seed`` to replay the run).
+    seed: int | None = None
 
     @property
     def n_requests(self) -> int:
@@ -280,13 +306,16 @@ def _validate_inputs(trace: object, planner: object, cluster: object) -> None:
 class RequestLifecycle:
     """Everything one run shares across disciplines.
 
-    Owns the RNG, the goodput memo, straggler report-delay semantics, the
-    LRU hit/miss ledger, join latency arithmetic, READ/READ_DONE tracing,
-    and the end-of-run metrics flush.  A discipline's ``run`` drives the
-    queueing and calls back here for each station.
+    Owns the draw key, the goodput memo, straggler report-delay
+    semantics, the LRU hit/miss ledger, join latency arithmetic,
+    READ/READ_DONE tracing, and the end-of-run metrics flush.  A
+    discipline's ``run`` drives the queueing and calls back here for each
+    station.
 
-    RNG discipline: helpers consume draws in a fixed per-request order
-    (plan, jitter, stragglers) so fixed seeds replay byte-identically.
+    Draws: every random number is keyed by ``(seed, purpose, request,
+    slot)`` (:mod:`repro.cluster.engine.draws`); the per-request helpers
+    take the request index and slice rows of chunked draw tables, so
+    fixed seeds replay byte-identically in any order and batching.
     """
 
     def __init__(
@@ -339,16 +368,24 @@ class RequestLifecycle:
                 self.trace = None
             else:
                 self.trace = trace.materialize()
-        self.rng = make_rng(config.seed)
+        #: Key of every draw (:mod:`repro.cluster.engine.draws`).
+        self.seed = (
+            int(config.seed) if config.seed is not None else secrets.randbits(64)
+        )
         self.bandwidths = cluster.bandwidths
         self.exponential = config.jitter == "exponential"
         self.goodput = config.goodput
         self.injector = config.stragglers
+        self.per_server = self.injector.mode == "per_server"
         self.straggler_mask = (
-            self.injector.straggler_servers(cluster.n_servers, seed=self.rng)
-            if self.injector.enabled and self.injector.mode == "per_server"
+            draws.uniforms(
+                self.seed, draws.SERVER_MASK, 0, np.arange(cluster.n_servers)
+            )
+            < self.injector.profile.probability
+            if self.injector.enabled and self.per_server
             else None
         )
+        self._init_draw_tables(planner)
         self.lru: LRUCache | None = (
             LRUCache(config.cache_budget)
             if config.cache_budget is not None
@@ -415,21 +452,80 @@ class RequestLifecycle:
         self._slo_miss: list[bool] | None = (
             self.slo_monitor.miss_log if self.slo_monitor is not None else None
         )
-        # Memoize goodput factors: parallelism is a small integer and
-        # bandwidth comes from a short array, so this avoids one
-        # interpolation per (fan-out, server-speed) pair.
-        self._factor_memo: dict[tuple[int, float], float] = {}
+        # Memoize goodput factors per fan-out: parallelism is a small
+        # integer, so this avoids one interpolation per flow.
+        self._goodput_rows: dict[int, np.ndarray] = {}
         #: Vectorized planning layer; ``None`` keeps the scalar path
         #: (and its goldens) untouched.
         self.batch_planner: BatchPlanner | None = (
             BatchPlanner(self) if self.batch_size else None
         )
 
+    # -- draws --------------------------------------------------------
+
+    def _init_draw_tables(self, planner) -> None:
+        """Chunked per-request rows for the scalar loops (the batched
+        planner gathers the same values from flat flow arrays)."""
+        seed = self.seed
+        self.plan_slots = int(getattr(planner, "plan_slots", 0))
+        self._plan_rows = (
+            draws.DrawTable(
+                lambda r, s: draws.uniforms(seed, draws.PLAN, r, s),
+                self.plan_slots,
+            )
+            if self.plan_slots
+            else None
+        )
+        # Flow rows start as wide as the widest layout row and grow on
+        # demand for planners without a layout.
+        layout = getattr(planner, "servers_of", None)
+        width = (
+            max((len(s) for s in layout), default=1) if layout is not None else 8
+        )
+        self._jitter_rows = (
+            draws.DrawTable(
+                lambda r, s: draws.exponential(
+                    draws.uniforms(seed, draws.JITTER, r, s)
+                ),
+                width,
+            )
+            if self.exponential
+            else None
+        )
+        self._mult_rows = (
+            draws.DrawTable(self._multiplier_block, width)
+            if self.injector.enabled
+            else None
+        )
+
+    def _multiplier_block(self, reqs: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Per-read multipliers, or per-server slowdown factors (applied
+        where the serving server straggles), for a block of slots."""
+        factor = self.injector.profile.factor_at(
+            draws.uniforms(self.seed, draws.FACTOR, reqs, slots)
+        )
+        if self.per_server:
+            return factor
+        hit = (
+            draws.uniforms(self.seed, draws.STRAGGLE, reqs, slots)
+            < self.injector.profile.probability
+        )
+        return np.where(hit, factor, 1.0)
+
+    def jitter(self, j: int, k: int) -> np.ndarray:
+        """Request ``j``'s standard-exponential jitter for ``k`` flows."""
+        return self._jitter_rows.row(j, k)
+
     # -- planning -----------------------------------------------------
 
-    def plan(self, file_id: int) -> ReadOp:
-        """Ask the policy for this request's fork-join."""
-        return self.planner.plan_read(file_id, self.rng)
+    def plan(self, j: int, file_id: int) -> ReadOp:
+        """Ask the policy for request ``j``'s fork-join."""
+        u = (
+            self._plan_rows.row(j, self.plan_slots)
+            if self._plan_rows is not None
+            else _NO_DRAWS
+        )
+        return self.planner.plan_read(file_id, u)
 
     def observe_popularity(self, t: float, file_id: int, op: ReadOp) -> None:
         """Feed one planned request to the popularity monitor.
@@ -452,21 +548,25 @@ class RequestLifecycle:
         if len(pend) >= mon._win_requests:
             mon._roll()
 
-    def goodput_factor(self, parallelism: int, bandwidth: float) -> float:
-        """Memoized per-connection goodput multiplier (1.0 when disabled)."""
-        if self.goodput is None:
-            return 1.0
-        key = (parallelism, bandwidth)
-        cached = self._factor_memo.get(key)
-        if cached is None:
-            cached = self.goodput.factor(parallelism, bandwidth)
-            self._factor_memo[key] = cached
-        return cached
+    def goodput_row(self, parallelism: int) -> np.ndarray:
+        """Every server's memoized goodput multiplier at fan-out
+        ``parallelism`` (all 1.0 when goodput loss is disabled)."""
+        row = self._goodput_rows.get(parallelism)
+        if row is None:
+            row = self._goodput_rows[parallelism] = np.array(
+                [
+                    1.0
+                    if self.goodput is None
+                    else self.goodput.factor(parallelism, float(b))
+                    for b in self.bandwidths
+                ]
+            )
+        return row
 
     # -- stragglers ---------------------------------------------------
 
-    def report_delays(self, op: ReadOp) -> tuple[np.ndarray, np.ndarray]:
-        """Straggler report delays for one fork-join.
+    def report_delays(self, j: int, op: ReadOp) -> tuple[np.ndarray, np.ndarray]:
+        """Straggler report delays for request ``j``'s fork-join.
 
         Returns ``(extra_seconds, multipliers)`` aligned with
         ``op.server_ids``.  The paper injects stragglers by sleeping the
@@ -474,12 +574,13 @@ class RequestLifecycle:
         ``(m - 1)`` times its nominal transfer time while the NIC frees
         on schedule — disciplines add ``extra`` to the reported
         completion only, never to queue occupancy.  Call only when
-        ``self.injector.enabled``; consumes RNG draws.
+        ``self.injector.enabled``.
         """
-        mult = self.injector.multipliers(
-            op.server_ids, straggler_mask=self.straggler_mask, seed=self.rng
-        )
-        extra = (mult - 1.0) * (op.sizes / self.bandwidths[op.server_ids])
+        servers = op.server_ids
+        mult = self._mult_rows.row(j, servers.size)
+        if self.per_server:
+            mult = np.where(self.straggler_mask[servers], mult, 1.0)
+        extra = (mult - 1.0) * (op.sizes / self.bandwidths[servers])
         return extra, mult
 
     def count_straggled(self, straggled: bool) -> None:
@@ -625,6 +726,7 @@ class RequestLifecycle:
             config=self.config,
             metrics=metrics,
             **sections,
+            seed=self.seed,
         )
 
     def _emit_timeline_windows(self, timeline: dict) -> None:

@@ -169,7 +169,6 @@ def _run_heap(
     lc: RequestLifecycle, capacity: int | None
 ) -> SimulationResult:
     """Run the flow engine; ``capacity=None`` means unbounded (pure PS)."""
-    rng = lc.rng
     bw = [float(b) for b in lc.bandwidths]
     client_bw = lc.cluster.effective_client_bandwidth
     n_servers = lc.cluster.n_servers
@@ -232,16 +231,11 @@ def _run_heap(
     ]
     heapq.heapify(heap)
 
-    # Per fan-out k, every server's goodput factor (the lifecycle's
-    # memoized values), so a scalar plan gathers its factors in one step.
-    goodput_rows: dict[int, np.ndarray] = {}
-
     # Batched planning: arrivals pop in request order (kind 0 sorts
     # before completions at equal times, ties break on the request id,
-    # and the trace is time-sorted), and this engine consumes RNG only
-    # while processing arrivals — so planning the next ``batch_size``
-    # requests when the first of them arrives replays the scalar RNG
-    # stream byte for byte.
+    # and the trace is time-sorted), so the next ``batch_size`` requests
+    # are planned when the first of them arrives; their keyed draws are
+    # the scalar loop's.
     planner_b = lc.batch_planner
     batch = None
     batch_j0 = 0
@@ -296,7 +290,7 @@ def _run_heap(
                 if j >= batch_end:
                     hi = min(j + lc.batch_size, n_requests)
                     batch = planner_b.plan_batch(
-                        trace.times[j:hi], trace.file_ids[j:hi]
+                        trace.times[j:hi], trace.file_ids[j:hi], j
                     )
                     batch_j0 = j
                     batch_end = hi
@@ -328,7 +322,7 @@ def _run_heap(
                 req_post_fraction[j] = batch.post_fraction[b_ix]
                 req_post_seconds[j] = batch.post_seconds[b_ix]
             else:
-                op = lc.plan(fid0)
+                op = lc.plan(j, fid0)
                 if track:
                     # Arrivals pop in nondecreasing time, so sim-time
                     # window rollover inside the monitor stays monotone.
@@ -339,20 +333,14 @@ def _run_heap(
                 sizes = op_sizes
                 gfactors = None
                 if goodput is not None:
-                    k = op.parallelism
-                    row = goodput_rows.get(k)
-                    if row is None:
-                        row = goodput_rows[k] = np.array(
-                            [lc.goodput_factor(k, b) for b in bw]
-                        )
-                    gfactors = row[op_servers]
+                    gfactors = lc.goodput_row(len(servers))[op_servers]
                     sizes = sizes / gfactors
                 if exponential:
-                    sizes = sizes * rng.exponential(1.0, size=len(servers))
+                    sizes = sizes * lc.jitter(j, len(servers))
                 straggled = False
                 extra = None
                 if injector.enabled:
-                    extra, _mult = lc.report_delays(op)
+                    extra, _mult = lc.report_delays(j, op)
                     straggled = bool((extra > 0.0).any())
                     lc.count_straggled(straggled)
                 req_remaining[j] = op.join_count

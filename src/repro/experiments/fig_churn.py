@@ -38,6 +38,7 @@ from repro.cluster import (
     imbalance_factor,
     simulate_reads,
 )
+from repro.cluster.client import ReadBatch, ReadLayout
 from repro.core.placement import (
     hash_mod_assignment,
     place_hash_mod,
@@ -74,9 +75,10 @@ class _EpochLayoutPolicy:
     simulator's server axis); the stable-id layouts the strategies
     produce are mapped through
     :meth:`~repro.cluster.topology.EpochView.to_dense` before building
-    one of these.  Both the scalar engine path and the vectorized
-    :class:`~repro.cluster.engine.batch.BatchPlanner` read the
-    ``servers_of``/``piece_sizes`` attributes directly.
+    one of these.  The scalar engine path reads the layout through
+    ``plan_read``; the vectorized
+    :class:`~repro.cluster.engine.batch.BatchPlanner` gathers it through
+    ``plan_reads`` (a :class:`~repro.cluster.client.ReadLayout`).
     """
 
     def __init__(
@@ -88,13 +90,18 @@ class _EpochLayoutPolicy:
             np.full(s.size, size / s.size)
             for s, size in zip(servers_of, sizes)
         ]
+        self._layout = ReadLayout(self.servers_of, self.piece_sizes)
 
-    def plan_read(self, file_id: int, rng: np.random.Generator) -> ReadOp:
-        del rng
+    def plan_read(self, file_id: int, u: np.ndarray) -> ReadOp:
+        del u
         return ReadOp(
             server_ids=self.servers_of[file_id],
             sizes=self.piece_sizes[file_id],
         )
+
+    def plan_reads(self, file_ids: np.ndarray, u: np.ndarray | None) -> ReadBatch:
+        del u
+        return self._layout.gather(file_ids)
 
     def footprint(self, file_id: int) -> float:
         return float(self.piece_sizes[file_id].sum())

@@ -11,10 +11,11 @@ choice), the read plan.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 import numpy as np
 
-from repro.cluster.client import ReadOp, WriteOp
+from repro.cluster.client import ReadBatch, ReadLayout, ReadOp, WriteOp
 from repro.cluster.topology import ClusterTopology, as_cluster_spec
 from repro.common import ClusterSpec, FilePopulation, make_rng
 from repro.core.placement import place_partitions_random, placement_server_loads
@@ -27,6 +28,8 @@ class CachePolicy(ABC):
 
     #: Short name used in experiment tables.
     name: str = "base"
+    #: ``PLAN`` uniforms one read plan consumes (0: reads are fixed).
+    plan_slots: int = 0
 
     def __init__(
         self,
@@ -68,13 +71,24 @@ class CachePolicy(ABC):
 
     # -- protocol used by the simulator --------------------------------------
 
-    def plan_read(self, file_id: int, rng: np.random.Generator) -> ReadOp:
+    def plan_read(self, file_id: int, u: np.ndarray) -> ReadOp:
         """Default read: fetch every piece, join on all of them."""
-        del rng
+        del u
         return ReadOp(
             server_ids=self.servers_of[file_id],
             sizes=self.piece_sizes[file_id],
         )
+
+    def plan_reads(self, file_ids: np.ndarray, u: np.ndarray | None) -> ReadBatch:
+        """Batched :meth:`plan_read`: gather every piece of each file."""
+        del u
+        return self.read_layout.gather(file_ids)
+
+    @cached_property
+    def read_layout(self) -> ReadLayout:
+        """The layout as flat pools, built on first use (layouts are fixed
+        once the policy is constructed)."""
+        return ReadLayout(self.servers_of, self.piece_sizes)
 
     def footprint(self, file_id: int) -> float:
         """Cached bytes for the file, including any parity or replicas."""

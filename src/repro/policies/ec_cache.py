@@ -3,10 +3,11 @@
 Every file is split with a uniform (k, n) Reed-Solomon code — the paper's
 evaluation uses (10, 14), i.e. 40 % memory overhead, which its sensitivity
 study found best.  A read late-binds: it fetches ``k + 1`` randomly chosen
-shards of the ``n`` and completes when any ``k`` arrive, then pays the
-decode.  Decode cost is modeled as a fraction of the read latency (the
-paper measures 15-30 % for >= 100 MB files, Fig. 4, and uses 20 % in its
-own simulations); writes additionally pay encoding at a configurable
+shards of the ``n`` (the first ``k + 1`` of a stable argsort of the
+request's ``n`` plan uniforms) and completes when any ``k`` arrive, then
+pays the decode.  Decode cost is modeled as a fraction of the read
+latency (the paper measures 15-30 % for >= 100 MB files, Fig. 4, and
+uses 20 % in its own simulations); writes additionally pay encoding at a configurable
 throughput before shipping ``n / k`` times the file's bytes.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.client import ReadOp, WriteOp
+from repro.cluster.client import ReadBatch, ReadOp, WriteOp
 from repro.common import MB, ClusterSpec, FilePopulation
 
 from repro.policies.base import CachePolicy
@@ -51,6 +52,7 @@ class ECCachePolicy(CachePolicy):
         self.decode_overhead = decode_overhead
         self.encode_throughput = encode_throughput
         self.late_binding = late_binding
+        self.plan_slots = n
         super().__init__(population, cluster, seed=seed)
 
     def _build_layout(self) -> None:
@@ -61,17 +63,36 @@ class ECCachePolicy(CachePolicy):
             np.full(self.n, size / self.k) for size in self.population.sizes
         ]
 
-    def plan_read(self, file_id: int, rng: np.random.Generator) -> ReadOp:
+    @property
+    def fetch(self) -> int:
+        """Shards one read fetches: ``k + 1`` with late binding, else ``k``."""
+        return min(self.k + 1, self.n) if self.late_binding else self.k
+
+    def plan_read(self, file_id: int, u: np.ndarray) -> ReadOp:
         """Late binding: read ``k + 1`` random shards, join on ``k``."""
-        servers = self.servers_of[file_id]
-        sizes = self.piece_sizes[file_id]
-        fetch = min(self.k + 1, self.n) if self.late_binding else self.k
-        idx = rng.choice(self.n, size=fetch, replace=False)
+        idx = np.argsort(u[: self.n], kind="stable")[: self.fetch]
         return ReadOp(
-            server_ids=servers[idx],
-            sizes=sizes[idx],
+            server_ids=self.servers_of[file_id][idx],
+            sizes=self.piece_sizes[file_id][idx],
             join_count=self.k,
             post_fraction=self.decode_overhead,
+        )
+
+    def plan_reads(self, file_ids: np.ndarray, u: np.ndarray | None) -> ReadBatch:
+        """Batched :meth:`plan_read`: one row-wise argsort for the batch."""
+        fetch = self.fetch
+        n = file_ids.size
+        idx = np.argsort(u[:, : self.n], axis=1, kind="stable")[:, :fetch]
+        # Shard i of file f sits at pool slot off[f] + i.
+        layout = self.read_layout
+        flat = (layout.off[file_ids][:, None] + idx).ravel()
+        return ReadBatch.uniform(
+            np.full(n, fetch, dtype=np.int64),
+            layout.servers[flat],
+            layout.sizes[flat],
+            join_count=np.full(n, self.k, dtype=np.int64),
+            post_fraction=self.decode_overhead,
+            has_dup=bool(layout.dup[file_ids].any()),
         )
 
     def plan_write(self, file_id: int) -> WriteOp:

@@ -1,7 +1,8 @@
 """Selective replication baseline [9] (Scarlett-style).
 
 Hot files get extra whole-file replicas; a read is served by one replica
-chosen uniformly at random.  The paper's matched configuration replicates
+chosen uniformly at random (``floor(u * r)`` of the request's plan
+uniform ``u``).  The paper's matched configuration replicates
 the top 10 % most popular files 4x, giving the same 40 % memory overhead as
 EC-Cache's (10, 14) code.  Writes push every replica through the client NIC
 — the scheme's Sec. 7.8 weakness.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.client import ReadOp, WriteOp
+from repro.cluster.client import ReadBatch, ReadOp, WriteOp
 from repro.common import ClusterSpec, FilePopulation
 from repro.policies.base import CachePolicy
 from repro.workloads.filesets import replication_counts_topk
@@ -23,6 +24,7 @@ class SelectiveReplicationPolicy(CachePolicy):
     """Popularity-ranked whole-file replication."""
 
     name = "selective-replication"
+    plan_slots = 1
 
     def __init__(
         self,
@@ -60,13 +62,29 @@ class SelectiveReplicationPolicy(CachePolicy):
             for r, size in zip(counts, self.population.sizes)
         ]
 
-    def plan_read(self, file_id: int, rng: np.random.Generator) -> ReadOp:
-        """Serve from one uniformly chosen replica."""
+    def plan_read(self, file_id: int, u: np.ndarray) -> ReadOp:
+        """Serve from one uniformly chosen replica.
+
+        ``u < 1`` is a multiple of 2**-53, so ``u * r`` rounds below
+        ``r`` for every replica count and the pick stays in range.
+        """
         servers = self.servers_of[file_id]
-        pick = int(rng.integers(servers.size))
+        pick = int(u[0] * servers.size)
         return ReadOp(
             server_ids=servers[pick : pick + 1],
             sizes=self.piece_sizes[file_id][pick : pick + 1],
+        )
+
+    def plan_reads(self, file_ids: np.ndarray, u: np.ndarray | None) -> ReadBatch:
+        """Batched :meth:`plan_read`: one pick per request over the flat
+        replica pool."""
+        layout = self.read_layout
+        pick = (u[:, 0] * layout.k[file_ids]).astype(np.int64)
+        src = layout.off[file_ids] + pick
+        return ReadBatch.uniform(
+            np.ones(file_ids.size, dtype=np.int64),
+            layout.servers[src],
+            layout.sizes[src],
         )
 
     def plan_write(self, file_id: int) -> WriteOp:

@@ -57,8 +57,10 @@ class BingStragglerProfile:
         self, n: int, seed: int | np.random.Generator | None = None
     ) -> np.ndarray:
         """Draw ``n`` conditional slowdown factors (each >= 1.5 by default)."""
-        rng = make_rng(seed)
-        u = rng.random(n)
+        return self.factor_at(make_rng(seed).random(n))
+
+    def factor_at(self, u: np.ndarray) -> np.ndarray:
+        """Slowdown factors at uniforms ``u`` (the inverse CDF, elementwise)."""
         return np.interp(u, self.quantiles, self.factors)
 
     def sample_multipliers(

@@ -1,10 +1,11 @@
 """Reference oracle for the ``ps``/``limited(c)`` engine (tests only).
 
 This is the pure-Python event loop the array-backed engine in
-:mod:`repro.cluster.engine.shared_heap` replaced, kept verbatim: every
-flow lives in parallel Python lists, every rate change pushes a fresh
-completion candidate onto one heap, and stale candidates are skipped by
-generation number.  It is slow but obviously faithful to the rate model,
+:mod:`repro.cluster.engine.shared_heap` replaced, kept as it was apart
+from its draw calls, which read the keyed draws of
+:mod:`repro.cluster.engine.draws`: every flow lives in parallel Python
+lists, every rate change pushes a fresh completion candidate onto one
+heap, and stale candidates are skipped by generation number.  It is slow but obviously faithful to the rate model,
 so the property tests in ``test_heap_engine.py`` compare the production
 engine against it bit for bit.
 
@@ -31,7 +32,6 @@ def _run_heap(
 ) -> SimulationResult:
     """Drive the event heap; ``capacity=None`` means unbounded (pure PS)."""
     config = lc.config
-    rng = lc.rng
     bandwidths = lc.bandwidths
     client_bw = lc.cluster.effective_client_bandwidth
     n_requests = lc.n_requests
@@ -92,10 +92,9 @@ def _run_heap(
 
     # Batched planning: arrivals pop in request order (kind 0 sorts
     # before completions at equal times, ties break on the request id,
-    # and the trace is time-sorted), and this engine consumes RNG only
-    # while processing arrivals — so planning the next ``batch_size``
-    # requests when the first of them arrives replays the scalar RNG
-    # stream byte for byte.
+    # and the trace is time-sorted), so the next ``batch_size`` requests
+    # are planned when the first of them arrives; their keyed draws are
+    # the scalar loop's.
     planner_b = lc.batch_planner
     batch = None
     batch_j0 = 0
@@ -159,7 +158,7 @@ def _run_heap(
                 if j >= batch_end:
                     hi = min(j + lc.batch_size, n_requests)
                     batch = planner_b.plan_batch(
-                        trace.times[j:hi], trace.file_ids[j:hi]
+                        trace.times[j:hi], trace.file_ids[j:hi], j
                     )
                     batch_j0 = j
                     batch_end = hi
@@ -192,7 +191,7 @@ def _run_heap(
                 req_post_fraction[j] = batch.post_fraction[b_ix]
                 req_post_seconds[j] = batch.post_seconds[b_ix]
             else:
-                op = lc.plan(fid0)
+                op = lc.plan(j, fid0)
                 if track:
                     # Arrivals pop in nondecreasing time, so sim-time
                     # window rollover inside the monitor stays monotone.
@@ -204,18 +203,17 @@ def _run_heap(
                 gfactors = [] if record else None
                 if goodput is not None:
                     for pos in range(k):
-                        b = float(bandwidths[op_servers[pos]])
-                        g = lc.goodput_factor(k, b)
+                        g = float(lc.goodput_row(k)[op_servers[pos]])
                         sizes[pos] /= g
                         if gfactors is not None:
                             gfactors.append(g)
                 elif gfactors is not None:
                     gfactors = [1.0] * k
                 if exponential:
-                    sizes *= rng.exponential(1.0, size=k)
+                    sizes *= lc.jitter(j, k)
                 straggled = False
                 if injector.enabled:
-                    extra, _mult = lc.report_delays(op)
+                    extra, _mult = lc.report_delays(j, op)
                     straggled = bool(np.any(extra > 0.0))
                     lc.count_straggled(straggled)
                 else:

@@ -2,8 +2,13 @@
 
 The batched planner (:mod:`repro.cluster.engine.batch`) is a pure
 throughput optimization — the acceptance bar is *byte identity*, not
-statistical closeness.  Every RNG mode the planner can take ("loop",
-"jitter", "scan", "mask", "none"), every discipline, any batch size,
+statistical closeness.  Both paths read the same keyed draws
+(:mod:`repro.cluster.engine.draws`): the scalar loops slice per-request
+rows of chunked draw tables, the planner gathers flat flow arrays and
+calls the policy's batched ``plan_reads``.  Every paper policy (SP-Cache
+template gather, EC-Cache late-binding argsort, selective-replication
+replica pick), every discipline, every draw consumer (jitter, per-read
+and per-server stragglers, alone and together), any batch size,
 duplicate-server plans, LRU admission, observability collectors, and
 streaming input must reproduce the scalar :class:`SimulationResult`
 exactly (floats compared via ``float.hex`` through ``array_equal``).
@@ -21,19 +26,32 @@ from repro.cluster import (
     StragglerInjector,
     simulate_reads,
 )
-from repro.cluster.client import ReadOp
+from repro.cluster.client import ReadBatch, ReadOp
 from repro.cluster.engine import DEFAULT_BATCH_SIZE, get_batch_size, use_batching
 from repro.cluster.network import GoodputModel
 from repro.common import ClusterSpec
-from repro.policies import SPCachePolicy
+from repro.policies import (
+    ECCachePolicy,
+    SelectiveReplicationPolicy,
+    SPCachePolicy,
+)
 from repro.workloads import PoissonStream, paper_fileset, poisson_trace
 from repro.workloads.bing import BingStragglerProfile
 
 
-def _scenario():
+_POLICIES = {
+    "sp-cache": lambda pop, cl: SPCachePolicy(pop, cl, alpha=2e-7, seed=5),
+    "ec-cache": lambda pop, cl: ECCachePolicy(pop, cl, k=3, n=5, seed=5),
+    "selective-replication": lambda pop, cl: SelectiveReplicationPolicy(
+        pop, cl, top_fraction=0.2, replicas=3, seed=5
+    ),
+}
+
+
+def _scenario(scheme="sp-cache"):
     cluster = ClusterSpec(n_servers=6, bandwidth=1e8, client_bandwidth=4e8)
     pop = paper_fileset(40, size_mb=20, zipf_exponent=1.1, total_rate=8.0)
-    policy = SPCachePolicy(pop, cluster, alpha=2e-7, seed=5)
+    policy = _POLICIES[scheme](pop, cluster)
     trace = poisson_trace(pop, n_requests=400, seed=11)
     return trace, policy, cluster, pop
 
@@ -50,10 +68,10 @@ def _assert_identical(a, b, context=""):
 
 
 def _configs(pop):
-    """One config per planner RNG mode (loop/scan/mask/jitter/none)."""
+    """One config per combination of draw consumers."""
     return {
-        # jitter + stragglers interleave per request -> "loop"
-        "loop": SimulationConfig(
+        # exponential jitter + per-read stragglers, throttled LRU
+        "jitter+per-read": SimulationConfig(
             jitter="exponential",
             goodput=GoodputModel(),
             stragglers=StragglerInjector(
@@ -63,25 +81,25 @@ def _configs(pop):
             cache_budget=0.6 * pop.total_bytes,
             miss_penalty=2.0,
         ),
-        # per-read stragglers as the run's only RNG consumer -> "scan"
-        "scan": SimulationConfig(
+        # per-read stragglers only (the figures' configuration)
+        "per-read": SimulationConfig(
             jitter="deterministic",
             stragglers=StragglerInjector.natural(),
             seed=23,
         ),
-        # per-server stragglers -> "mask"
-        "mask": SimulationConfig(
+        # per-server stragglers only
+        "per-server": SimulationConfig(
             jitter="deterministic",
             stragglers=StragglerInjector.intensive(),
             seed=23,
         ),
-        # jitter alone batches into one exponential draw -> "jitter"
+        # exponential jitter only
         "jitter": SimulationConfig(
             jitter="exponential",
             stragglers=StragglerInjector.none(),
             seed=23,
         ),
-        # fully deterministic -> "none"
+        # no draws beyond the plan's
         "none": SimulationConfig(
             jitter="deterministic",
             stragglers=StragglerInjector.none(),
@@ -90,18 +108,34 @@ def _configs(pop):
     }
 
 
-@pytest.mark.parametrize("discipline", ["fifo", "ps", "limited(2)"])
-@pytest.mark.parametrize("mode", ["loop", "scan", "mask", "jitter", "none"])
-def test_batched_matches_scalar_bitwise(discipline, mode):
-    trace, policy, cluster, pop = _scenario()
-    cfg = replace(_configs(pop)[mode], discipline=discipline)
+# Every (draws, discipline, scheme) case; the SP-Cache cases keep the
+# ``draws-discipline`` ids this test had before it covered every policy.
+_PARITY_CASES = [
+    pytest.param(
+        draws,
+        discipline,
+        scheme,
+        id="-".join(
+            [draws, discipline] + ([scheme] if scheme != "sp-cache" else [])
+        ),
+    )
+    for scheme in sorted(_POLICIES)
+    for discipline in ("fifo", "ps", "limited(2)")
+    for draws in ("jitter+per-read", "per-read", "per-server", "jitter", "none")
+]
+
+
+@pytest.mark.parametrize("draws, discipline, scheme", _PARITY_CASES)
+def test_batched_matches_scalar_bitwise(draws, discipline, scheme):
+    trace, policy, cluster, pop = _scenario(scheme)
+    cfg = replace(_configs(pop)[draws], discipline=discipline)
     scalar = simulate_reads(trace, policy, cluster, cfg)
     for batch_size in (1, 64, 1000):
         batched = simulate_reads(
             trace, policy, cluster, replace(cfg, batch_size=batch_size)
         )
         _assert_identical(
-            scalar, batched, f"{discipline}/{mode}/bs={batch_size}"
+            scalar, batched, f"{scheme}/{discipline}/{draws}/bs={batch_size}"
         )
 
 
@@ -117,11 +151,14 @@ class _DupServerPlanner:
     def __init__(self, pop):
         self.sizes = pop.sizes
 
-    def plan_read(self, file_id, rng=None):
+    def plan_read(self, file_id, u=None):
         return ReadOp(
             server_ids=np.array([file_id % 3, file_id % 3, 2], dtype=np.int64),
             sizes=np.full(3, float(self.sizes[file_id]) / 3.0),
         )
+
+    def plan_reads(self, file_ids, u=None):
+        return ReadBatch.from_ops([self.plan_read(int(f)) for f in file_ids])
 
     def footprint(self):
         return float(np.sum(self.sizes))

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimulationConfig, StragglerInjector
-from repro.cluster.client import ReadOp
+from repro.cluster.client import ReadBatch, ReadOp
 from repro.cluster.engine import RequestLifecycle
 from repro.cluster.engine.shared_heap import _run_heap
 from repro.cluster.network import GoodputModel
@@ -53,8 +53,11 @@ class _ScriptedPlanner:
     plans: list[ReadOp]
     name: str = "scripted"
 
-    def plan_read(self, file_id, rng=None):
+    def plan_read(self, file_id, u=None):
         return self.plans[file_id]
+
+    def plan_reads(self, file_ids, u=None):
+        return ReadBatch.from_ops([self.plans[f] for f in file_ids])
 
     def footprint(self, file_id):
         return float(np.sum(self.plans[file_id].sizes))

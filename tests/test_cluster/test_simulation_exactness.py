@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import SimulationConfig, simulate_reads
 from repro.cluster.client import ReadOp
+from repro.cluster.engine import draws
 from repro.cluster.events import EventQueue
 from repro.common import ClusterSpec
 from repro.workloads.arrivals import ArrivalTrace
@@ -74,9 +75,11 @@ def test_fifo_engine_matches_independent_heap_simulator(fifo_config):
     result = simulate_reads(
         trace, _SingleFilePlanner(size), cluster, fifo_config
     )
-    # Reproduce the exact service draws the engine used (same seed/order).
-    rng2 = np.random.default_rng(7)
-    services = np.array([rng2.exponential(size) for _ in range(n)])
+    # Reproduce the exact service draws the engine used: request j's
+    # jitter is keyed (seed 7, JITTER, j, slot 0).
+    services = size * draws.exponential(
+        draws.uniforms(7, draws.JITTER, np.arange(n), 0)
+    )
     expected = _mm1_reference(times, services)
     assert np.allclose(result.latencies, expected)
 

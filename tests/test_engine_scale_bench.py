@@ -1,8 +1,9 @@
 """``benchmarks/bench_engine_scale.py``: doc shape and the per-discipline gate.
 
 The CI ``bench-smoke`` job gates fifo on vectorized req/s and ps on scalar
-req/s, each against its own floor in ``baseline_engine_scale.json``; a
-tiny run here keeps both paths and the committed baseline in step.
+req/s for SP-Cache, and EC-Cache on vectorized fifo req/s, each against
+its own floor in ``baseline_engine_scale.json``; a tiny run here keeps
+every gated path and the committed baseline in step.
 """
 
 from __future__ import annotations
@@ -58,3 +59,25 @@ def test_fifo_run_gates_on_vectorized_floor():
     assert floor == pytest.approx(
         BASELINE["requests_per_sec"]["vectorized"] * 0.7
     )
+
+
+def test_ec_cache_fifo_run_gates_on_its_own_floor():
+    bench = _bench()
+    doc = bench.run_engine_scale(
+        n_requests=200,
+        scalar_cap=50,
+        batch_size=64,
+        discipline="fifo",
+        policy="ec-cache",
+    )
+    assert doc["policy"] == "ec-cache"
+    label, measured, floor = bench.gate(doc, BASELINE, 0.3)
+    assert label == "vectorized ec-cache"
+    assert measured == doc["requests_per_sec"]["vectorized"]
+    assert floor == pytest.approx(
+        BASELINE["ec-cache"]["requests_per_sec"]["vectorized"] * 0.7
+    )
+    # No ps floor exists for the baselines: the gate refuses, naming it.
+    ps_doc = dict(doc, discipline="ps")
+    with pytest.raises(KeyError, match="ec-cache"):
+        bench.gate(ps_doc, BASELINE, 0.3)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.engine.draws import PLAN, uniforms
 from repro.common import MB, ClusterSpec, Gbps
 from repro.policies import (
     ECCachePolicy,
@@ -18,7 +19,11 @@ from repro.workloads import paper_fileset
 
 CLUSTER = ClusterSpec(n_servers=20, bandwidth=Gbps)
 POP = paper_fileset(60, size_mb=50, zipf_exponent=1.1, total_rate=8.0)
-RNG = np.random.default_rng(0)
+
+
+def _u(policy, request=0, seed=0):
+    """Request ``request``'s plan uniforms, as the simulator passes them."""
+    return uniforms(seed, PLAN, request, np.arange(policy.plan_slots))
 
 
 def all_policies():
@@ -43,9 +48,8 @@ class TestCommonInvariants:
             assert np.unique(servers).size == servers.size
 
     def test_read_plan_within_layout(self, policy):
-        rng = np.random.default_rng(2)
         for fid in (0, 5, POP.n_files - 1):
-            op = policy.plan_read(fid, rng)
+            op = policy.plan_read(fid, _u(policy, fid, seed=2))
             assert set(op.server_ids).issubset(set(policy.servers_of[fid]))
             assert op.join_count <= op.parallelism
 
@@ -74,7 +78,7 @@ class TestSPCache:
 
     def test_reads_fetch_everything(self):
         policy = SPCachePolicy(POP, CLUSTER, seed=1)
-        op = policy.plan_read(0, RNG)
+        op = policy.plan_read(0, _u(policy))
         assert op.join_count == op.parallelism
         assert op.post_fraction == 0.0  # no decode
 
@@ -101,7 +105,7 @@ class TestECCache:
 
     def test_late_binding_reads_k_plus_one_joins_k(self):
         policy = ECCachePolicy(POP, CLUSTER, k=4, n=6, seed=1)
-        op = policy.plan_read(0, np.random.default_rng(3))
+        op = policy.plan_read(0, _u(policy, seed=3))
         assert op.parallelism == 5
         assert op.join_count == 4
         assert op.post_fraction == 0.2
@@ -110,7 +114,7 @@ class TestECCache:
         policy = ECCachePolicy(
             POP, CLUSTER, k=4, n=6, late_binding=False, seed=1
         )
-        op = policy.plan_read(0, np.random.default_rng(3))
+        op = policy.plan_read(0, _u(policy, seed=3))
         assert op.parallelism == 4
 
     def test_write_includes_encode_time(self):
@@ -140,14 +144,16 @@ class TestSelectiveReplication:
 
     def test_read_is_single_whole_file(self):
         policy = SelectiveReplicationPolicy(POP, CLUSTER, seed=1)
-        op = policy.plan_read(0, np.random.default_rng(1))
+        op = policy.plan_read(0, _u(policy, seed=1))
         assert op.parallelism == 1
         assert op.sizes[0] == POP.sizes[0]
 
     def test_reads_spread_over_replicas(self):
         policy = SelectiveReplicationPolicy(POP, CLUSTER, seed=1)
-        rng = np.random.default_rng(5)
-        servers = {int(policy.plan_read(0, rng).server_ids[0]) for _ in range(200)}
+        servers = {
+            int(policy.plan_read(0, _u(policy, j, seed=5)).server_ids[0])
+            for j in range(200)
+        }
         assert len(servers) == 4  # the hottest file has 4 replicas
 
     def test_explicit_counts(self):
