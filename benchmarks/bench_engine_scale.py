@@ -1,18 +1,17 @@
-"""Engine throughput at scale: vectorized batches vs the scalar path.
+"""Engine throughput at scale.
 
 A fig13-style workload (the Sec. 7.3 500-file Zipf population under
 SP-Cache with natural per-read stragglers) pushed to ``--requests``
-arrivals through the batched fifo fast path, fed by a lazy
+arrivals through the fifo discipline, fed by a lazy
 :class:`~repro.workloads.streams.PoissonStream` so arrivals never
-materialize up front.  The scalar engine is calibrated on a capped
-prefix of the same workload (it would take minutes at full scale), and
-the bench reports requests/sec for both, the speedup, and peak RSS.
+materialize up front; the bench reports requests/sec and peak RSS.
 
 ``--discipline ps`` times the figures' engine instead: the same workload
-on scalar processor sharing (the ``ps`` flow engine), ``--requests``
-arrivals, reported as scalar requests/sec.  ``--policy`` swaps SP-Cache
-for one of the redundancy baselines at the paper's settings — EC-Cache
-(10, 14) with late binding, or 4-replica top-10 % selective replication.
+on processor sharing (the ``ps`` flow engine), ``--requests`` arrivals.
+``--policy`` swaps SP-Cache for one of the redundancy baselines at the
+paper's settings — EC-Cache (10, 14) with late binding, or 4-replica
+top-10 % selective replication.  Every run plans requests in batches of
+``--batch-size``.
 
 Run directly::
 
@@ -24,13 +23,12 @@ Writes ``BENCH_<timestamp>_engine_scale.json`` in the working directory
 (same family as the ``BENCH_<ts>.json`` archives the pytest-benchmark
 conftest emits; ``wall_seconds`` keeps the shared shape).  With
 ``--baseline PATH`` the run becomes a perf gate: it exits non-zero when
-measured vectorized requests/sec fall below ``(1 - tolerance)`` of the
-baseline's — the CI job pins ``benchmarks/baseline_engine_scale.json``
-(a deliberately conservative floor, so only real regressions trip it).
-The gated number is vectorized req/s for ``fifo`` and scalar req/s for
-``ps``, each against its own floor in the baseline file: the top-level
-block is SP-Cache on fifo, ``"ps"`` SP-Cache on ps, and a policy's name
-(``"ec-cache"``) that policy on fifo.
+measured requests/sec fall below ``(1 - tolerance)`` of the baseline's —
+the CI job pins ``benchmarks/baseline_engine_scale.json`` (a deliberately
+conservative floor, so only real regressions trip it).  Each discipline
+and policy gates against its own floor in the baseline file: the
+top-level block is SP-Cache on fifo, ``"ps"`` SP-Cache on ps, and a
+policy's name (``"ec-cache"``) that policy on fifo.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from repro.policies import (
 from repro.workloads import PoissonStream, paper_fileset
 
 DEFAULT_REQUESTS = 1_000_000
-DEFAULT_SCALAR_CAP = 20_000
 DEFAULT_BATCH = 4096
 DEFAULT_TOLERANCE = 0.3
 
@@ -74,7 +71,7 @@ def _workload(rate: float, policy: str = "sp-cache"):
     return pop, cluster, POLICIES[policy](pop, cluster)
 
 
-def _config(batch_size: int | None, discipline: str) -> SimulationConfig:
+def _config(batch_size: int, discipline: str) -> SimulationConfig:
     return SimulationConfig(
         discipline=discipline,
         jitter="deterministic",
@@ -97,17 +94,12 @@ def _timed_run(pop, cluster, policy, n_requests, batch_size, discipline):
 
 def run_engine_scale(
     n_requests: int = DEFAULT_REQUESTS,
-    scalar_cap: int = DEFAULT_SCALAR_CAP,
     batch_size: int = DEFAULT_BATCH,
     rate: float = 20.0,
     discipline: str = "fifo",
     policy: str = "sp-cache",
 ) -> dict:
-    """The timed runs of one discipline and policy; returns the doc.
-
-    ``fifo``: one calibrated scalar run plus one full vectorized run.
-    ``ps``: one scalar run over all ``n_requests``.
-    """
+    """One timed run of a discipline and policy; returns the doc."""
     pop, cluster, planner = _workload(rate, policy)
     doc = {
         "schema_version": 1,
@@ -119,35 +111,14 @@ def run_engine_scale(
         "n_requests": n_requests,
     }
 
-    if discipline == "ps":
-        wall, _ = _timed_run(pop, cluster, planner, n_requests, None, "ps")
-        doc.update(
-            scalar_requests=n_requests,
-            wall_seconds={"engine_scale_scalar": wall},
-            requests_per_sec={"scalar": n_requests / wall},
-            peak_rss_bytes=peak_rss_bytes(),
-        )
-        return doc
-
-    n_scalar = min(n_requests, scalar_cap)
-    scalar_wall, _ = _timed_run(pop, cluster, planner, n_scalar, None, "fifo")
-    scalar_rps = n_scalar / scalar_wall
-
-    vec_wall, _ = _timed_run(
-        pop, cluster, planner, n_requests, batch_size, "fifo"
+    wall, _ = _timed_run(
+        pop, cluster, planner, n_requests, batch_size, discipline
     )
-    vec_rps = n_requests / vec_wall
-
     doc.update(
-        scalar_requests=n_scalar,
         batch_size=batch_size,
         # Shared shape with the conftest archives (CI asserts on it).
-        wall_seconds={
-            "engine_scale_scalar": scalar_wall,
-            "engine_scale_vectorized": vec_wall,
-        },
-        requests_per_sec={"scalar": scalar_rps, "vectorized": vec_rps},
-        speedup=vec_rps / scalar_rps,
+        wall_seconds={"engine_scale": wall},
+        requests_per_sec={"vectorized": n_requests / wall},
         peak_rss_bytes=peak_rss_bytes(),
     )
     return doc
@@ -157,35 +128,29 @@ def gate(
     doc: dict, baseline: dict, tolerance: float
 ) -> tuple[str, float, float]:
     """``(label, measured, floor)`` of the gated req/s for ``doc``'s
-    discipline and policy: vectorized for fifo, scalar for ps, each
-    against its own baseline block (``KeyError`` naming the block when
-    the baseline has no floor for the pair)."""
+    discipline and policy, against its own baseline block (``KeyError``
+    naming the block when the baseline has no floor for the pair)."""
     policy = doc.get("policy", "sp-cache")
-    if doc["discipline"] == "ps":
-        label, kind, key = "scalar ps", "scalar", "ps"
-    else:
-        label, kind, key = "vectorized", "vectorized", None
+    key = "ps" if doc["discipline"] == "ps" else None
+    label = "vectorized" if key is None else "vectorized ps"
     if policy != "sp-cache":
         if key is not None:
             raise KeyError(f"no {key} floor for {policy} in the baseline")
         label, key = f"{label} {policy}", policy
     floors = baseline if key is None else baseline[key]
-    base = floors["requests_per_sec"][kind]
-    return label, doc["requests_per_sec"][kind], base * (1.0 - tolerance)
+    base = floors["requests_per_sec"]["vectorized"]
+    measured = doc["requests_per_sec"]["vectorized"]
+    return label, measured, base * (1.0 - tolerance)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS)
-    parser.add_argument(
-        "--scalar-requests", type=int, default=DEFAULT_SCALAR_CAP,
-        help="cap on the scalar calibration run (default %(default)s)",
-    )
     parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH)
     parser.add_argument("--rate", type=float, default=20.0)
     parser.add_argument(
         "--discipline", choices=("fifo", "ps"), default="fifo",
-        help="fifo: scalar vs vectorized; ps: scalar processor sharing",
+        help="server discipline (default %(default)s)",
     )
     parser.add_argument(
         "--policy", choices=sorted(POLICIES), default="sp-cache",
@@ -207,7 +172,6 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = run_engine_scale(
         n_requests=args.requests,
-        scalar_cap=args.scalar_requests,
         batch_size=args.batch_size,
         rate=args.rate,
         discipline=args.discipline,
@@ -219,27 +183,16 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
-    rps = doc["requests_per_sec"]
     rss = doc["peak_rss_bytes"]
-    lines = [
+    print(
         f"engine scale: {doc['n_requests']} requests, "
-        f"discipline={doc['discipline']}, policy={doc['policy']}"
-        + (f", batch={doc['batch_size']}" if "batch_size" in doc else ""),
-        f"  scalar      {rps['scalar']:>12.0f} req/s "
-        f"({doc['wall_seconds']['engine_scale_scalar']:.2f}s over "
-        f"{doc['scalar_requests']})",
-    ]
-    if "vectorized" in rps:
-        lines += [
-            f"  vectorized  {rps['vectorized']:>12.0f} req/s "
-            f"({doc['wall_seconds']['engine_scale_vectorized']:.2f}s)",
-            f"  speedup     {doc['speedup']:>12.1f}x",
-        ]
-    lines += [
-        f"  peak rss    {(rss / 2**20 if rss else float('nan')):>12.1f} MiB",
-        f"  archive  -> {out}",
-    ]
-    print("\n".join(lines))
+        f"discipline={doc['discipline']}, policy={doc['policy']}, "
+        f"batch={doc['batch_size']}\n"
+        f"  vectorized  {doc['requests_per_sec']['vectorized']:>12.0f} req/s "
+        f"({doc['wall_seconds']['engine_scale']:.2f}s)\n"
+        f"  peak rss    {(rss / 2**20 if rss else float('nan')):>12.1f} MiB\n"
+        f"  archive  -> {out}"
+    )
 
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as fh:

@@ -2,9 +2,10 @@
 
 Four configurations of the FIFO engine on a 5k-request workload:
 
-* ``reference`` — :func:`uninstrumented_fifo`, a frozen copy of the
-  pre-observability engine loop (no tracer check, no metrics), the
-  baseline the <10 % no-op overhead budget is measured against;
+* ``reference`` — :func:`uninstrumented_fifo`, a frozen, hook-free copy
+  of the batched fifo core (no tracer check, no observer hooks, no
+  metrics), the baseline the <10 % no-op overhead budget is measured
+  against;
 * ``noop`` — the real engine with the default :class:`~repro.obs.NullSink`
   tracer (one hoisted ``enabled`` check; per-request cost ~0) and no
   timeline collector;
@@ -36,105 +37,78 @@ from repro.workloads import paper_fileset, poisson_trace
 
 
 def uninstrumented_fifo(trace, planner, cluster, config) -> np.ndarray:
-    """The seed FIFO engine loop, frozen without any instrumentation.
+    """The batched FIFO engine core, frozen without any instrumentation.
 
-    Kept verbatim (minus LRU/goodput memo plumbing shared with the live
-    engine) so the overhead comparison isolates exactly the observability
-    additions.  Returns the latency vector only.
+    Built from the two layers the live ``fifo`` discipline runs on —
+    :meth:`BatchPlanner.plan_batch` and :func:`fifo_schedule_grouped` —
+    with the same byte ledger, joins and LRU, but no tracer check, no
+    observer hooks, no metrics flush and no result object, so the
+    noop/reference ratio isolates what the observability layer adds.
+    Returns the latency vector only.
     """
-    from repro.cluster.engine.draws import PLAN, DrawTable, uniforms
-    from repro.common import make_rng
+    from repro.cluster.engine import DEFAULT_BATCH_SIZE, RequestLifecycle
+    from repro.cluster.engine.batch import fifo_schedule_grouped
     from repro.store.lru import LRUCache
 
-    rng = make_rng(config.seed)
-    # Plans read the request's keyed plan uniforms, as in the live engine.
-    plan_slots = getattr(planner, "plan_slots", 0)
-    plan_rows = DrawTable(
-        lambda r, s: uniforms(config.seed, PLAN, r, s), plan_slots
-    )
-    no_draws = np.empty(0)
-    bandwidths = cluster.bandwidths
-    n_requests = trace.n_requests
-
-    free_at = np.zeros(cluster.n_servers)
-    server_bytes = np.zeros(cluster.n_servers)
-    latencies = np.empty(n_requests)
-
-    exponential = config.jitter == "exponential"
-    goodput = config.goodput
-    injector = config.stragglers
-    straggler_mask = (
-        injector.straggler_servers(cluster.n_servers, seed=rng)
-        if injector.enabled and injector.mode == "per_server"
+    # The lifecycle is only the planner's draw context here.
+    plan = RequestLifecycle(
+        trace, planner, cluster, config, "fifo"
+    ).batch_planner.plan_batch
+    size = config.batch_size or DEFAULT_BATCH_SIZE
+    n_servers = cluster.n_servers
+    narrow = np.min_scalar_type(max(n_servers - 1, 1))
+    free_at = np.zeros(n_servers)
+    server_bytes = np.zeros(n_servers)
+    latencies = np.empty(trace.n_requests)
+    lru = (
+        LRUCache(config.cache_budget)
+        if config.cache_budget is not None
         else None
     )
 
-    lru = None
-    hits = misses = 0
-    if config.cache_budget is not None:
-        lru = LRUCache(config.cache_budget)
-
-    factor_memo: dict[tuple[int, float], float] = {}
-
-    def goodput_factor(parallelism: int, bandwidth: float) -> float:
-        if goodput is None:
-            return 1.0
-        key = (parallelism, bandwidth)
-        cached = factor_memo.get(key)
-        if cached is None:
-            cached = goodput.factor(parallelism, bandwidth)
-            factor_memo[key] = cached
-        return cached
-
-    times = trace.times
-    file_ids = trace.file_ids
-    for j in range(n_requests):
-        t = times[j]
-        fid = int(file_ids[j])
-        op = planner.plan_read(
-            fid, plan_rows.row(j, plan_slots) if plan_slots else no_draws
+    for j0 in range(0, trace.n_requests, size):
+        batch = plan(
+            trace.times[j0 : j0 + size], trace.file_ids[j0 : j0 + size], j0
         )
-        servers = op.server_ids
-        bw = bandwidths[servers]
+        servers = batch.servers
+        service = batch.sizes / (batch.bw * batch.gfactors)
+        if batch.jitter is not None:
+            service = service * batch.jitter
+        np.add.at(server_bytes, servers, batch.sizes)
 
-        if bw.size > 1 and np.ptp(bw) > 0:
-            factors = np.array(
-                [goodput_factor(op.parallelism, b) for b in bw]
-            )
-        else:
-            factors = goodput_factor(op.parallelism, float(bw[0]))
-        service = op.sizes / (bw * factors)
-        if exponential:
-            service = rng.exponential(service)
+        order = np.argsort(servers.astype(narrow), kind="stable")
+        ss = servers[order]
+        firsts = np.flatnonzero(np.concatenate(([True], ss[1:] != ss[:-1])))
+        present = ss[firsts]
+        _start, cp, free = fifo_schedule_grouped(
+            np.repeat(batch.times, batch.k)[order],
+            service[order],
+            np.append(firsts, ss.size),
+            free_at[present],
+            need_start=False,
+        )
+        reported = np.empty(servers.size)
+        reported[order] = cp
+        free_at[present] = free
+        if batch.extra is not None:
+            reported += batch.extra
 
-        start = np.maximum(t, free_at[servers])
-        completion = start + service
-        free_at[servers] = completion
-        server_bytes[servers] += op.sizes
-
-        reported = completion
-        if injector.enabled:
-            mult = injector.multipliers(
-                servers, straggler_mask=straggler_mask, seed=rng
-            )
-            reported = completion + (mult - 1.0) * (op.sizes / bw)
-
-        if op.join_count < reported.size:
-            join_at = np.partition(reported, op.join_count - 1)[
-                op.join_count - 1
+        off = batch.req_off
+        join_at = np.maximum.reduceat(reported, off[:-1])
+        for b in np.flatnonzero(batch.join_count < batch.k).tolist():
+            jc = int(batch.join_count[b])
+            join_at[b] = np.partition(reported[off[b] : off[b + 1]], jc - 1)[
+                jc - 1
             ]
-        else:
-            join_at = reported.max()
-        latency = (join_at - t) * (1.0 + op.post_fraction) + op.post_seconds
-
+        lat = (join_at - batch.times) * (
+            1.0 + batch.post_fraction
+        ) + batch.post_seconds
         if lru is not None:
-            if lru.touch(fid):
-                hits += 1
-            else:
-                misses += 1
-                latency *= config.miss_penalty
-                lru.put(fid, planner.footprint(fid))
-        latencies[j] = latency
+            for b, fid in enumerate(batch.file_ids.tolist()):
+                if not lru.touch(fid):
+                    lru.put(fid, planner.footprint(fid))
+                    lat[b] *= config.miss_penalty
+        latencies[j0 : j0 + batch.n] = lat
 
     return latencies
 
@@ -199,7 +173,7 @@ def run_overhead(n_requests: int = 5000, repeats: int = 7):
         repeats,
     )
     rows = [
-        {"config": "reference (frozen seed loop)", "seconds": t_ref,
+        {"config": "reference (frozen batched core)", "seconds": t_ref,
          "vs_reference": 1.0},
         {"config": "noop sink (default)", "seconds": t_noop,
          "vs_reference": t_noop / t_ref},

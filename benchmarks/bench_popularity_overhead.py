@@ -5,9 +5,9 @@ Three configurations of the FIFO engine on a 5k-request workload:
 * ``off`` — popularity observation disabled (the default): the engine
   pays one hoisted ``lc.track`` check per run;
 * ``on`` — a :class:`~repro.obs.PopularityConfig` at the default
-  2048-request window: per request the monitor appends one file id and
-  fancy-index-adds the fork-join bytes; sketch folding happens ~2x over
-  the run;
+  2048-request window: per plan batch the monitor takes the file ids and
+  byte accruals one window segment at a time; sketch folding happens ~2x
+  over the run;
 * ``on, tight windows`` — 256-request windows, folding ~20x, the
   worst realistic cadence (drift detection wants several windows per
   popularity regime, not per second).

@@ -210,20 +210,6 @@ def _add_sample_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_size_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        dest="batch_size",
-        metavar="B",
-        help=(
-            "plan requests in vectorized batches of B (bit-exact vs the "
-            "scalar engine; default runs scalar)"
-        ),
-    )
-
-
 def _add_causal_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--causal",
@@ -277,7 +263,6 @@ def _simulate_one(pop, cluster, scheme, args):
         jitter="deterministic",
         stragglers=_STRAGGLERS[args.stragglers](),
         seed=args.seed + 2,
-        batch_size=getattr(args, "batch_size", None),
         causal=(
             CausalConfig() if getattr(args, "causal", False) else None
         ),
@@ -1101,8 +1086,6 @@ def _cmd_experiments(args) -> int:
         "--out", args.out,
         "--jobs", str(args.jobs),
     ]
-    if args.batch_size is not None:
-        forwarded += ["--batch-size", str(args.batch_size)]
     if args.slo is not None:
         forwarded += ["--slo", args.slo]
     if args.trace:
@@ -1215,7 +1198,6 @@ def main(argv: list[str] | None = None) -> int:
         "--stragglers", choices=sorted(_STRAGGLERS), default="natural"
     )
     _add_discipline_arg(p_sim)
-    _add_batch_size_arg(p_sim)
     _add_causal_arg(p_sim)
     p_sim.add_argument(
         "--json", action="store_true", help="machine-parseable JSON output"
@@ -1235,7 +1217,6 @@ def main(argv: list[str] | None = None) -> int:
         "--stragglers", choices=sorted(_STRAGGLERS), default="natural"
     )
     _add_discipline_arg(p_cmp)
-    _add_batch_size_arg(p_cmp)
     _add_causal_arg(p_cmp)
     p_cmp.add_argument(
         "--json", action="store_true", help="machine-parseable JSON output"
@@ -1455,14 +1436,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run up to N experiments in parallel worker processes",
     )
     p_exp.add_argument("--scale", type=float, default=1.0)
-    p_exp.add_argument(
-        "--batch-size", type=int, default=None, dest="batch_size",
-        metavar="B",
-        help=(
-            "vectorized planning batch size for batchable experiments "
-            "(bit-exact vs scalar; unset runs the scalar engine)"
-        ),
-    )
     p_exp.add_argument(
         "--slo", default=None, metavar="SPEC",
         help=(

@@ -7,11 +7,12 @@ reads must complete before the join fires (late binding reads ``k + 1`` but
 joins on ``k``), and any post-join compute such as erasure decoding.
 
 Planners are discipline-agnostic: the shared request lifecycle
-(:class:`repro.cluster.engine.RequestLifecycle`) calls ``plan_read`` once
-per request regardless of which registered server discipline (``fifo``,
+(:class:`repro.cluster.engine.RequestLifecycle`) plans requests in
+batches regardless of which registered server discipline (``fifo``,
 ``ps``, ``limited(c)``, ...) schedules the resulting flows, so one policy
-implementation serves every service model.  The batched planner calls
-``plan_reads`` once per batch instead and gets a :class:`ReadBatch`; both
+implementation serves every service model.  The batch planner calls
+``plan_reads`` once per batch and gets a :class:`ReadBatch`, or, for a
+planner that has only ``plan_read``, calls that once per request; both
 receive the request's counter-keyed ``PLAN`` uniforms
 (:mod:`repro.cluster.engine.draws`), never a generator, so the two agree
 plan for plan.  ``footprint`` feeds the cluster-wide LRU when a cache
@@ -44,8 +45,9 @@ class ReadOp:
     Attributes
     ----------
     server_ids:
-        Servers to read from, one partition each (duplicates allowed only if
-        a policy intentionally co-locates, which none of the paper's do).
+        Servers to read from, one partition each.  Duplicates are allowed
+        (none of the paper's policies co-locate partitions); each one is
+        its own queue entry on that server.
     sizes:
         Bytes served by each read, aligned with ``server_ids``.
     join_count:
@@ -132,7 +134,6 @@ class ReadBatch:
     Request ``b`` owns flows ``off[b]:off[b + 1]`` (``off`` the exclusive
     cumsum of ``k``) of ``servers``/``sizes``; the per-request fields
     mirror :class:`ReadOp`'s (``join_count`` already resolved, never -1).
-    ``has_dup`` flags a batch where some request reads one server twice.
     """
 
     k: np.ndarray
@@ -141,7 +142,6 @@ class ReadBatch:
     join_count: np.ndarray
     post_fraction: np.ndarray
     post_seconds: np.ndarray
-    has_dup: bool = False
 
     @staticmethod
     def uniform(
@@ -151,7 +151,6 @@ class ReadBatch:
         *,
         join_count: np.ndarray | None = None,
         post_fraction: float = 0.0,
-        has_dup: bool = False,
     ) -> "ReadBatch":
         """A batch whose requests share one post-join fraction and no
         absolute post delay; ``join_count=None`` joins on every flow."""
@@ -163,7 +162,6 @@ class ReadBatch:
             join_count=k if join_count is None else join_count,
             post_fraction=np.full(n, post_fraction),
             post_seconds=np.zeros(n),
-            has_dup=has_dup,
         )
 
     @staticmethod
@@ -179,9 +177,6 @@ class ReadBatch:
             join_count=np.array([op.join_count for op in ops], dtype=np.int64),
             post_fraction=np.array([op.post_fraction for op in ops]),
             post_seconds=np.array([op.post_seconds for op in ops]),
-            has_dup=any(
-                np.unique(op.server_ids).size < op.parallelism for op in ops
-            ),
         )
 
 
@@ -208,9 +203,6 @@ class ReadLayout:
             if servers
             else np.empty(0)
         )
-        self.dup = np.array(
-            [np.unique(s).size < s.size for s in servers], dtype=bool
-        )
 
     def gather(self, file_ids: np.ndarray) -> ReadBatch:
         """Every piece of each file in ``file_ids``, in layout order."""
@@ -218,20 +210,15 @@ class ReadLayout:
         # Flow i of request b reads pool slot off[file] + (i - first[b]).
         shift = np.repeat(self.off[file_ids] - (np.cumsum(k) - k), k)
         src = np.arange(shift.size) + shift
-        return ReadBatch.uniform(
-            k,
-            self.servers[src],
-            self.sizes[src],
-            has_dup=bool(self.dup[file_ids].any()),
-        )
+        return ReadBatch.uniform(k, self.servers[src], self.sizes[src])
 
 
 class ReadPlanner(Protocol):
     """What the simulator requires of a placement policy.
 
     ``plan_slots`` (default 0 when absent) is how many ``PLAN`` uniforms
-    one request's plan reads; ``plan_reads`` is only needed for batched
-    runs.
+    one request's plan reads.  ``plan_reads`` is optional: a planner
+    without it is planned through ``plan_read``, one request at a time.
     """
 
     def plan_read(

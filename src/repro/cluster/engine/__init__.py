@@ -1,7 +1,7 @@
 """The pluggable fork-join engine core.
 
-One :class:`RequestLifecycle` owns everything every engine shares — read
-planning, goodput memoization, jitter, straggler report-delay semantics,
+One :class:`RequestLifecycle` owns everything every engine shares — batch
+read planning, goodput memoization, jitter, straggler report-delay semantics,
 LRU admission and miss penalty, join accounting, READ/READ_DONE tracing,
 end-of-run metrics — while a :class:`ServerDiscipline` plug-in decides
 how each cache server multiplexes concurrent partition reads:
@@ -24,8 +24,6 @@ from repro.cluster.engine.batch import (
     DEFAULT_BATCH_SIZE,
     BatchPlanner,
     PlanBatch,
-    get_batch_size,
-    use_batching,
 )
 from repro.cluster.engine.lifecycle import (
     METRIC_SNAPSHOT_KEYS,
@@ -63,11 +61,9 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "available_disciplines",
-    "get_batch_size",
     "planner_name",
     "record_run_metrics",
     "register_discipline",
     "resolve_discipline",
     "simulate_reads_ps",
-    "use_batching",
 ]

@@ -1,46 +1,41 @@
-"""Vectorized batch planning for the request lifecycle.
+"""Batch planning: the request lifecycle's only planning path.
 
-One scalar simulated request costs a ``plan_read`` call, a goodput
-lookup per flow, a few draw-table row slices, and a handful of tiny-array
-numpy ops — microseconds of Python overhead that caps runs near
-10⁴–10⁵ requests.  :class:`BatchPlanner` lifts the *planning* stations
-(the policy's plan, goodput factors, jitter, straggler multipliers) out
-of the per-request loop into per-batch array operations, producing a
-:class:`PlanBatch` the disciplines consume: the ``fifo`` discipline
-schedules whole batches with array arithmetic, while the heap
-disciplines (``ps``/``limited``) pop one request's slice per arrival
-event.
+:class:`BatchPlanner` plans a contiguous run of requests at once — the
+policy's plans, goodput factors, jitter and straggler multipliers — with
+per-batch array operations, producing a :class:`PlanBatch` in CSR
+layout.  Disciplines pull batches in arrival order from
+:meth:`~repro.cluster.engine.lifecycle.RequestLifecycle.batches`: the
+``fifo`` discipline schedules whole batches with array arithmetic, while
+the heap disciplines (``ps``/``limited``) take one request's slice per
+arrival event.
 
-The contract is **bitwise parity with the scalar path**, not merely
-statistical equivalence — the parity suites compare ``float.hex``.  It
-holds by construction: every draw is keyed, not streamed
-(:mod:`repro.cluster.engine.draws`), so the batch reads exactly the
-values the scalar loops read, and every transform is elementwise:
+Every draw is keyed, not streamed (:mod:`repro.cluster.engine.draws`), so
+a request's values do not depend on the batch it lands in, and batch size
+is a pure tuning knob:
 
 =============== ================= =====================================
-draw            key               scalar table → batched gather
+draw            key               value per flow
 =============== ================= =====================================
-plan            (request, slot)   ``plan_read(fid, row)`` →
-                                  ``plan_reads(fids, rows)``
-jitter          (request, flow)   ``-log1p(-u)`` row → flat flows
-straggler test  (request, flow)   ``u < p`` row → flat flows
-slowdown factor (request, flow)   ``interp(u)`` row → flat hits only
+plan            (request, slot)   ``plan_reads(fids, rows)``
+jitter          (request, flow)   ``-log1p(-u)``
+straggler test  (request, flow)   ``u < p``
+slowdown factor (request, flow)   ``interp(u)``, drawn at hits only
 server mask     (0, server)       computed once per run, shared
 =============== ================= =====================================
 
 Goodput factors come from one ``(fan-out, server)`` table whose rows are
-the lifecycle's memoized :meth:`~RequestLifecycle.goodput_row` values, the
-same values the scalar loops index.
+the lifecycle's memoized :meth:`~RequestLifecycle.goodput_row` values.
+A planner without ``plan_reads`` is planned through its ``plan_read``,
+one request at a time, packed with :meth:`ReadBatch.from_ops`.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.cluster.client import ReadBatch
 from repro.cluster.engine import draws
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,45 +45,11 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "BatchPlanner",
     "PlanBatch",
-    "get_batch_size",
-    "use_batching",
 ]
 
-#: Requests per planned batch when batching is on without an explicit size.
+#: Requests per planned batch unless ``SimulationConfig.batch_size`` says
+#: otherwise.
 DEFAULT_BATCH_SIZE = 8192
-
-_local = threading.local()
-
-
-def get_batch_size() -> int | None:
-    """The ambiently installed batch size, or ``None`` (scalar path).
-
-    :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` consults
-    this when its config carries no explicit ``batch_size``, so a harness
-    (``run_all --batch-size``) can switch whole experiments over without
-    threading a knob through every ``SimulationConfig``.
-    """
-    stack = getattr(_local, "sizes", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_batching(batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[int]:
-    """Ambiently enable batched planning for the block."""
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool):
-        raise TypeError(
-            f"batch_size must be an int, got {type(batch_size).__name__}"
-        )
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    stack = getattr(_local, "sizes", None)
-    if stack is None:
-        stack = _local.sizes = []
-    stack.append(batch_size)
-    try:
-        yield batch_size
-    finally:
-        stack.pop()
 
 
 class _SegView:
@@ -110,72 +71,45 @@ class PlanBatch:
     are the *nominal* partition bytes (what the server serves and the
     byte ledger counts); disciplines fold ``gfactors``/``jitter`` into
     effective service themselves, because fifo divides by bandwidth
-    first and the heap does not.
+    first and the heap does not.  ``extra`` is each flow's straggler
+    report delay (``None`` without stragglers).
     """
 
     __slots__ = (
         "n", "times", "file_ids", "k", "req_off", "servers", "sizes",
-        "bw", "gfactors", "pos", "jitter", "mult", "extra",
+        "bw", "gfactors", "pos", "jitter", "extra",
         "straggled_mult", "straggled_extra", "join_count",
-        "post_fraction", "post_seconds", "has_dup",
+        "post_fraction", "post_seconds",
     )
 
-    def __init__(
-        self,
-        *,
-        n: int,
-        times: np.ndarray,
-        file_ids: np.ndarray,
-        k: np.ndarray,
-        req_off: np.ndarray,
-        servers: np.ndarray,
-        sizes: np.ndarray,
-        bw: np.ndarray,
-        gfactors: np.ndarray,
-        pos: np.ndarray,
-        jitter: np.ndarray | None,
-        mult: np.ndarray | None,
-        extra: np.ndarray | None,
-        straggled_mult: np.ndarray,
-        straggled_extra: np.ndarray,
-        join_count: np.ndarray,
-        post_fraction: np.ndarray,
-        post_seconds: np.ndarray,
-        has_dup: bool,
-    ) -> None:
-        self.n = n
-        self.times = times
-        self.file_ids = file_ids
-        self.k = k
-        self.req_off = req_off
-        self.servers = servers
-        self.sizes = sizes
-        self.bw = bw
-        self.gfactors = gfactors
-        self.pos = pos
-        self.jitter = jitter
-        self.mult = mult
-        self.extra = extra
-        self.straggled_mult = straggled_mult
-        self.straggled_extra = straggled_extra
-        self.join_count = join_count
-        self.post_fraction = post_fraction
-        self.post_seconds = post_seconds
-        self.has_dup = has_dup
+    def __init__(self, **fields) -> None:
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
 
 
 class BatchPlanner:
-    """Plans request batches with the draws the scalar path reads."""
+    """Plans request batches from the run's keyed draws."""
 
     def __init__(self, lc: "RequestLifecycle") -> None:
         planner = lc.planner
-        if not callable(getattr(planner, "plan_reads", None)):
-            raise TypeError(
-                "batched runs need a planner with plan_reads(file_ids, u); "
-                f"{type(planner).__name__} has none"
-            )
         self.lc = lc
+        #: ``PLAN`` uniforms one request's plan reads.
+        self.plan_slots = int(getattr(planner, "plan_slots", 0))
+        plan_reads = getattr(planner, "plan_reads", None)
+        self._plan_reads = (
+            plan_reads if callable(plan_reads) else self._plan_each
+        )
         self._gtab = np.ones((1, lc.cluster.n_servers))
+
+    def _plan_each(
+        self, file_ids: np.ndarray, u: np.ndarray | None
+    ) -> ReadBatch:
+        """``plan_read`` per request, for planners without ``plan_reads``."""
+        plan_read = self.lc.planner.plan_read
+        rows = u if u is not None else np.empty((file_ids.size, 0))
+        return ReadBatch.from_ops(
+            [plan_read(f, row) for f, row in zip(file_ids.tolist(), rows)]
+        )
 
     def _goodput_table(self, k_max: int) -> np.ndarray:
         """``(fan-out, server)`` goodput factors, rows ``0 .. k_max``."""
@@ -198,13 +132,13 @@ class BatchPlanner:
         seed = lc.seed
         n = int(times.size)
         reqs = np.arange(j0, j0 + n)
-        slots = lc.plan_slots
+        slots = self.plan_slots
         u_plan = (
             draws.uniforms(seed, draws.PLAN, reqs[:, None], np.arange(slots))
             if slots
             else None
         )
-        plan = lc.planner.plan_reads(file_ids, u_plan)
+        plan = self._plan_reads(file_ids, u_plan)
         k = plan.k
         servers = plan.servers
         sizes = plan.sizes
@@ -213,9 +147,8 @@ class BatchPlanner:
         total = int(req_off[-1])
         pos = np.arange(total, dtype=np.int64) - np.repeat(req_off[:-1], k)
         bw = lc.bandwidths[servers]
-        k_flow = np.repeat(k, k)
         gtab = self._goodput_table(int(k.max()) if n else 0)
-        gfactors = gtab[k_flow, servers]
+        gfactors = gtab[np.repeat(k, k), servers]
 
         def flow_uniforms(purpose: int, sel=None) -> np.ndarray:
             keys = np.repeat(draws.request_keys(seed, purpose, reqs), k)
@@ -228,7 +161,7 @@ class BatchPlanner:
             if lc.exponential
             else None
         )
-        mult = extra = None
+        extra = None
         if lc.injector.enabled:
             profile = lc.injector.profile
             if lc.per_server:
@@ -256,14 +189,12 @@ class BatchPlanner:
             gfactors=gfactors,
             pos=pos,
             jitter=jitter,
-            mult=mult,
             extra=extra,
             straggled_mult=straggled_mult,
             straggled_extra=straggled_extra,
             join_count=plan.join_count,
             post_fraction=plan.post_fraction,
             post_seconds=plan.post_seconds,
-            has_dup=plan.has_dup,
         )
 
 

@@ -4,9 +4,9 @@ Every random number a simulation consumes is a pure function of four
 integers — the run's 64-bit seed, a *purpose*, the request index and a
 slot within the request — computed with a splitmix64 mix over ``uint64``
 arrays and returned as a 53-bit uniform on ``[0, 1)``.  No draw depends
-on how many draws came before it, so the scalar loops and the batched
-planner read the same value for the same ``(purpose, request, slot)``
-whatever the batch boundaries, and need no stream-replay logic.
+on how many draws came before it, so a request reads the same value for
+the same ``(purpose, request, slot)`` whatever the batch boundaries, and
+the planner needs no stream-replay logic.
 
 ===================== ====================== ============================
 purpose               request, slot          consumer
@@ -20,23 +20,15 @@ purpose               request, slot          consumer
 :data:`SERVER_MASK`   0, server id           per-server straggler status
 ===================== ====================== ============================
 
-Two access paths read the same values:
-
-* **scalar table** — :class:`DrawTable` computes the rows of whole
-  chunks of consecutive requests at once and hands the per-request loops
-  one row slice per request (hashing a handful of slots per call would
-  cost more than the rest of the request);
-* **batched gather** — :func:`request_keys` hashes each request of a
-  batch once and :func:`slot_uniforms` finishes the flat flow arrays.
-
-Both apply the same elementwise integer ops, so the uniforms agree bit
-for bit; the float transforms on top (``-log1p(-u)``, ``np.interp``) are
-elementwise too.
+The batch planner gathers them for flat flow arrays: :func:`request_keys`
+hashes each request of a batch once and :func:`slot_uniforms` finishes
+the flows.  :func:`uniforms` is the same computation for broadcast
+``(request, slot)`` grids; every op is elementwise, so the two agree bit
+for bit, and so do the float transforms on top (``-log1p(-u)``,
+``np.interp``).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -46,7 +38,6 @@ __all__ = [
     "PLAN",
     "SERVER_MASK",
     "STRAGGLE",
-    "DrawTable",
     "exponential",
     "request_keys",
     "slot_uniforms",
@@ -116,45 +107,3 @@ def uniforms(seed: int, purpose: int, requests, slots) -> np.ndarray:
 def exponential(u: np.ndarray) -> np.ndarray:
     """Standard exponentials from uniforms on ``[0, 1)`` (inverse CDF)."""
     return -np.log1p(-u)
-
-
-class DrawTable:
-    """The scalar path's view: one row of slots per request, in order.
-
-    ``fill(requests, slots)`` computes a ``(chunk, width)`` block of
-    values elementwise from broadcast ``(chunk, 1)`` request and
-    ``(width,)`` slot indices — uniforms of one purpose, or a transform
-    of them — and :meth:`row` slices request ``j``'s first ``k`` slots.
-    A request wider than the block recomputes it wider; every value is a
-    pure function of its coordinates, so nothing shifts.
-    """
-
-    def __init__(
-        self,
-        fill: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        width: int,
-        chunk: int = 1024,
-    ) -> None:
-        self.fill = fill
-        self.width = max(int(width), 1)
-        self.chunk = chunk
-        self.lo = 0
-        self.hi = 0
-        self.block = np.empty((0, self.width))
-
-    def row(self, j: int, k: int) -> np.ndarray:
-        """Slots ``0 .. k-1`` of request ``j`` (a read-only view)."""
-        if not self.lo <= j < self.hi or k > self.width:
-            self._refill(j, k)
-        return self.block[j - self.lo, :k]
-
-    def _refill(self, j: int, k: int) -> None:
-        if k > self.width:
-            self.width = max(k, 2 * self.width)
-        if not self.lo <= j < self.hi:
-            self.lo, self.hi = j, j + self.chunk
-        block = self.fill(
-            np.arange(self.lo, self.hi)[:, None], np.arange(self.width)
-        )
-        block.flags.writeable = False
-        self.block = block

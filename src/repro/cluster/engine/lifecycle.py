@@ -1,17 +1,17 @@
 """The request lifecycle shared by every server discipline.
 
 Whatever the service discipline, one simulated read goes through the same
-stations: the policy plans a fork-join (:meth:`RequestLifecycle.plan`),
-per-connection goodput shrinks effective bandwidth (memoized in
-:meth:`RequestLifecycle.goodput_row`), optional exponential jitter
-perturbs service (:meth:`RequestLifecycle.jitter`), straggler injection
-delays the *reported* completion without holding the NIC (:meth:`RequestLifecycle.report_delays` — the
-paper injects by sleeping the serving thread), a cluster-wide LRU decides
-hit/miss under a cache budget (:meth:`RequestLifecycle.admit`), the join
-fires after ``join_count`` completions and the latency folds in post-join
-decode plus any miss penalty (:meth:`RequestLifecycle.request_latency`),
-and the run ends with one metrics/tracing flush
-(:meth:`RequestLifecycle.result`).
+stations.  :meth:`RequestLifecycle.batches` plans requests in arrival
+order, ``batch_size`` at a time (:mod:`repro.cluster.engine.batch`): the
+policy's fork-join, per-connection goodput (memoized in
+:meth:`RequestLifecycle.goodput_row`), optional exponential jitter, and
+straggler report delays, which postpone the *reported* completion without
+holding the NIC (the paper injects by sleeping the serving thread).  A
+cluster-wide LRU decides hit/miss under a cache budget
+(:meth:`RequestLifecycle.admit`), the join fires after ``join_count``
+completions and the latency folds in post-join decode plus any miss
+penalty (:meth:`RequestLifecycle.request_latency`), and the run ends with
+one metrics/tracing flush (:meth:`RequestLifecycle.result`).
 
 Disciplines (:mod:`repro.cluster.engine.registry`) own only the queueing:
 *when* each partition read finishes.  Everything else lives here, once.
@@ -22,11 +22,17 @@ from __future__ import annotations
 import numbers
 import secrets
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from repro.cluster.client import ReadOp
 from repro.cluster.engine import draws
+from repro.cluster.engine.batch import (
+    DEFAULT_BATCH_SIZE,
+    BatchPlanner,
+    PlanBatch,
+)
 from repro.cluster.metrics import (
     LatencySummary,
     imbalance_factor,
@@ -74,11 +80,6 @@ METRIC_SNAPSHOT_KEYS: tuple[str, ...] = (
     "imbalance_eta",
     "straggler_reads",
 )
-
-
-#: The ``u`` a planner with no plan slots receives.
-_NO_DRAWS = np.empty(0)
-_NO_DRAWS.flags.writeable = False
 
 
 def planner_name(planner: object) -> str:
@@ -178,10 +179,9 @@ class SimulationConfig:
     popularity: PopularityConfig | None = None
     slo: SLOConfig | None = None
     causal: CausalConfig | None = None
-    #: Requests per planned batch for the vectorized planning layer
-    #: (:mod:`repro.cluster.engine.batch`).  ``None`` falls back to the
-    #: ambient :func:`repro.cluster.engine.batch.get_batch_size`, itself
-    #: ``None`` (scalar per-request path) unless installed.
+    #: Requests per planned batch (:mod:`repro.cluster.engine.batch`);
+    #: ``None`` means :data:`~repro.cluster.engine.batch.DEFAULT_BATCH_SIZE`.
+    #: A tuning knob only: results are identical at every size.
     batch_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -309,13 +309,12 @@ class RequestLifecycle:
     Owns the draw key, the goodput memo, straggler report-delay
     semantics, the LRU hit/miss ledger, join latency arithmetic,
     READ/READ_DONE tracing, and the end-of-run metrics flush.  A
-    discipline's ``run`` drives the queueing and calls back here for each
-    station.
+    discipline's ``run`` pulls planned batches from :meth:`batches`,
+    drives the queueing, and calls back here for each station.
 
     Draws: every random number is keyed by ``(seed, purpose, request,
-    slot)`` (:mod:`repro.cluster.engine.draws`); the per-request helpers
-    take the request index and slice rows of chunked draw tables, so
-    fixed seeds replay byte-identically in any order and batching.
+    slot)`` (:mod:`repro.cluster.engine.draws`), so fixed seeds replay
+    byte-identically whatever the batch size.
     """
 
     def __init__(
@@ -326,8 +325,6 @@ class RequestLifecycle:
         config: SimulationConfig,
         engine: str,
     ) -> None:
-        from repro.cluster.engine.batch import BatchPlanner, get_batch_size
-
         _validate_inputs(trace, planner, cluster)
         if not isinstance(config, SimulationConfig):
             raise TypeError(
@@ -348,11 +345,7 @@ class RequestLifecycle:
         self.cluster = cluster
         self.config = config
         self.engine = engine
-        self.batch_size = (
-            config.batch_size
-            if config.batch_size is not None
-            else get_batch_size()
-        )
+        self.batch_size = config.batch_size or DEFAULT_BATCH_SIZE
         self.stream: WorkloadStream | None = None
         self.trace: ArrivalTrace | None
         if isinstance(trace, ArrivalTrace):
@@ -361,10 +354,10 @@ class RequestLifecycle:
         else:
             self.stream = trace
             self.n_requests = int(trace.n_requests)
-            # Only the batched fifo fast path consumes chunks directly
-            # (assembling the trace as it goes); the heap disciplines and
-            # the scalar loops need random access to the whole trace.
-            if engine == "fifo" and self.batch_size:
+            # Only fifo consumes chunks directly (batches() assembles the
+            # trace as it goes); the heap disciplines need random access
+            # to the whole trace.
+            if engine == "fifo":
                 self.trace = None
             else:
                 self.trace = trace.materialize()
@@ -385,7 +378,6 @@ class RequestLifecycle:
             if self.injector.enabled and self.per_server
             else None
         )
-        self._init_draw_tables(planner)
         self.lru: LRUCache | None = (
             LRUCache(config.cache_budget)
             if config.cache_budget is not None
@@ -414,8 +406,6 @@ class RequestLifecycle:
             if on["timeline"] is not None
             else None
         )
-        #: Hoisted timeline check — disabled collection must stay free.
-        self.observe = self.collector is not None
         self.causal: CausalCollector | None = (
             CausalCollector(on["causal"], **size, **run)
             if on["causal"] is not None
@@ -455,77 +445,37 @@ class RequestLifecycle:
         # Memoize goodput factors per fan-out: parallelism is a small
         # integer, so this avoids one interpolation per flow.
         self._goodput_rows: dict[int, np.ndarray] = {}
-        #: Vectorized planning layer; ``None`` keeps the scalar path
-        #: (and its goldens) untouched.
-        self.batch_planner: BatchPlanner | None = (
-            BatchPlanner(self) if self.batch_size else None
-        )
-
-    # -- draws --------------------------------------------------------
-
-    def _init_draw_tables(self, planner) -> None:
-        """Chunked per-request rows for the scalar loops (the batched
-        planner gathers the same values from flat flow arrays)."""
-        seed = self.seed
-        self.plan_slots = int(getattr(planner, "plan_slots", 0))
-        self._plan_rows = (
-            draws.DrawTable(
-                lambda r, s: draws.uniforms(seed, draws.PLAN, r, s),
-                self.plan_slots,
-            )
-            if self.plan_slots
-            else None
-        )
-        # Flow rows start as wide as the widest layout row and grow on
-        # demand for planners without a layout.
-        layout = getattr(planner, "servers_of", None)
-        width = (
-            max((len(s) for s in layout), default=1) if layout is not None else 8
-        )
-        self._jitter_rows = (
-            draws.DrawTable(
-                lambda r, s: draws.exponential(
-                    draws.uniforms(seed, draws.JITTER, r, s)
-                ),
-                width,
-            )
-            if self.exponential
-            else None
-        )
-        self._mult_rows = (
-            draws.DrawTable(self._multiplier_block, width)
-            if self.injector.enabled
-            else None
-        )
-
-    def _multiplier_block(self, reqs: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Per-read multipliers, or per-server slowdown factors (applied
-        where the serving server straggles), for a block of slots."""
-        factor = self.injector.profile.factor_at(
-            draws.uniforms(self.seed, draws.FACTOR, reqs, slots)
-        )
-        if self.per_server:
-            return factor
-        hit = (
-            draws.uniforms(self.seed, draws.STRAGGLE, reqs, slots)
-            < self.injector.profile.probability
-        )
-        return np.where(hit, factor, 1.0)
-
-    def jitter(self, j: int, k: int) -> np.ndarray:
-        """Request ``j``'s standard-exponential jitter for ``k`` flows."""
-        return self._jitter_rows.row(j, k)
+        self.batch_planner = BatchPlanner(self)
 
     # -- planning -----------------------------------------------------
 
-    def plan(self, j: int, file_id: int) -> ReadOp:
-        """Ask the policy for request ``j``'s fork-join."""
-        u = (
-            self._plan_rows.row(j, self.plan_slots)
-            if self._plan_rows is not None
-            else _NO_DRAWS
-        )
-        return self.planner.plan_read(file_id, u)
+    def batches(self) -> Iterator[tuple[int, PlanBatch]]:
+        """Plan the run in arrival order, ``batch_size`` requests at a time.
+
+        Yields ``(j0, batch)``: the batch holds requests
+        ``j0 .. j0 + batch.n - 1``.  A streamed fifo run
+        (``self.trace is None``) pulls its chunks from the stream and
+        assembles :attr:`trace` once the last batch has been consumed.
+        """
+        plan = self.batch_planner.plan_batch
+        size = self.batch_size
+        if self.trace is not None:
+            times = self.trace.times
+            file_ids = self.trace.file_ids
+            for j0 in range(0, self.n_requests, size):
+                hi = j0 + size
+                yield j0, plan(times[j0:hi], file_ids[j0:hi], j0)
+            return
+        all_times = np.empty(self.n_requests)
+        all_fids = np.empty(self.n_requests, dtype=np.int64)
+        j0 = 0
+        for times, file_ids in self.stream.chunks(size):
+            batch = plan(times, file_ids, j0)
+            all_times[j0 : j0 + batch.n] = batch.times
+            all_fids[j0 : j0 + batch.n] = batch.file_ids
+            yield j0, batch
+            j0 += batch.n
+        self.trace = ArrivalTrace(all_times, all_fids)
 
     def observe_popularity(self, t: float, file_id: int, op: ReadOp) -> None:
         """Feed one planned request to the popularity monitor.
@@ -563,29 +513,6 @@ class RequestLifecycle:
             )
         return row
 
-    # -- stragglers ---------------------------------------------------
-
-    def report_delays(self, j: int, op: ReadOp) -> tuple[np.ndarray, np.ndarray]:
-        """Straggler report delays for request ``j``'s fork-join.
-
-        Returns ``(extra_seconds, multipliers)`` aligned with
-        ``op.server_ids``.  The paper injects stragglers by sleeping the
-        serving thread, so a straggling read *reports* late by
-        ``(m - 1)`` times its nominal transfer time while the NIC frees
-        on schedule — disciplines add ``extra`` to the reported
-        completion only, never to queue occupancy.  Call only when
-        ``self.injector.enabled``.
-        """
-        servers = op.server_ids
-        mult = self._mult_rows.row(j, servers.size)
-        if self.per_server:
-            mult = np.where(self.straggler_mask[servers], mult, 1.0)
-        extra = (mult - 1.0) * (op.sizes / self.bandwidths[servers])
-        return extra, mult
-
-    def count_straggled(self, straggled: bool) -> None:
-        self.straggler_reads += bool(straggled)
-
     # -- cache admission ----------------------------------------------
 
     def admit(self, file_id: int) -> bool:
@@ -606,6 +533,17 @@ class RequestLifecycle:
         if self._slo_miss is not None:
             self._slo_miss.append(missed)
         return missed
+
+    def admit_many(self, file_ids: np.ndarray) -> np.ndarray:
+        """:meth:`admit` for a batch of requests in arrival order; returns
+        the miss flags."""
+        if self.lru is None:
+            missed = np.zeros(file_ids.size, dtype=bool)
+            if self._slo_miss is not None:
+                self._slo_miss.extend(missed.tolist())
+            return missed
+        admit = self.admit
+        return np.array([admit(f) for f in file_ids.tolist()], dtype=bool)
 
     # -- join accounting ----------------------------------------------
 

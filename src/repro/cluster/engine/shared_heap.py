@@ -28,9 +28,13 @@ Flow state lives in fid-indexed numpy columns (:class:`_Flows`), grown
 by doubling; a request's flows hold a contiguous fid range in partition
 order.  Per-server and per-request active counts replace membership
 sets, each paired with its current share ``B_s / n_s`` or ``B_c / n_r``
-in a float array the re-rate gathers from.  Each request's plan is kept
-once and read at the end by the byte ledger and the recorders, which
-get every partition, request and join record as one frame each.
+in a float array the re-rate gathers from.  Requests are planned in
+batches (:meth:`RequestLifecycle.batches`) when the first of them
+arrives, and a batch's flow rows are filled in one step: arrivals pop in
+request order, so its flows take the next contiguous fids.  A flow's
+straggler report delay is a flow column; of the rest of a batch only the
+columns the recorders read at the end (servers, nominal bytes, goodput
+factors) outlive planning, one segment per batch.
 
 The event heap carries only request arrivals and delayed straggler
 reports.  The next flow completion is the ``argmin`` of ``eta`` over the
@@ -40,8 +44,9 @@ candidate ever goes stale.  Each event re-rates, in one vectorized
 step, exactly the flows whose share can change — active flows on the
 touched server(s) plus the flows of the affected request(s).
 
-Results are bit-for-bit those of the per-flow heap loop this engine
-replaced (kept as the test oracle ``tests/test_cluster/heap_oracle.py``):
+Results are bit-for-bit those of the per-flow, per-request heap loop this
+engine replaced (kept as the test oracle
+``tests/test_cluster/heap_oracle.py``):
 
 * event order — that loop popped ``(time, kind, id)`` tuples, so at equal
   times an arrival (kind 0) came first, then the completion with the
@@ -83,10 +88,11 @@ class _Flows:
     """Fid-indexed flow state in numpy columns, grown by doubling.
 
     A fresh row is an active flow with rate 0 and no completion scheduled
-    (``eta = inf``), so an arrival writes only ``request``, ``on`` and
-    ``remaining``.  ``on`` is the server a flow holds bandwidth on while
-    active and the ``n_servers`` sentinel while it waits or once it is
-    ``done``, so one gather tests "active on a touched server".
+    (``eta = inf``), so planning a batch writes only ``request``, ``on``,
+    ``remaining`` and ``extra`` (the flow's straggler report delay).
+    ``on`` is the server a flow holds bandwidth on while active and the
+    ``n_servers`` sentinel while it waits or once it is ``done``, so one
+    gather tests "active on a touched server".
     ``start`` stays NaN unless a waiting flow is woken (every other flow
     starts at its request's arrival); ``end`` is the completion time.
     """
@@ -96,6 +102,7 @@ class _Flows:
         "on": (np.int64, 0),
         "done": (np.bool_, False),
         "remaining": (np.float64, 0.0),
+        "extra": (np.float64, 0.0),
         "rate": (np.float64, 0.0),
         "last": (np.float64, 0.0),
         "eta": (np.float64, math.inf),
@@ -174,9 +181,7 @@ def _run_heap(
     n_servers = lc.cluster.n_servers
     n_requests = lc.n_requests
     trace = lc.trace
-    injector = lc.injector
-    goodput = lc.goodput
-    exponential = lc.exponential
+    stragglers = lc.injector.enabled
     emit = lc.emit
     record = lc.record
     recorders = lc.recorders
@@ -185,13 +190,13 @@ def _run_heap(
     server_bytes = np.zeros(n_servers)
     if track:
         # Window loads come from snapshot-diffing this vector, so it
-        # accrues at each arrival; otherwise it is summed once at the end
-        # in the same (fid) order.
+        # accrues at each arrival; otherwise each batch adds its bytes
+        # when planned, in the same (fid) order.
         lc.popularity.attach_cumulative_loads(server_bytes)
     latencies = np.full(n_requests, np.nan)
 
-    # Request bookkeeping; request j's flows are fids [req_f0[j], req_f1[j])
-    # in partition order.
+    # Request bookkeeping, filled a batch at a time; request j's flows
+    # are fids [req_f0[j], req_f1[j]) in partition order.
     req_remaining = [0] * n_requests  # reports the join still awaits
     req_post_fraction = [0.0] * n_requests
     req_post_seconds = [0.0] * n_requests
@@ -201,11 +206,9 @@ def _run_heap(
     req_critical = [-1] * n_requests
     req_f0 = [0] * n_requests
     req_f1 = [0] * n_requests
-    # plans[j] is request j's plan — servers, nominal bytes, goodput
-    # factors (None: no loss), report delays (None: no stragglers).
-    # Arrivals come in request order, so this is fid order too; the byte
-    # ledger and the recorders read it once, at the end.
-    plans: list[tuple] = []
+    # One (servers, nominal bytes, goodput factors) segment per batch, in
+    # fid order: what the recorders read at the end.
+    segments: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     flows = _Flows(n_requests)
     n = 0  # flows created so far
@@ -231,16 +234,14 @@ def _run_heap(
     ]
     heapq.heapify(heap)
 
-    # Batched planning: arrivals pop in request order (kind 0 sorts
-    # before completions at equal times, ties break on the request id,
-    # and the trace is time-sorted), so the next ``batch_size`` requests
-    # are planned when the first of them arrives; their keyed draws are
-    # the scalar loop's.
-    planner_b = lc.batch_planner
-    batch = None
-    batch_j0 = 0
+    # Arrivals pop in request order (kind 0 sorts before completions at
+    # equal times, ties break on the request id, and the trace is
+    # time-sorted), so the next batch is planned when its first request
+    # arrives and its flows take the next contiguous fids.
+    batches = lc.batches()
     batch_end = 0
-    batch_eff: np.ndarray | None = None
+    f_base = 0  # fid of the current batch's first flow
+    b_servers = b_sizes = None
 
     def notify(j: int, t: float, fid: int) -> None:
         """One partition read reported complete to request ``j``'s join.
@@ -285,87 +286,45 @@ def _run_heap(
 
         if kind == 0:
             j = ident
+            if j >= batch_end:
+                j0, batch = next(batches)
+                batch_end = j0 + batch.n
+                f_base = n
+                b_servers = batch.servers
+                b_sizes = batch.sizes
+                _fill_flows(flows, batch, j0, f_base)
+                fids = (batch.req_off + f_base).tolist()
+                req_f0[j0:batch_end] = fids[:-1]
+                req_f1[j0:batch_end] = fids[1:]
+                req_remaining[j0:batch_end] = batch.join_count.tolist()
+                req_post_fraction[j0:batch_end] = batch.post_fraction.tolist()
+                req_post_seconds[j0:batch_end] = batch.post_seconds.tolist()
+                req_straggled[j0:batch_end] = batch.straggled_extra.tolist()
+                lc.straggler_reads += int(
+                    np.count_nonzero(batch.straggled_extra)
+                )
+                if not track:
+                    np.add.at(server_bytes, b_servers, b_sizes)
+                if record:
+                    segments.append((b_servers, b_sizes, batch.gfactors))
+                del batch  # only the segment outlives planning
             fid0 = int(trace.file_ids[j])
-            if planner_b is not None:
-                if j >= batch_end:
-                    hi = min(j + lc.batch_size, n_requests)
-                    batch = planner_b.plan_batch(
-                        trace.times[j:hi], trace.file_ids[j:hi], j
-                    )
-                    batch_j0 = j
-                    batch_end = hi
-                    # Effective bytes for the whole batch at once:
-                    # divide-by-goodput then multiply-by-jitter are the
-                    # scalar loop's elementwise ops (goodput off means
-                    # dividing by exactly 1.0 — a bitwise identity).
-                    batch_eff = batch.sizes / batch.gfactors
-                    if batch.jitter is not None:
-                        batch_eff = batch_eff * batch.jitter
-                b_ix = j - batch_j0
-                a = int(batch.req_off[b_ix])
-                b = int(batch.req_off[b_ix + 1])
-                op_servers = batch.servers[a:b]
-                op_sizes = batch.sizes[a:b]
-                op = _SegView(op_servers, op_sizes)
-                servers = op_servers.tolist()
-                sizes = batch_eff[a:b]
-                gfactors = batch.gfactors[a:b]
-                if track:
-                    lc.observe_popularity(t, fid0, op)
-                straggled = False
-                extra = None
-                if injector.enabled:
-                    extra = batch.extra[a:b]
-                    straggled = bool(batch.straggled_extra[b_ix])
-                    lc.count_straggled(straggled)
-                req_remaining[j] = int(batch.join_count[b_ix])
-                req_post_fraction[j] = batch.post_fraction[b_ix]
-                req_post_seconds[j] = batch.post_seconds[b_ix]
-            else:
-                op = lc.plan(j, fid0)
-                if track:
-                    # Arrivals pop in nondecreasing time, so sim-time
-                    # window rollover inside the monitor stays monotone.
-                    lc.observe_popularity(t, fid0, op)
-                op_servers = op.server_ids
-                op_sizes = op.sizes
-                servers = op_servers.tolist()
-                sizes = op_sizes
-                gfactors = None
-                if goodput is not None:
-                    gfactors = lc.goodput_row(len(servers))[op_servers]
-                    sizes = sizes / gfactors
-                if exponential:
-                    sizes = sizes * lc.jitter(j, len(servers))
-                straggled = False
-                extra = None
-                if injector.enabled:
-                    extra, _mult = lc.report_delays(j, op)
-                    straggled = bool((extra > 0.0).any())
-                    lc.count_straggled(straggled)
-                req_remaining[j] = op.join_count
-                req_post_fraction[j] = op.post_fraction
-                req_post_seconds[j] = op.post_seconds
-            req_miss[j] = lc.admit(fid0)
-            req_straggled[j] = straggled
-
-            f0 = n
-            n += len(servers)
-            if n > flows.capacity:
-                flows.reserve(n)
-            req_f0[j] = f0
-            req_f1[j] = n
-            plans.append((op_servers, op_sizes, gfactors, extra))
+            f0 = req_f0[j]
+            n = req_f1[j]
+            op_servers = b_servers[f0 - f_base : n - f_base]
+            op = _SegView(op_servers, b_sizes[f0 - f_base : n - f_base])
             if track:
-                np.add.at(server_bytes, op_servers, op_sizes)
+                # Arrivals pop in nondecreasing time, so sim-time window
+                # rollover inside the monitor stays monotone.
+                lc.observe_popularity(t, fid0, op)
+                np.add.at(server_bytes, op_servers, op.sizes)
+            req_miss[j] = lc.admit(fid0)
+
             rows = slice(f0, n)
-            flows.request[rows] = j
-            flows.on[rows] = op_servers
-            np.maximum(sizes, 1e-12, out=flows.remaining[rows])
             activated = []
             waiting = []
             shared = False  # a touched server already had an active flow
-            for fid, sid in enumerate(servers, f0):
+            for fid, sid in enumerate(op_servers.tolist(), f0):
                 c = server_count[sid]
                 if capacity is not None and c >= capacity:
                     waiting.append(fid)
@@ -386,7 +345,7 @@ def _run_heap(
                     req=j,
                     file_id=fid0,
                     op=op,
-                    straggled=straggled,
+                    straggled=req_straggled[j],
                     missed=req_miss[j],
                 )
             if shared or waiting:
@@ -425,8 +384,7 @@ def _run_heap(
             request_count[j] = c
             if c:
                 request_share[j] = client_bw / c
-            extra = plans[j][3]
-            extra_s = 0.0 if extra is None else float(extra[fid - req_f0[j]])
+            extra_s = float(flows.extra[fid]) if stragglers else 0.0
             if extra_s > 0.0:
                 # Straggler: bandwidth freed now, completion reported late.
                 heapq.heappush(heap, (t + extra_s, 2, fid))
@@ -476,27 +434,12 @@ def _run_heap(
     if np.isnan(latencies).any():  # pragma: no cover - engine invariant
         raise AssertionError("some requests never completed")
 
-    if n:
-        p_servers, p_bytes, p_gfactors, p_extra = zip(*plans)
-        servers = np.concatenate(p_servers)
-        nominal = np.concatenate(p_bytes)
-        if not track:
-            np.add.at(server_bytes, servers, nominal)
     if record and n:
+        servers, nominal, gfactors = (
+            np.concatenate(col) for col in zip(*segments)
+        )
         reqs = flows.request[:n]
         starts = flows.start[:n]
-        gfactors = np.concatenate(
-            [
-                np.ones(b.size) if g is None else g
-                for b, g in zip(p_bytes, p_gfactors)
-            ]
-        )
-        extras = np.concatenate(
-            [
-                np.zeros(b.size) if e is None else e
-                for b, e in zip(p_bytes, p_extra)
-            ]
-        )
         first = np.array(req_f0)
         all_reqs = np.arange(n_requests)
         for c in recorders:
@@ -509,11 +452,32 @@ def _run_heap(
                 nominal,
                 np.where(np.isnan(starts), trace.times[reqs], starts),
                 flows.end[:n],
-                extras,
+                flows.extra[:n],
                 gfactors,
             )
 
     return lc.result(latencies, server_bytes)
+
+
+def _fill_flows(flows: _Flows, batch, j0: int, f_base: int) -> None:
+    """Write a planned batch's flow rows, fids ``f_base`` onward.
+
+    Effective bytes divide the nominal size by the goodput factor, then
+    multiply by the jitter (goodput off divides by exactly 1.0, a bitwise
+    identity).  The rows stay outside the live window ``[lo, n)`` until
+    their requests arrive.
+    """
+    f_end = f_base + batch.servers.size
+    flows.reserve(f_end)
+    rows = slice(f_base, f_end)
+    flows.request[rows] = np.repeat(np.arange(j0, j0 + batch.n), batch.k)
+    flows.on[rows] = batch.servers
+    eff = batch.sizes / batch.gfactors
+    if batch.jitter is not None:
+        eff *= batch.jitter
+    np.maximum(eff, 1e-12, out=flows.remaining[rows])
+    if batch.extra is not None:
+        flows.extra[rows] = batch.extra
 
 
 class PSDiscipline:

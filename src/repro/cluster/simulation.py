@@ -16,7 +16,10 @@ request lifecycle lives in :mod:`repro.cluster.engine.lifecycle` and the
 service discipline (``"fifo"``, ``"ps"``, ``"limited(c)"``, or any
 registered :class:`~repro.cluster.engine.ServerDiscipline`) is selected
 by :attr:`SimulationConfig.discipline` through the registry in
-:mod:`repro.cluster.engine.registry`.
+:mod:`repro.cluster.engine.registry`.  Every discipline plans requests
+in batches of :attr:`SimulationConfig.batch_size`
+(:meth:`~repro.cluster.engine.RequestLifecycle.batches`); the size tunes
+speed and memory only, never results.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ def simulate_reads(
     :class:`SimulationConfig`.  ``trace`` may be an eager
     :class:`ArrivalTrace` or a lazy
     :class:`~repro.workloads.streams.WorkloadStream`; streams feed the
-    batched fifo fast path chunk by chunk (when ``config.batch_size`` or
-    the ambient batch size is set) and are materialized for the heap
+    fifo discipline chunk by chunk and are materialized for the heap
     disciplines.
 
     ``cluster`` may be a static :class:`ClusterSpec` or an

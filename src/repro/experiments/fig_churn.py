@@ -75,10 +75,10 @@ class _EpochLayoutPolicy:
     simulator's server axis); the stable-id layouts the strategies
     produce are mapped through
     :meth:`~repro.cluster.topology.EpochView.to_dense` before building
-    one of these.  The scalar engine path reads the layout through
-    ``plan_read``; the vectorized
-    :class:`~repro.cluster.engine.batch.BatchPlanner` gathers it through
-    ``plan_reads`` (a :class:`~repro.cluster.client.ReadLayout`).
+    one of these.  The :class:`~repro.cluster.engine.batch.BatchPlanner`
+    gathers the layout through ``plan_reads`` (a
+    :class:`~repro.cluster.client.ReadLayout`); ``plan_read`` is the
+    per-request reference.
     """
 
     def __init__(

@@ -113,11 +113,6 @@ class ExperimentSpec:
     ``timing_rows`` marks rows as wall-clock measurements for the
     tolerant diff rule; ``timeline`` enables sim-time timeline recording;
     ``sweep`` lists the runner's tunable parameters beyond ``scale``.
-    ``batchable`` declares that the runner's simulations are safe to run
-    under an ambient vectorized batch size (the default — every runner
-    going through :func:`repro.cluster.simulate_reads` qualifies because
-    the batched planner is bit-exact); experiments that measure the
-    scalar engine itself opt out with ``batchable=False``.
     """
 
     name: str
@@ -127,23 +122,11 @@ class ExperimentSpec:
     accepts_scale: bool
     timing_rows: bool = False
     timeline: bool = False
-    batchable: bool = True
     sweep: tuple[SweepParam, ...] = field(default_factory=tuple)
     module: str = ""
 
-    def run(
-        self,
-        scale: float = 1.0,
-        batch_size: int | None = None,
-        **params: Any,
-    ) -> list[dict]:
-        """Invoke the runner, forwarding ``scale`` only if it is accepted.
-
-        ``batch_size`` installs an ambient vectorized-planning batch size
-        (:func:`repro.cluster.engine.use_batching`) around the run when
-        the spec is ``batchable``; non-batchable specs silently run
-        scalar so a fleet-wide ``run_all --batch-size`` stays valid.
-        """
+    def run(self, scale: float = 1.0, **params: Any) -> list[dict]:
+        """Invoke the runner, forwarding ``scale`` only if it is accepted."""
         known = {p.name for p in self.sweep}
         unknown = set(params) - known
         if unknown:
@@ -152,13 +135,6 @@ class ExperimentSpec:
                 f"{', '.join(sorted(unknown))}; declared: "
                 f"{', '.join(sorted(known)) or '(none)'}"
             )
-        if batch_size is not None and self.batchable:
-            from repro.cluster.engine import use_batching
-
-            with use_batching(batch_size):
-                if self.accepts_scale:
-                    return self.runner(scale=scale, **params)
-                return self.runner(**params)
         if self.accepts_scale:
             return self.runner(scale=scale, **params)
         return self.runner(**params)
@@ -171,7 +147,6 @@ class ExperimentSpec:
             "accepts_scale": self.accepts_scale,
             "timing_rows": self.timing_rows,
             "timeline": self.timeline,
-            "batchable": self.batchable,
             "sweep": {p.name: {"type": p.type, "default": p.json_default()}
                       for p in self.sweep},
             "module": self.module,
@@ -225,7 +200,6 @@ def experiment(
     paper: Mapping[str, Any] | None = None,
     timing_rows: bool = False,
     timeline: bool = False,
-    batchable: bool = True,
     name: str | None = None,
     description: str | None = None,
 ) -> Callable[[Callable[..., list[dict]]], Callable[..., list[dict]]]:
@@ -252,7 +226,6 @@ def experiment(
             accepts_scale="scale" in sig.parameters,
             timing_rows=timing_rows,
             timeline=timeline,
-            batchable=batchable,
             sweep=_derive_sweep(func),
             module=func.__module__,
         )
@@ -328,7 +301,6 @@ def registry_table_rows() -> list[dict[str, Any]]:
                 "scale": "yes" if spec.accepts_scale else "no",
                 "timing": "yes" if spec.timing_rows else "no",
                 "timeline": "yes" if spec.timeline else "no",
-                "batchable": "yes" if spec.batchable else "no",
                 "paper_keys": ", ".join(str(k) for k in spec.paper) or "-",
                 "sweep_params": ", ".join(p.render() for p in spec.sweep)
                 or "-",
@@ -347,9 +319,9 @@ def render_registry_markdown() -> str:
     """The autogenerated EXPERIMENTS.md registry table (with markers)."""
     lines = [
         REGISTRY_TABLE_BEGIN,
-        "| name | scale | timing | timeline | batchable "
+        "| name | scale | timing | timeline "
         "| paper expectation keys | sweep parameters | description |",
-        "|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|",
     ]
     for row in registry_table_rows():
         lines.append(
@@ -361,7 +333,6 @@ def render_registry_markdown() -> str:
                     "scale",
                     "timing",
                     "timeline",
-                    "batchable",
                     "paper_keys",
                     "sweep_params",
                     "description",

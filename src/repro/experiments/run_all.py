@@ -84,7 +84,6 @@ __all__ = ["main", "run_experiment"]
 def run_experiment(
     name: str,
     scale: float = 1.0,
-    batch_size: int | None = None,
     slo: str | None = None,
     **params,
 ) -> tuple[list[dict], dict]:
@@ -99,9 +98,7 @@ def run_experiment(
     whatever tracer is installed, so a traced pass captures the full
     hierarchy in its JSONL stream too.  ``params`` override the spec's
     sweep parameters (``run_experiment("fig12", rate=22.0)``).
-    ``batch_size`` installs an ambient vectorized batch size for
-    batchable specs (see :meth:`ExperimentSpec.run`); the value used is
-    recorded in the manifest's config.  ``slo`` is a compact objective
+    ``slo`` is a compact objective
     spec (``"p99<0.02,miss<0.5"``, see :func:`repro.obs.slo.parse_slo`);
     ``None`` installs the loose :func:`~repro.obs.slo.default_slo_config`
     so every experiment's runs are judged (quietly, when healthy) and
@@ -130,7 +127,7 @@ def run_experiment(
                 if ch.key in configs:
                     observers.enter_context(ch.use(configs[ch.key]))
             with span("experiment", experiment=spec.name):
-                rows = spec.run(scale=scale, batch_size=batch_size, **params)
+                rows = spec.run(scale=scale, **params)
     finally:
         set_registry(previous)
     roots = [r for r in collector.roots() if r.name == "experiment"]
@@ -141,7 +138,6 @@ def run_experiment(
         "accepts_scale": spec.accepts_scale,
         "timing_rows": spec.timing_rows,
         "timelines": spec.timeline,
-        "batch_size": batch_size if spec.batchable else None,
         "slo": slo,
         "params": {k: repr(v) for k, v in sorted(params.items())},
         "spec": spec.describe(),
@@ -179,7 +175,6 @@ def _run_serial(
     outdir: pathlib.Path,
     session_spans: SpanCollector,
     session_timelines: list[dict],
-    batch_size: int | None = None,
     slo: str | None = None,
 ) -> None:
     # The outer timeline sink sees every section the per-experiment sinks
@@ -187,25 +182,18 @@ def _run_serial(
     # the whole pass.
     with collect_spans(session_spans), collect_timelines(session_timelines):
         for name in names:
-            rows, manifest = run_experiment(
-                name, scale=scale, batch_size=batch_size, slo=slo
-            )
+            rows, manifest = run_experiment(name, scale=scale, slo=slo)
             _write_result(name, rows, manifest, outdir)
 
 
 def _pool_run(
-    name: str,
-    scale: float,
-    batch_size: int | None = None,
-    slo: str | None = None,
+    name: str, scale: float, slo: str | None = None
 ) -> tuple[str, list[dict], dict]:
     """Process-pool worker: one experiment, full telemetry wrapper."""
     from repro.experiments.registry import load_all
 
     load_all()  # spawn-start workers import this module fresh
-    rows, manifest = run_experiment(
-        name, scale=scale, batch_size=batch_size, slo=slo
-    )
+    rows, manifest = run_experiment(name, scale=scale, slo=slo)
     return name, rows, manifest
 
 
@@ -214,7 +202,6 @@ def _run_parallel(
     scale: float,
     outdir: pathlib.Path,
     jobs: int,
-    batch_size: int | None = None,
     slo: str | None = None,
 ) -> None:
     """Fan the pass out over a process pool; emit in registry order.
@@ -225,7 +212,7 @@ def _run_parallel(
     results: dict[str, tuple[list[dict], dict]] = {}
     with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
         futures = {
-            pool.submit(_pool_run, name, scale, batch_size, slo): name
+            pool.submit(_pool_run, name, scale, slo): name
             for name in names
         }
         for future in as_completed(futures):
@@ -256,13 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="run up to N experiments in parallel worker processes",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="B",
-        help=(
-            "vectorized planning batch size for batchable experiments "
-            "(bit-exact vs scalar; unset runs the scalar engine)"
-        ),
     )
     parser.add_argument(
         "--slo", type=str, default=None, metavar="SPEC",
@@ -306,10 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if args.batch_size is not None and args.batch_size < 1:
-        print("--batch-size must be >= 1", file=sys.stderr)
-        return 2
-
     if args.slo is not None:
         try:
             parse_slo(args.slo)  # fail fast before any experiment runs
@@ -318,10 +294,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     if args.jobs > 1:
-        _run_parallel(
-            names, args.scale, outdir, args.jobs,
-            batch_size=args.batch_size, slo=args.slo,
-        )
+        _run_parallel(names, args.scale, outdir, args.jobs, slo=args.slo)
         return 0
 
     session_spans = SpanCollector()
@@ -332,8 +305,7 @@ def main(argv: list[str] | None = None) -> int:
             with use_tracer(Tracer(sink)):
                 _run_serial(
                     names, args.scale, outdir, session_spans,
-                    session_timelines, batch_size=args.batch_size,
-                    slo=args.slo,
+                    session_timelines, slo=args.slo,
                 )
         finally:
             sink.close()
@@ -343,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         _run_serial(
             names, args.scale, outdir, session_spans, session_timelines,
-            batch_size=args.batch_size, slo=args.slo,
+            slo=args.slo,
         )
 
     if args.chrome_trace:

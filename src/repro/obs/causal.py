@@ -20,12 +20,12 @@ check — free, like every other hook in :mod:`repro.obs`.
 **Engine span trees** — a :class:`CausalCollector` rides inside
 :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` with the same
 buffer-only hook API as :class:`~repro.obs.timeline.TimelineCollector`,
-so every discipline (``fifo``/``ps``/``limited``) and both planning
-paths (scalar and :class:`~repro.cluster.engine.batch.BatchPlanner`)
-feed it for free.  Span identity is *deterministic*: the trace id is a
+so every discipline (``fifo``/``ps``/``limited``) feeds it for free,
+at any batch size.  Span identity is *deterministic*: the trace id is a
 hash of ``(scheme, engine, request)`` and span ids hash the role within
-the tree, so a scalar and a batched run of the same workload produce
-byte-identical causal DAGs (the parity property
+the tree, so two runs of the same workload — an engine and its
+per-request oracle, or two batch sizes — produce byte-identical causal
+DAGs (the parity property
 ``tests/test_cluster/test_causal_parity.py`` pins down).  When tracing
 is enabled, :meth:`CausalCollector.emit_spans` emits the full span tree
 of every request — one ``request`` root, ``k`` ``fetch`` children, one
@@ -212,8 +212,8 @@ def request_trace_id(
     """The *deterministic* trace id of one simulated request.
 
     A hash of ``(scheme, engine, run key, request index)``, so identical
-    seeded runs — and in particular a scalar vs a batched pass of the
-    same workload — produce identical causal DAG identities.  The
+    seeded runs — whatever their batch size — produce identical causal
+    DAG identities.  The
     ``run_key`` is the collector's workload fingerprint (arrivals, file
     ids, latencies): it keeps ids distinct when one process simulates
     the same scheme several times (e.g. a load sweep), which would
@@ -391,9 +391,8 @@ class CausalCollector(PartitionRecorder):
         """Critical chains + conservation check, as one JSON-able section.
 
         Deterministic by construction: records are lexsorted by
-        ``(request, partition)`` before any arithmetic, so scalar
-        appends, array blocks, and batched frames all produce identical
-        sections.
+        ``(request, partition)`` before any arithmetic, so frames recorded
+        in any order and grouping produce identical sections.
         """
         cfg = self.config
         times = np.asarray(times, dtype=np.float64)
@@ -401,10 +400,10 @@ class CausalCollector(PartitionRecorder):
         file_ids = np.asarray(file_ids, dtype=np.int64)
         n_req = int(latencies.size)
 
-        # Workload fingerprint for the deterministic trace ids: scalar
-        # and batched passes of one workload see byte-identical arrays
-        # here, while a load sweep's repeated same-scheme runs do not —
-        # without it their span ids would collide in a shared trace.
+        # Workload fingerprint for the deterministic trace ids: two
+        # passes of one workload see byte-identical arrays here, while a
+        # load sweep's repeated same-scheme runs do not — without it
+        # their span ids would collide in a shared trace.
         fp = blake2b(digest_size=8)
         fp.update(times.tobytes())
         fp.update(file_ids.tobytes())
@@ -540,8 +539,8 @@ class CausalCollector(PartitionRecorder):
 
         Call after :meth:`finalize` with an enabled tracer.  Timestamps
         are simulated seconds; ids are the deterministic
-        :func:`request_trace_id` / :func:`request_span_id` family, so a
-        scalar and a batched trace of one workload carry identical DAGs.
+        :func:`request_trace_id` / :func:`request_span_id` family, so two
+        traces of one workload carry identical DAGs.
         Returns the number of events emitted.
         """
         if self._fin is None:

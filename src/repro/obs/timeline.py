@@ -115,10 +115,11 @@ class PartitionRecorder:
     """The buffer-only per-partition hook API of the recording observers.
 
     Timeline and causal collection read the same raw records, so both
-    collectors inherit these hooks and the lifecycle fans one guarded
+    collectors inherit these hooks and the engines fan one guarded
     ``for c in lc.recorders:`` out to whichever are enabled — no
-    discipline needs observer-specific code.  Hooks only buffer;
-    subclasses aggregate in ``finalize`` from :meth:`_merged_records`.
+    discipline needs observer-specific code.  Each hook takes a frame of
+    many requests at once and only buffers; subclasses aggregate in
+    ``finalize`` from :meth:`_merged_records`.
     """
 
     def __init__(
@@ -135,21 +136,9 @@ class PartitionRecorder:
         self.n_servers = int(n_servers)
         self.scheme = scheme
         self.engine = engine
-        # Raw partition records, append-only (aggregated at finalize).
-        # Scalar appends from event-driven engines land in the lists;
-        # whole fork-joins from vectorized engines land as array blocks.
-        self._req: list[int] = []
-        self._pos: list[int] = []
-        self._server: list[int] = []
-        self._size: list[float] = []
-        self._start: list[float] = []
-        self._end: list[float] = []
-        self._extra: list[float] = []
-        self._gfactor: list[float] = []
-        self._blocks: list[tuple[int, np.ndarray, ...]] = []
-        # Whole-batch frames from the vectorized engines: each holds
-        # many requests' partition rows as flat arrays, so a
-        # million-request run buffers thousands of frames instead of
+        # Raw partition records, append-only (aggregated at finalize):
+        # each frame holds many requests' partition rows as flat arrays,
+        # so a million-request run buffers thousands of frames instead of
         # millions of Python scalars.
         self._frames: list[tuple[np.ndarray, ...]] = []
         # Per-request facts, filled as the run learns them.
@@ -159,69 +148,13 @@ class PartitionRecorder:
 
     # -- hot-path hooks (buffer only, no arithmetic) ------------------
 
-    def record_partition(
-        self,
-        req: int,
-        pos: int,
-        server: int,
-        size: float,
-        start: float,
-        end: float,
-        extra: float = 0.0,
-        gfactor: float = 1.0,
-    ) -> None:
-        """One partition read: served by ``server``, active ``[start, end)``,
-        reported complete at ``end + extra``."""
-        self._req.append(req)
-        self._pos.append(pos)
-        self._server.append(server)
-        self._size.append(size)
-        self._start.append(start)
-        self._end.append(end)
-        self._extra.append(extra)
-        self._gfactor.append(gfactor)
-
-    def record_partitions(
-        self, req, servers, sizes, starts, ends, extras, gfactors
-    ) -> None:
-        """Vector form of :meth:`record_partition` (one fork-join at once).
-
-        Buffers the arrays as one block (copied, so callers may reuse
-        their buffers); partition positions are ``0..k-1`` in argument
-        order.  Finalize merges blocks with scalar records and re-sorts,
-        so the two paths produce identical sections.
-        """
-        self._blocks.append(
-            (
-                int(req),
-                np.array(servers, dtype=np.int64),
-                np.array(sizes, dtype=np.float64),
-                np.array(starts, dtype=np.float64),
-                np.array(ends, dtype=np.float64),
-                np.array(extras, dtype=np.float64),
-                np.array(gfactors, dtype=np.float64),
-            )
-        )
-
-    def record_request(self, req: int, *, missed: bool, straggled: bool) -> None:
-        self.missed[req] = missed
-        self.straggled[req] = straggled
-
-    def record_join(self, req: int, pos: int) -> None:
-        """The partition whose reported completion fired request ``req``'s
-        join — the critical path for attribution."""
-        self.crit_pos[req] = pos
-
-    # -- batched hooks (many requests per call, array-valued) ----------
-
     def record_partition_frame(
         self, reqs, poss, servers, sizes, starts, ends, extras, gfactors
     ) -> None:
-        """Flat-array form of :meth:`record_partition` covering many
-        requests at once (``reqs``/``poss`` give each row's request id
-        and partition position).  Arrays are copied; finalize merges
-        frames with scalar records and blocks, so all three paths
-        produce identical sections."""
+        """Partition reads of many requests: row ``i`` is partition
+        ``poss[i]`` of request ``reqs[i]``, served by ``servers[i]``,
+        active ``[starts[i], ends[i])`` and reported complete at
+        ``ends[i] + extras[i]``.  Arrays are copied."""
         self._frames.append(
             (
                 np.array(reqs, dtype=np.int64),
@@ -236,13 +169,14 @@ class PartitionRecorder:
         )
 
     def record_request_frame(self, reqs, missed, straggled) -> None:
-        """Array form of :meth:`record_request`."""
+        """Miss and straggler flags of requests ``reqs``."""
         reqs = np.asarray(reqs, dtype=np.int64)
         self.missed[reqs] = np.asarray(missed, dtype=bool)
         self.straggled[reqs] = np.asarray(straggled, dtype=bool)
 
     def record_join_frame(self, reqs, poss) -> None:
-        """Array form of :meth:`record_join`."""
+        """The partitions whose reported completion fired each request's
+        join — the critical path for attribution."""
         self.crit_pos[np.asarray(reqs, dtype=np.int64)] = np.asarray(
             poss, dtype=np.int64
         )
@@ -250,55 +184,27 @@ class PartitionRecorder:
     # -- finalize -----------------------------------------------------
 
     def _merged_records(self) -> tuple[np.ndarray, ...]:
-        """Scalar appends and array blocks merged into flat arrays.
+        """Every frame concatenated into flat arrays.
 
         Unsorted — finalize lexsorts by ``(request, partition)``, and
         each ``(request, partition)`` pair is recorded at most once, so
         the merged order never leaks into the section.
         """
-        reqs = [np.asarray(self._req, dtype=np.int64)]
-        poss = [np.asarray(self._pos, dtype=np.int64)]
-        servers = [np.asarray(self._server, dtype=np.int64)]
-        sizes = [np.asarray(self._size, dtype=np.float64)]
-        starts = [np.asarray(self._start, dtype=np.float64)]
-        ends = [np.asarray(self._end, dtype=np.float64)]
-        extras = [np.asarray(self._extra, dtype=np.float64)]
-        gfactors = [np.asarray(self._gfactor, dtype=np.float64)]
-        for r, srv, sz, st, en, ex, gf in self._blocks:
-            k = srv.size
-            reqs.append(np.full(k, r, dtype=np.int64))
-            poss.append(np.arange(k, dtype=np.int64))
-            servers.append(srv)
-            sizes.append(sz)
-            starts.append(st)
-            ends.append(en)
-            extras.append(np.broadcast_to(ex, (k,)))
-            gfactors.append(np.broadcast_to(gf, (k,)))
-        for rq, ps, srv, sz, st, en, ex, gf in self._frames:
-            reqs.append(rq)
-            poss.append(ps)
-            servers.append(srv)
-            sizes.append(sz)
-            starts.append(st)
-            ends.append(en)
-            extras.append(ex)
-            gfactors.append(gf)
-        return tuple(
-            np.concatenate(parts)
-            for parts in (
-                reqs, poss, servers, sizes, starts, ends, extras, gfactors
-            )
-        )
+        if not self._frames:
+            ints = np.empty(0, dtype=np.int64)
+            floats = np.empty(0)
+            return (ints, ints, ints) + (floats,) * 5
+        return tuple(np.concatenate(col) for col in zip(*self._frames))
 
 
 class TimelineCollector(PartitionRecorder):
     """Buffers raw per-partition/per-request records during one run.
 
-    Disciplines call the ``record_*`` hooks (guarded by the lifecycle's
-    hoisted ``observe`` flag); :meth:`finalize` does all aggregation.  A
-    discipline that never calls the partition hooks still finalizes to a
-    valid (empty-series) section — attribution then charges everything to
-    the ``join`` component.
+    Disciplines call the ``record_*_frame`` hooks (guarded by the
+    lifecycle's hoisted ``record`` flag); :meth:`finalize` does all
+    aggregation.  A discipline that never calls the partition hooks still
+    finalizes to a valid (empty-series) section — attribution then
+    charges everything to the ``join`` component.
     """
 
     def finalize(

@@ -92,7 +92,6 @@ class ECCachePolicy(CachePolicy):
             layout.sizes[flat],
             join_count=np.full(n, self.k, dtype=np.int64),
             post_fraction=self.decode_overhead,
-            has_dup=bool(layout.dup[file_ids].any()),
         )
 
     def plan_write(self, file_id: int) -> WriteOp:

@@ -3,35 +3,44 @@
 This is the pure-Python event loop the array-backed engine in
 :mod:`repro.cluster.engine.shared_heap` replaced, kept as it was apart
 from its draw calls, which read the keyed draws of
-:mod:`repro.cluster.engine.draws`: every flow lives in parallel Python
-lists, every rate change pushes a fresh completion candidate onto one
-heap, and stale candidates are skipped by generation number.  It is slow but obviously faithful to the rate model,
-so the property tests in ``test_heap_engine.py`` compare the production
-engine against it bit for bit.
+:mod:`repro.cluster.engine.draws` one request at a time
+(:mod:`keyed_draws`), and its recorder calls, which hand over one frame
+each at the end: every flow lives in parallel Python lists, every rate
+change pushes a fresh completion candidate onto one heap, and stale
+candidates are skipped by generation number.  It plans each request with
+the policy's ``plan_read`` and never touches the batch planner.  It is
+slow but obviously faithful to the rate model, so the property tests in
+``test_heap_engine.py`` compare the production engine against it bit for
+bit.
 
 Run it on a :class:`~repro.cluster.engine.lifecycle.RequestLifecycle`
 exactly like the production loop: ``_run_heap(lc, capacity)`` with
-``capacity=None`` for ``ps``.
+``capacity=None`` for ``ps``; :func:`simulate_oracle` dispatches any
+built-in discipline to its oracle.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 
 import numpy as np
 
-from repro.cluster.engine.batch import _SegView
 from repro.cluster.engine.lifecycle import RequestLifecycle, SimulationResult
+from repro.cluster.engine.registry import resolve_discipline
 
-__all__ = ["_run_heap"]
+from .fifo_oracle import _Frames, run_fifo
+from .keyed_draws import KeyedDraws
+
+__all__ = ["_run_heap", "simulate_oracle"]
 
 
 def _run_heap(
     lc: RequestLifecycle, capacity: int | None
 ) -> SimulationResult:
     """Drive the event heap; ``capacity=None`` means unbounded (pure PS)."""
-    config = lc.config
+    keyed = KeyedDraws(lc)
     bandwidths = lc.bandwidths
     client_bw = lc.cluster.effective_client_bandwidth
     n_requests = lc.n_requests
@@ -41,7 +50,7 @@ def _run_heap(
     exponential = lc.exponential
     emit = lc.emit
     record = lc.record
-    recorders = lc.recorders
+    frames = _Frames(n_requests) if record else None
     track = lc.track
 
     server_bytes = np.zeros(lc.cluster.n_servers)
@@ -90,17 +99,6 @@ def _run_heap(
     ]
     heapq.heapify(heap)
 
-    # Batched planning: arrivals pop in request order (kind 0 sorts
-    # before completions at equal times, ties break on the request id,
-    # and the trace is time-sorted), so the next ``batch_size`` requests
-    # are planned when the first of them arrives; their keyed draws are
-    # the scalar loop's.
-    planner_b = lc.batch_planner
-    batch = None
-    batch_j0 = 0
-    batch_end = 0
-    batch_eff: np.ndarray | None = None
-
     def advance(fid: int, t: float) -> None:
         f_remaining[fid] = max(
             f_remaining[fid] - f_rate[fid] * (t - f_last[fid]), 0.0
@@ -130,8 +128,7 @@ def _run_heap(
         req_remaining[j] -= 1
         if req_remaining[j] == 0:
             if record:
-                for c in recorders:
-                    c.record_join(j, pos)
+                frames.join(j, pos)
             latency = lc.request_latency(
                 float(trace.times[j]),
                 t,
@@ -154,73 +151,36 @@ def _run_heap(
         if kind == 0:
             j = ident
             fid0 = int(trace.file_ids[j])
-            if planner_b is not None:
-                if j >= batch_end:
-                    hi = min(j + lc.batch_size, n_requests)
-                    batch = planner_b.plan_batch(
-                        trace.times[j:hi], trace.file_ids[j:hi], j
-                    )
-                    batch_j0 = j
-                    batch_end = hi
-                    # Effective bytes for the whole batch at once:
-                    # divide-by-goodput then multiply-by-jitter are the
-                    # scalar loop's elementwise ops (goodput off means
-                    # dividing by exactly 1.0 — a bitwise identity).
-                    batch_eff = batch.sizes / batch.gfactors
-                    if batch.jitter is not None:
-                        batch_eff = batch_eff * batch.jitter
-                b_ix = j - batch_j0
-                lo = int(batch.req_off[b_ix])
-                hi_f = int(batch.req_off[b_ix + 1])
-                op_servers = batch.servers[lo:hi_f]
-                op_sizes = batch.sizes[lo:hi_f]
-                op = _SegView(op_servers, op_sizes)
-                k = hi_f - lo
-                sizes = batch_eff[lo:hi_f]
-                gfactors = batch.gfactors[lo:hi_f] if record else None
-                if track:
-                    lc.observe_popularity(t, fid0, op)
-                straggled = False
-                if injector.enabled:
-                    extra = batch.extra[lo:hi_f]
-                    straggled = bool(batch.straggled_extra[b_ix])
-                    lc.count_straggled(straggled)
-                else:
-                    extra = np.zeros(k)
-                req_remaining[j] = batch.join_count[b_ix]
-                req_post_fraction[j] = batch.post_fraction[b_ix]
-                req_post_seconds[j] = batch.post_seconds[b_ix]
+            op = keyed.plan(j, fid0)
+            if track:
+                # Arrivals pop in nondecreasing time, so sim-time
+                # window rollover inside the monitor stays monotone.
+                lc.observe_popularity(t, fid0, op)
+            op_servers = op.server_ids
+            op_sizes = op.sizes
+            k = op.parallelism
+            sizes = op.sizes.astype(np.float64).copy()
+            gfactors = [] if record else None
+            if goodput is not None:
+                for pos in range(k):
+                    g = float(lc.goodput_row(k)[op_servers[pos]])
+                    sizes[pos] /= g
+                    if gfactors is not None:
+                        gfactors.append(g)
+            elif gfactors is not None:
+                gfactors = [1.0] * k
+            if exponential:
+                sizes *= keyed.jitter(j, k)
+            straggled = False
+            if injector.enabled:
+                extra, _mult = keyed.report_delays(j, op)
+                straggled = bool(np.any(extra > 0.0))
+                lc.straggler_reads += straggled
             else:
-                op = lc.plan(j, fid0)
-                if track:
-                    # Arrivals pop in nondecreasing time, so sim-time
-                    # window rollover inside the monitor stays monotone.
-                    lc.observe_popularity(t, fid0, op)
-                op_servers = op.server_ids
-                op_sizes = op.sizes
-                k = op.parallelism
-                sizes = op.sizes.astype(np.float64).copy()
-                gfactors = [] if record else None
-                if goodput is not None:
-                    for pos in range(k):
-                        g = float(lc.goodput_row(k)[op_servers[pos]])
-                        sizes[pos] /= g
-                        if gfactors is not None:
-                            gfactors.append(g)
-                elif gfactors is not None:
-                    gfactors = [1.0] * k
-                if exponential:
-                    sizes *= lc.jitter(j, k)
-                straggled = False
-                if injector.enabled:
-                    extra, _mult = lc.report_delays(j, op)
-                    straggled = bool(np.any(extra > 0.0))
-                    lc.count_straggled(straggled)
-                else:
-                    extra = np.zeros(k)
-                req_remaining[j] = op.join_count
-                req_post_fraction[j] = op.post_fraction
-                req_post_seconds[j] = op.post_seconds
+                extra = np.zeros(k)
+            req_remaining[j] = op.join_count
+            req_post_fraction[j] = op.post_fraction
+            req_post_seconds[j] = op.post_seconds
             req_miss[j] = lc.admit(fid0)
 
             affected: set[int] = set()
@@ -258,10 +218,7 @@ def _run_heap(
                     missed=bool(req_miss[j]),
                 )
             if record:
-                for c in recorders:
-                    c.record_request(
-                        j, missed=bool(req_miss[j]), straggled=straggled
-                    )
+                frames.request(j, bool(req_miss[j]), straggled)
             # Flows already active on touched servers lose share; bring
             # them to t first, then recompute every rate under the new
             # memberships.
@@ -283,17 +240,16 @@ def _run_heap(
             request_active[j].discard(fid)
             f_gen[fid] += 1  # invalidate any residual candidates
             if record:
-                for c in recorders:
-                    c.record_partition(
-                        j,
-                        f_pos[fid],
-                        sid,
-                        f_bytes[fid],
-                        f_start[fid],
-                        t,
-                        f_extra[fid],
-                        f_gfactor[fid],
-                    )
+                frames.partition(
+                    j,
+                    f_pos[fid],
+                    sid,
+                    f_bytes[fid],
+                    f_start[fid],
+                    t,
+                    f_extra[fid],
+                    f_gfactor[fid],
+                )
 
             if f_extra[fid] > 0.0:
                 # Straggler: bandwidth freed now, completion reported late.
@@ -324,4 +280,20 @@ def _run_heap(
     if np.isnan(latencies).any():  # pragma: no cover - engine invariant
         raise AssertionError("some requests never completed")
 
+    if record:
+        frames.flush(lc.recorders)
     return lc.result(latencies, server_bytes)
+
+
+def simulate_oracle(trace, planner, cluster, config) -> SimulationResult:
+    """:func:`~repro.cluster.simulate_reads` on the oracles:
+    ``fifo_oracle.run_fifo`` for ``fifo``, :func:`_run_heap` for ``ps`` and
+    ``limited(c)``."""
+    discipline = resolve_discipline(config.discipline)
+    lc = RequestLifecycle(trace, planner, cluster, config, discipline.name)
+    if discipline.name == "fifo":
+        return run_fifo(lc)
+    concurrency = getattr(discipline, "concurrency", math.inf)
+    return _run_heap(
+        lc, None if concurrency == math.inf else int(concurrency)
+    )

@@ -1,17 +1,17 @@
-"""Vectorized batch planner: bit-exact parity with the scalar engine.
+"""The batched engine against the per-request oracles, bit for bit.
 
-The batched planner (:mod:`repro.cluster.engine.batch`) is a pure
-throughput optimization — the acceptance bar is *byte identity*, not
-statistical closeness.  Both paths read the same keyed draws
-(:mod:`repro.cluster.engine.draws`): the scalar loops slice per-request
-rows of chunked draw tables, the planner gathers flat flow arrays and
-calls the policy's batched ``plan_reads``.  Every paper policy (SP-Cache
-template gather, EC-Cache late-binding argsort, selective-replication
-replica pick), every discipline, every draw consumer (jitter, per-read
-and per-server stragglers, alone and together), any batch size,
-duplicate-server plans, LRU admission, observability collectors, and
-streaming input must reproduce the scalar :class:`SimulationResult`
-exactly (floats compared via ``float.hex`` through ``array_equal``).
+Every discipline plans through the batch planner
+(:mod:`repro.cluster.engine.batch`); ``fifo_oracle.py`` and
+``heap_oracle.py`` keep the per-request loops it replaced, which read the
+same keyed draws one ``(request, slot)`` row at a time and plan with the
+policy's ``plan_read``.  The acceptance bar is *byte identity*, not
+statistical closeness: every paper policy (SP-Cache template gather,
+EC-Cache late-binding argsort, selective-replication replica pick),
+every discipline, every draw consumer (jitter, per-read and per-server
+stragglers, alone and together), any batch size, duplicate-server plans,
+LRU admission and streaming input must reproduce the oracle's
+:class:`SimulationResult` exactly (floats compared via ``float.hex``
+through ``array_equal``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.cluster import (
     simulate_reads,
 )
 from repro.cluster.client import ReadBatch, ReadOp
-from repro.cluster.engine import DEFAULT_BATCH_SIZE, get_batch_size, use_batching
+from repro.cluster.engine import DEFAULT_BATCH_SIZE, RequestLifecycle
 from repro.cluster.network import GoodputModel
 from repro.common import ClusterSpec
 from repro.policies import (
@@ -36,7 +36,10 @@ from repro.policies import (
     SPCachePolicy,
 )
 from repro.workloads import PoissonStream, paper_fileset, poisson_trace
+from repro.workloads.arrivals import ArrivalTrace
 from repro.workloads.bing import BingStragglerProfile
+
+from .heap_oracle import simulate_oracle
 
 
 _POLICIES = {
@@ -129,8 +132,8 @@ _PARITY_CASES = [
 def test_batched_matches_scalar_bitwise(draws, discipline, scheme):
     trace, policy, cluster, pop = _scenario(scheme)
     cfg = replace(_configs(pop)[draws], discipline=discipline)
-    scalar = simulate_reads(trace, policy, cluster, cfg)
-    for batch_size in (1, 64, 1000):
+    scalar = simulate_oracle(trace, policy, cluster, cfg)
+    for batch_size in (None, 1, 64, 1000):
         batched = simulate_reads(
             trace, policy, cluster, replace(cfg, batch_size=batch_size)
         )
@@ -140,13 +143,8 @@ def test_batched_matches_scalar_bitwise(draws, discipline, scheme):
 
 
 class _DupServerPlanner:
-    """Plans every read across duplicated server ids (k=3, two distinct).
-
-    Exercises the scalar-replay fallback: the vectorized per-server FIFO
-    recurrence assumes one queue entry per flow, so duplicate servers
-    inside one plan must take the exact fancy-index path the scalar
-    engine uses.
-    """
+    """Plans every read across duplicated server ids (k=3, two distinct):
+    each partition is its own queue entry, back to back on its server."""
 
     def __init__(self, pop):
         self.sizes = pop.sizes
@@ -165,7 +163,7 @@ class _DupServerPlanner:
 
 
 @pytest.mark.parametrize("discipline", ["fifo", "ps"])
-def test_duplicate_server_plans_replay_scalar_semantics(discipline):
+def test_duplicate_server_plans_match_oracle(discipline):
     trace, _, cluster, pop = _scenario()
     planner = _DupServerPlanner(pop)
     cfg = SimulationConfig(
@@ -174,11 +172,37 @@ def test_duplicate_server_plans_replay_scalar_semantics(discipline):
         stragglers=StragglerInjector.none(),
         seed=23,
     )
-    scalar = simulate_reads(trace, planner, cluster, cfg)
-    batched = simulate_reads(
-        trace, planner, cluster, replace(cfg, batch_size=64)
+    oracle = simulate_oracle(trace, planner, cluster, cfg)
+    for batch_size in (None, 64):
+        batched = simulate_reads(
+            trace, planner, cluster, replace(cfg, batch_size=batch_size)
+        )
+        _assert_identical(oracle, batched, f"dup/{discipline}/{batch_size}")
+
+
+class _TwoOnOne:
+    """Two 1-byte partitions, both on server 0; only ``plan_read``."""
+
+    def plan_read(self, file_id, u):
+        return ReadOp(server_ids=np.array([0, 0]), sizes=np.ones(2))
+
+    def footprint(self, file_id):
+        return 2.0
+
+
+@pytest.mark.parametrize("discipline", ["fifo", "ps", "limited(1)"])
+def test_same_server_partitions_queue_back_to_back(discipline):
+    """Closed form: on a 1 B/s server, two 1-byte reads take 2 s whether
+    they queue (fifo) or share the NIC (ps), and both bytes count."""
+    cluster = ClusterSpec(n_servers=2, bandwidth=1.0, client_bandwidth=1e12)
+    trace = ArrivalTrace(np.zeros(1), np.zeros(1, dtype=np.int64))
+    cfg = SimulationConfig(
+        discipline=discipline, jitter="deterministic", goodput=None, seed=0
     )
-    _assert_identical(scalar, batched, f"dup/{discipline}")
+    for run in (simulate_reads, simulate_oracle):
+        result = run(trace, _TwoOnOne(), cluster, cfg)
+        assert result.latencies.tolist() == [2.0], run.__name__
+        assert result.server_bytes.tolist() == [2.0, 0.0], run.__name__
 
 
 @pytest.mark.parametrize("discipline", ["fifo", "ps", "limited(2)"])
@@ -197,28 +221,34 @@ def test_stream_input_matches_materialized_trace(discipline):
     _assert_identical(from_trace, from_stream, f"stream/{discipline}")
 
 
-def test_ambient_batching_context():
-    trace, policy, cluster, pop = _scenario()
-    cfg = SimulationConfig(
-        jitter="deterministic", stragglers=StragglerInjector.natural(), seed=23
-    )
-    scalar = simulate_reads(trace, policy, cluster, cfg)
-    assert get_batch_size() is None
-    with use_batching(128):
-        assert get_batch_size() == 128
-        ambient = simulate_reads(trace, policy, cluster, cfg)
-        # An explicit config wins over the ambient value.
-        explicit = simulate_reads(
-            trace, policy, cluster, replace(cfg, batch_size=32)
-        )
-    assert get_batch_size() is None
-    _assert_identical(scalar, ambient, "ambient")
-    _assert_identical(scalar, explicit, "explicit-override")
-    with use_batching():
-        assert get_batch_size() == DEFAULT_BATCH_SIZE
+def test_plan_read_only_planners_are_planned_per_request():
+    """A planner without ``plan_reads`` runs through ``plan_read`` and
+    matches the same policy planned as whole batches."""
+
+    class PlanReadOnly:
+        def __init__(self, policy):
+            self.policy = policy
+            self.name = policy.name
+            self.plan_slots = policy.plan_slots
+
+        def plan_read(self, file_id, u):
+            return self.policy.plan_read(file_id, u)
+
+        def footprint(self, file_id):
+            return self.policy.footprint(file_id)
+
+    for scheme in sorted(_POLICIES):
+        trace, policy, cluster, pop = _scenario(scheme)
+        cfg = _configs(pop)["jitter+per-read"]
+        batched = simulate_reads(trace, policy, cluster, cfg)
+        per_request = simulate_reads(trace, PlanReadOnly(policy), cluster, cfg)
+        _assert_identical(batched, per_request, scheme)
 
 
 def test_batch_size_validation():
+    trace, policy, cluster, _ = _scenario()
+    lc = RequestLifecycle(trace, policy, cluster, SimulationConfig(), "ps")
+    assert lc.batch_size == DEFAULT_BATCH_SIZE
     with pytest.raises(ValueError):
         SimulationConfig(batch_size=0)
     with pytest.raises(TypeError):

@@ -1,9 +1,10 @@
 """Cross-engine causal-DAG parity on the engine-parity workloads.
 
 Span identity is deterministic — trace ids hash ``(scheme, engine,
-request)`` and span ids hash the role within the tree — so a scalar and
-a batched pass of one workload must produce *byte-identical* causal
-sections and span-tree DAGs, for every discipline.  The conservation
+request)`` and span ids hash the role within the tree — so the
+per-request oracle (``heap_oracle.simulate_oracle``) and a batched pass
+of one workload must produce *byte-identical* causal sections and
+span-tree DAGs, for every discipline.  The conservation
 invariant (critical-path segment sum == end-to-end latency) must hold
 at 1e-9 relative tolerance everywhere, and a trace round trip must
 reconstruct 100 % of the request DAGs.
@@ -28,6 +29,8 @@ from repro.obs import (
 from repro.policies import SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
 
+from .heap_oracle import simulate_oracle
+
 DISCIPLINES = ("fifo", "ps", "limited(3)")
 
 
@@ -41,7 +44,7 @@ def _shared_scenario():
     return trace, policy, cluster
 
 
-def _run(discipline, **overrides):
+def _run(discipline, oracle=False, **overrides):
     trace, policy, cluster = _shared_scenario()
     base = dict(
         discipline=discipline,
@@ -51,7 +54,8 @@ def _run(discipline, **overrides):
         causal=CausalConfig(),
     )
     base.update(overrides)
-    return simulate_reads(trace, policy, cluster, SimulationConfig(**base))
+    run = simulate_oracle if oracle else simulate_reads
+    return run(trace, policy, cluster, SimulationConfig(**base))
 
 
 def _canonical(section):
@@ -60,9 +64,10 @@ def _canonical(section):
 
 @pytest.mark.parametrize("discipline", DISCIPLINES)
 def test_batched_section_is_byte_identical_to_scalar(discipline):
-    scalar = _run(discipline).causal
-    batched = _run(discipline, batch_size=64).causal
-    assert _canonical(batched) == _canonical(scalar)
+    scalar = _run(discipline, oracle=True).causal
+    for batch_size in (None, 64):
+        batched = _run(discipline, batch_size=batch_size).causal
+        assert _canonical(batched) == _canonical(scalar), batch_size
 
 
 @pytest.mark.parametrize("discipline", DISCIPLINES)
@@ -82,10 +87,10 @@ def test_emitted_dags_identical_scalar_vs_batched(discipline):
     """The span *trees* (not just the aggregates) must match node for
     node: same deterministic ids, same parent edges, same edge values."""
     forests = []
-    for batch_size in (None, 64):
+    for oracle in (True, False):
         sink = RingBufferSink()
         with use_tracer(Tracer(sink)):
-            _run(discipline, batch_size=batch_size)
+            _run(discipline, oracle=oracle, batch_size=64)
         roots = [
             r
             for r in span_forest(sink.records)

@@ -3,13 +3,16 @@
 Every simulation draw is ``u(seed, purpose, request, slot)``
 (:mod:`repro.cluster.engine.draws`).  These tests pin a few values so
 the stream cannot drift silently, check that the uniforms look uniform
-and independent along every key axis, check that the scalar table and
-the batched gather read identical bits, and check the policy plans built
-on top (EC-Cache's ``k + 1`` distinct shards, uniform replica picks).
+and independent along every key axis, check that the oracles'
+per-request rows and the batched gather read identical bits, and check
+the policy plans built on top (EC-Cache's ``k + 1`` distinct shards,
+uniform replica picks).
 They also cover the seed that keys everything.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from repro.cluster.engine.draws import (
     PLAN,
     SERVER_MASK,
     STRAGGLE,
-    DrawTable,
     request_keys,
     slot_uniforms,
     uniforms,
@@ -31,6 +33,8 @@ from repro.common import ClusterSpec
 from repro.policies import ECCachePolicy, SelectiveReplicationPolicy, SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
 from repro.workloads.bing import BingStragglerProfile
+
+from .keyed_draws import KeyedDraws
 
 SEED = 23
 # Chi-square critical values at significance 0.001.
@@ -94,8 +98,9 @@ def test_adjacent_keys_are_uncorrelated(other):
 
 
 def test_scalar_table_rows_equal_batched_gather():
-    """A :class:`DrawTable` row is bit-identical to the batched gather at
-    the same (request, slot), raw and through the float transforms."""
+    """The oracles' per-request row (:class:`KeyedDraws`) is bit-identical
+    to the batched gather at the same (request, slot), raw and through
+    the float transforms."""
     profile = BingStragglerProfile()
     transforms = {
         "uniform": lambda u: u,
@@ -107,11 +112,11 @@ def test_scalar_table_rows_equal_batched_gather():
     j0 = 517
     reqs = np.arange(j0, j0 + k.size)
     pos = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+    keyed = KeyedDraws(SimpleNamespace(seed=SEED, planner=None))
     for name, fn in transforms.items():
-        table = DrawTable(
-            lambda r, s: fn(uniforms(SEED, JITTER, r, s)), width=4, chunk=333
+        rows = np.concatenate(
+            [fn(keyed.row(JITTER, int(j), int(kj))) for j, kj in zip(reqs, k)]
         )
-        rows = np.concatenate([table.row(int(j), int(kj)) for j, kj in zip(reqs, k)])
         flat = fn(slot_uniforms(np.repeat(request_keys(SEED, JITTER, reqs), k), pos))
         assert [x.hex() for x in rows.tolist()] == [
             x.hex() for x in flat.tolist()

@@ -1,13 +1,16 @@
-"""The array-backed ``ps``/``limited(c)`` engine against its reference oracle.
+"""The batched engines against their per-request reference oracles.
 
-``heap_oracle._run_heap`` is the per-flow heap loop the production engine
-replaced.  Both run on the same :class:`RequestLifecycle` inputs, and the
-production engine must reproduce the oracle bit for bit: latencies and
-per-server bytes compared through ``float.hex``, hits/misses, and the
-timeline, causal, popularity and SLO sections when the observers are on.
+``heap_oracle._run_heap`` is the per-flow heap loop the array-backed
+``ps``/``limited(c)`` engine replaced, and ``fifo_oracle.run_fifo`` the
+per-request loop the batched fifo engine replaced; both plan one request
+at a time with ``plan_read``.  Production and oracle run on the same
+:class:`RequestLifecycle` inputs, and production must reproduce the
+oracle bit for bit: latencies and per-server bytes compared through
+``float.hex``, hits/misses, and the timeline, causal, popularity and SLO
+sections when the observers are on.
 
-Hypothesis drives the corners where the two designs could diverge:
-capacity ``None``/1/2/3, scalar and batched planning, both jitter models,
+Hypothesis drives the corners where the designs could diverge: capacity
+``None``/1/2/3, batch sizes 1, 4 and the default, both jitter models,
 goodput and stragglers on and off, several partitions of one request on
 one server, simultaneous arrivals, arrivals landing on a completion, and
 exact completion-time ties (equal partition sizes on equal-speed
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import SimulationConfig, StragglerInjector
 from repro.cluster.client import ReadBatch, ReadOp
-from repro.cluster.engine import RequestLifecycle
+from repro.cluster.engine import FifoDiscipline, RequestLifecycle
 from repro.cluster.engine.shared_heap import _run_heap
 from repro.cluster.network import GoodputModel
 from repro.common import ClusterSpec
@@ -43,6 +46,7 @@ from repro.workloads import paper_fileset, poisson_trace
 from repro.workloads.arrivals import ArrivalTrace
 from repro.workloads.bing import BingStragglerProfile
 
+from .fifo_oracle import run_fifo
 from .heap_oracle import _run_heap as _oracle_run_heap
 
 
@@ -173,10 +177,26 @@ def _scenarios(draw):
         batch_size=draw(st.sampled_from([None, 1, 4])),
         timeline=TimelineConfig() if observers else None,
         causal=CausalConfig() if observers else None,
-        # Small windows, so the monitor reads the byte ledger mid-run.
+        # Small windows, so the monitor reads the byte ledger mid-run;
+        # request-count and sim-time windows fold differently.
         popularity=(
-            PopularityConfig(
-                window_requests=4, top_k=2, capacity=4, min_window_count=1
+            draw(
+                st.sampled_from(
+                    [
+                        PopularityConfig(
+                            window_requests=4,
+                            top_k=2,
+                            capacity=4,
+                            min_window_count=1,
+                        ),
+                        PopularityConfig(
+                            window_s=0.02,
+                            top_k=2,
+                            capacity=4,
+                            min_window_count=1,
+                        ),
+                    ]
+                )
             )
             if observers
             else None
@@ -196,6 +216,21 @@ def _scenarios(draw):
 def test_engine_matches_oracle(scenario):
     trace, planner, cluster, config, capacity = scenario
     _assert_same(*_run_both(trace, planner, cluster, config, capacity))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_scenarios())
+def test_fifo_engine_matches_oracle(scenario):
+    trace, planner, cluster, config, _capacity = scenario
+    new = FifoDiscipline().run(
+        RequestLifecycle(trace, planner, cluster, config, "fifo")
+    )
+    old = run_fifo(RequestLifecycle(trace, planner, cluster, config, "fifo"))
+    _assert_same(new, old)
 
 
 def test_arrival_tying_a_completion_goes_first():
@@ -236,7 +271,7 @@ _POLICIES = {
 
 
 @pytest.mark.parametrize("capacity", [None, 2])
-@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("batch_size", [None, 1, 64])
 @pytest.mark.parametrize("scheme", sorted(_POLICIES))
 def test_paper_policies_match_oracle(scheme, batch_size, capacity):
     """The figures' three schemes under the figures' engine settings

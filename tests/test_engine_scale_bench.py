@@ -1,9 +1,9 @@
 """``benchmarks/bench_engine_scale.py``: doc shape and the per-discipline gate.
 
-The CI ``bench-smoke`` job gates fifo on vectorized req/s and ps on scalar
-req/s for SP-Cache, and EC-Cache on vectorized fifo req/s, each against
-its own floor in ``baseline_engine_scale.json``; a tiny run here keeps
-every gated path and the committed baseline in step.
+The CI ``bench-smoke`` job gates SP-Cache on fifo and on ps, and EC-Cache
+on fifo, each on req/s against its own floor in
+``baseline_engine_scale.json``; a tiny run here keeps every gated path and
+the committed baseline in step.
 """
 
 from __future__ import annotations
@@ -31,28 +31,27 @@ def _bench():
     return module
 
 
-def test_ps_run_reports_scalar_rate_and_gates_on_its_floor():
+def test_ps_run_reports_batched_rate_and_gates_on_its_floor():
     bench = _bench()
-    doc = bench.run_engine_scale(n_requests=60, discipline="ps")
+    doc = bench.run_engine_scale(n_requests=60, batch_size=16, discipline="ps")
     assert doc["discipline"] == "ps"
-    assert doc["scalar_requests"] == 60
-    assert set(doc["wall_seconds"]) == {"engine_scale_scalar"}
-    assert set(doc["requests_per_sec"]) == {"scalar"}
+    assert doc["batch_size"] == 16
+    assert set(doc["wall_seconds"]) == {"engine_scale"}
+    assert set(doc["requests_per_sec"]) == {"vectorized"}
     label, measured, floor = bench.gate(doc, BASELINE, 0.3)
-    assert label == "scalar ps"
-    assert measured == doc["requests_per_sec"]["scalar"]
+    assert label == "vectorized ps"
+    assert measured == doc["requests_per_sec"]["vectorized"]
     assert floor == pytest.approx(
-        BASELINE["ps"]["requests_per_sec"]["scalar"] * 0.7
+        BASELINE["ps"]["requests_per_sec"]["vectorized"] * 0.7
     )
 
 
 def test_fifo_run_gates_on_vectorized_floor():
     bench = _bench()
     doc = bench.run_engine_scale(
-        n_requests=200, scalar_cap=50, batch_size=64, discipline="fifo"
+        n_requests=200, batch_size=64, discipline="fifo"
     )
-    assert doc["scalar_requests"] == 50
-    assert set(doc["requests_per_sec"]) == {"scalar", "vectorized"}
+    assert set(doc["requests_per_sec"]) == {"vectorized"}
     label, measured, floor = bench.gate(doc, BASELINE, 0.3)
     assert label == "vectorized"
     assert measured == doc["requests_per_sec"]["vectorized"]
@@ -65,7 +64,6 @@ def test_ec_cache_fifo_run_gates_on_its_own_floor():
     bench = _bench()
     doc = bench.run_engine_scale(
         n_requests=200,
-        scalar_cap=50,
         batch_size=64,
         discipline="fifo",
         policy="ec-cache",

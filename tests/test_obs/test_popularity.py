@@ -104,6 +104,23 @@ def test_space_saving_retains_the_heavy_hitters():
     assert true_top <= retained
 
 
+@pytest.mark.parametrize("capacity", [1, 3, 16, 64])
+def test_space_saving_batch_equals_per_key_updates(capacity):
+    """update_many over several windows is update() per key, heaviest
+    first (ties by key): same counts, same errors, same evictions —
+    including fractional and zero counts."""
+    rng = np.random.default_rng(capacity)
+    batch = SpaceSavingTopK(capacity=capacity)
+    single = SpaceSavingTopK(capacity=capacity)
+    for window in range(12):
+        keys = np.unique(rng.integers(0, 120, size=90))
+        counts = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 7.0], size=keys.size)
+        batch.update_many(keys, counts)
+        for i in np.lexsort((keys, -counts)):
+            single.update(int(keys[i]), float(counts[i]))
+        assert batch.top() == single.top(), window
+
+
 def test_space_saving_eviction_is_deterministic():
     def fill(order):
         s = SpaceSavingTopK(capacity=3)

@@ -28,6 +28,8 @@ from repro.obs import events as ev
 from repro.policies import SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
 
+from ..test_cluster.heap_oracle import simulate_oracle
+
 
 def _monitor(config=None, **kw):
     kw.setdefault("scheme", "sp-cache")
@@ -242,7 +244,9 @@ class TestEvaluate:
         assert section["n_windows"] <= 16
 
 
-def _simulate(slo=None, tracer=None, batch_size=None, seed=5):
+def _simulate(
+    slo=None, tracer=None, batch_size=None, seed=5, oracle=False
+):
     cluster = ClusterSpec(n_servers=10, bandwidth=Gbps)
     pop = paper_fileset(40, size_mb=20, zipf_exponent=1.1, total_rate=5)
     policy = SPCachePolicy(pop, cluster, seed=seed)
@@ -250,10 +254,11 @@ def _simulate(slo=None, tracer=None, batch_size=None, seed=5):
     config = SimulationConfig(
         jitter="deterministic", seed=1, slo=slo, batch_size=batch_size
     )
+    run = simulate_oracle if oracle else simulate_reads
     if tracer is not None:
         with use_tracer(tracer):
-            return simulate_reads(trace, policy, cluster, config)
-    return simulate_reads(trace, policy, cluster, config)
+            return run(trace, policy, cluster, config)
+    return run(trace, policy, cluster, config)
 
 
 class TestEngineIntegration:
@@ -275,7 +280,7 @@ class TestEngineIntegration:
         assert np.array_equal(off.server_bytes, on.server_bytes)
 
     def test_batched_engine_matches_scalar_section(self):
-        scalar = _simulate(slo=parse_slo("p99<0.001"))
+        scalar = _simulate(slo=parse_slo("p99<0.001"), oracle=True)
         batched = _simulate(slo=parse_slo("p99<0.001"), batch_size=64)
         assert scalar.slo["breaches"] == batched.slo["breaches"]
         assert scalar.slo["objectives"] == batched.slo["objectives"]
