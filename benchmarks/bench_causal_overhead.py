@@ -37,7 +37,8 @@ def run_causal_overhead(n_requests: int = 4000, repeats: int = 5):
     def config(causal=None, tracer=None):
         return SimulationConfig(
             discipline="ps", jitter="deterministic", seed=2,
-            causal=causal, tracer=tracer,
+            observers=(causal,) if causal is not None else (),
+            tracer=tracer,
         )
 
     off_cfg = config()

@@ -156,7 +156,7 @@ def run_overhead(n_requests: int = 5000, repeats: int = 7):
 
     timeline_cfg = SimulationConfig(
         discipline="fifo", jitter="deterministic", seed=2,
-        timeline=TimelineConfig(),
+        observers=(TimelineConfig(),),
     )
 
     def _traced():
@@ -197,7 +197,7 @@ def run_timeline_overhead(n_requests: int = 4000, repeats: int = 5):
     off_cfg = SimulationConfig(discipline="ps", jitter="deterministic", seed=2)
     on_cfg = SimulationConfig(
         discipline="ps", jitter="deterministic", seed=2,
-        timeline=TimelineConfig(),
+        observers=(TimelineConfig(),),
     )
     t_off, t_on = paired_times(
         [

@@ -31,7 +31,7 @@ def run_popularity_overhead(n_requests: int = 5000, repeats: int = 7):
     def config(popularity=None):
         return SimulationConfig(
             discipline="fifo", jitter="deterministic", seed=2,
-            popularity=popularity,
+            observers=(popularity,) if popularity is not None else (),
         )
 
     off_cfg = config()

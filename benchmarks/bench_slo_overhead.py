@@ -30,7 +30,8 @@ def run_slo_overhead(n_requests: int = 5000, repeats: int = 7):
 
     def config(slo=None):
         return SimulationConfig(
-            discipline="fifo", jitter="deterministic", seed=2, slo=slo,
+            discipline="fifo", jitter="deterministic", seed=2,
+            observers=(slo,) if slo is not None else (),
         )
 
     off_cfg = config()

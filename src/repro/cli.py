@@ -35,7 +35,7 @@ Subcommands
 ``critical``
     Render causal critical paths: per-edge (queue/service/transfer/
     join) aggregates and the slowest per-request chains, from a
-    schema-v6 manifest's ``causal`` sections or a JSONL trace's
+    run manifest's ``causal`` sections or a JSONL trace's
     ``cspan`` span trees.  ``--check`` gates on the conservation
     invariant (and full DAG reconstruction for traces); ``--chrome``
     exports span trees with parent->child flow arrows.
@@ -124,6 +124,7 @@ from repro.obs import (
     trace_summary,
     unknown_events,
     use_tracer,
+    validate_manifest,
     write_causal_chrome_trace,
 )
 from repro.obs.report import (
@@ -263,8 +264,8 @@ def _simulate_one(pop, cluster, scheme, args):
         jitter="deterministic",
         stragglers=_STRAGGLERS[args.stragglers](),
         seed=args.seed + 2,
-        causal=(
-            CausalConfig() if getattr(args, "causal", False) else None
+        observers=(
+            (CausalConfig(),) if getattr(args, "causal", False) else ()
         ),
     )
     result = simulate_reads(trace, policy, cluster, config)
@@ -326,8 +327,8 @@ def _cmd_simulate(args) -> int:
             "mem_overhead_pct": policy.memory_overhead() * 100,
             "metrics": result.metrics,
         }
-        if result.causal is not None:
-            record["causal"] = result.causal
+        if "causal" in result.sections:
+            record["causal"] = result.sections["causal"]
         print(json.dumps(record, indent=2))
         return 0
     rows = [
@@ -340,12 +341,13 @@ def _cmd_simulate(args) -> int:
         {"metric": "memory overhead %", "value": policy.memory_overhead() * 100},
     ]
     print(format_table(rows, title=f"simulate: {args.scheme}"))
-    if result.causal is not None:
-        conservation = result.causal.get("conservation") or {}
+    causal = result.sections.get("causal")
+    if causal is not None:
+        conservation = causal.get("conservation") or {}
         print()
         print(
             format_table(
-                critical_edge_rows(result.causal),
+                critical_edge_rows(causal),
                 title=(
                     "critical-path edges (conservation "
                     f"{'ok' if conservation.get('ok') else 'VIOLATED'}, "
@@ -374,8 +376,9 @@ def _cmd_compare(args) -> int:
                 "eta": imbalance_factor(result.server_bytes),
                 "mem_overhead_pct": policy.memory_overhead() * 100,
             }
-            if result.causal is not None:
-                conservation = result.causal.get("conservation") or {}
+            causal = result.sections.get("causal")
+            if causal is not None:
+                conservation = causal.get("conservation") or {}
                 row["crit_ok"] = "yes" if conservation.get("ok") else "NO"
             rows.append(row)
     if sink is not None:
@@ -688,7 +691,7 @@ def _load_sections(path: str, channel, from_trace=None, *, quiet=False):
                 "nor a readable JSONL trace"
             )
     if channel is not None and not sections:
-        hint = " (older manifest schema, or a trace without its events?)"
+        hint = " (a trace without its events?)"
         return fail(
             f"no {channel.name} sections in {path}"
             + (hint if from_trace else "")
@@ -1011,15 +1014,19 @@ def _dash_board_from_file(path: str) -> "DashBoard | None":
     """A board from a run-manifest JSON file or a JSONL event trace.
 
     A file that parses as one JSON object with manifest-shaped keys has
-    its section lists checked and goes through :func:`dash_from_manifest`;
-    anything else is replayed as a JSONL trace.  Reports failure to
-    stderr and returns ``None``.
+    its section lists checked, must be a current-schema manifest, and
+    goes through :func:`dash_from_manifest`; anything else is replayed
+    as a JSONL trace.  Reports failure to stderr and returns ``None``.
     """
     loaded = _load_sections(path, None, _board_from_trace)
     if loaded is None:
         return None
     found, traced = loaded
-    return found if traced else dash_from_manifest(found)
+    try:
+        return found if traced else dash_from_manifest(validate_manifest(found))
+    except ValueError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _print_frame(board, args) -> None:
@@ -1095,7 +1102,9 @@ def _cmd_experiments(args) -> int:
     return run_all_main(forwarded)
 
 
-def _load_manifests(path: str) -> tuple[dict, list[str]] | None:
+def _load_manifests(
+    path: str, diffing: bool = False
+) -> tuple[dict, list[str]] | None:
     """Load a manifest directory, reporting failure to stderr."""
     import pathlib
 
@@ -1103,7 +1112,15 @@ def _load_manifests(path: str) -> tuple[dict, list[str]] | None:
     if not p.is_dir():
         print(f"no such manifest directory: {path}", file=sys.stderr)
         return None
-    manifests, skipped = load_manifest_dir(p)
+    try:
+        manifests, skipped = load_manifest_dir(p)
+    except SchemaMismatchError as exc:
+        redo = "both manifest sets" if diffing else "it"
+        print(
+            f"schema mismatch: {exc} — regenerate {redo} with the same build",
+            file=sys.stderr,
+        )
+        return None
     for name in skipped:
         print(f"skipping {p / name}: not a run manifest", file=sys.stderr)
     return manifests, skipped
@@ -1111,7 +1128,7 @@ def _load_manifests(path: str) -> tuple[dict, list[str]] | None:
 
 def _cmd_report(args) -> int:
     """Aggregate ``results/*.json`` manifests; diff against a baseline."""
-    loaded = _load_manifests(args.results)
+    loaded = _load_manifests(args.results, diffing=args.diff is not None)
     if loaded is None:
         return 2
     manifests, _ = loaded
@@ -1155,7 +1172,7 @@ def _cmd_report(args) -> int:
                 print(text, end="")
         return 0
 
-    base_loaded = _load_manifests(args.diff)
+    base_loaded = _load_manifests(args.diff, diffing=True)
     if base_loaded is None:
         return 2
     base, _ = base_loaded

@@ -14,10 +14,7 @@ behave), and ``limited(c)`` caps each server at ``c`` concurrent flows
 with FIFO overflow.  The shared request lifecycle — planning, goodput,
 jitter, stragglers, LRU, join accounting, tracing, metrics — lives in
 :class:`repro.cluster.engine.RequestLifecycle`; ``docs/engine.md``
-explains the split and how to register new disciplines.  A general
-heap-based engine (:mod:`repro.cluster.events`) is provided for
-components that need arbitrary event interleavings (repartition,
-validation tests).
+explains the split and how to register new disciplines.
 """
 
 from repro.cluster.client import ReadOp, WriteOp
@@ -27,7 +24,6 @@ from repro.cluster.engine import (
     register_discipline,
     resolve_discipline,
 )
-from repro.cluster.events import EventQueue
 from repro.cluster.metrics import (
     LatencySummary,
     coefficient_of_variation,
@@ -49,7 +45,6 @@ __all__ = [
     "ChurnSchedule",
     "ClusterTopology",
     "EpochView",
-    "EventQueue",
     "GoodputModel",
     "LatencySummary",
     "MembershipEvent",

@@ -54,7 +54,7 @@ DEFAULT_BATCH_SIZE = 8192
 
 class _SegView:
     """One request's flow slice, quacking like a ``ReadOp`` for the
-    tracing/popularity hooks (which read only these two attributes)."""
+    tracing hooks (which read only these two attributes)."""
 
     __slots__ = ("server_ids", "sizes")
 

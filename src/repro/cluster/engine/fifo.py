@@ -36,13 +36,9 @@ class FifoDiscipline:
     name = "fifo"
 
     def run(self, lc: RequestLifecycle) -> SimulationResult:
-        n_servers = lc.cluster.n_servers
-        free_at = np.zeros(n_servers)
-        server_bytes = np.zeros(n_servers)
+        free_at = np.zeros(lc.cluster.n_servers)
+        server_bytes = lc.byte_ledger()
         latencies = np.empty(lc.n_requests)
-        if lc.track:
-            # Window loads come from snapshot-diffing this vector.
-            lc.popularity.attach_cumulative_loads(server_bytes)
         for j0, batch in lc.batches():
             _consume_batch(lc, batch, j0, free_at, server_bytes, latencies)
         return lc.result(latencies, server_bytes)
@@ -68,16 +64,7 @@ def _consume_batch(
     if batch.jitter is not None:
         service = service * batch.jitter
 
-    # Per-server byte ledger in flow order (np.add.at counts every flow,
-    # duplicate servers included).
-    if lc.track:
-        def accrue(lo: int, hi: int) -> None:
-            a, b = off[lo], off[hi]
-            np.add.at(server_bytes, servers[a:b], sizes[a:b])
-
-        lc.popularity.observe_batch(times, batch.file_ids, accrue)
-    else:
-        np.add.at(server_bytes, servers, sizes)
+    lc.account_bytes(batch, server_bytes)
 
     # Per-server FIFO schedule: flows grouped by server, request order
     # preserved (stable sort over request-major flow order), all

@@ -43,12 +43,14 @@ from repro.cluster.stragglers import StragglerInjector
 from repro.cluster.topology import ClusterTopology, as_cluster_spec
 from repro.common import ClusterSpec
 from repro.obs import events as ev
-from repro.obs.causal import CausalCollector, CausalConfig
 from repro.obs.metrics import get_registry
-from repro.obs.popularity import PopularityConfig, PopularityMonitor
-from repro.obs.sections import CHANNELS
-from repro.obs.slo import SLOConfig, SLOMonitor
-from repro.obs.timeline import TimelineCollector, TimelineConfig
+from repro.obs.sections import (
+    RunEnd,
+    RunStart,
+    finish_observers,
+    observer_configs,
+    start_observers,
+)
 from repro.obs.tracing import Tracer, get_tracer
 from repro.store.lru import LRUCache
 from repro.workloads.arrivals import ArrivalTrace
@@ -154,13 +156,11 @@ class SimulationConfig:
 
     ``tracer`` overrides the process-wide tracer for this run (``None``
     means use :func:`repro.obs.get_tracer`, a no-op unless installed).
-    ``timeline``, ``popularity``, ``slo`` and ``causal`` enable one
-    observer each for this run (:mod:`repro.obs.timeline`,
-    :mod:`repro.obs.popularity`, :mod:`repro.obs.slo`,
-    :mod:`repro.obs.causal`); ``None`` falls back to the config the
-    observer's channel has installed ambiently
-    (:meth:`repro.obs.sections.Channel.current`), itself ``None`` unless
-    a harness installed one.
+    ``observers`` enables run observers (:mod:`repro.obs.sections`): a
+    tuple of observer configs, at most one per channel, each matched to
+    its channel by type.  A channel without one there falls back to the
+    config installed ambiently (:meth:`~repro.obs.sections.Channel.use`),
+    if any.
     """
 
     discipline: object = "ps"  # str spec or ServerDiscipline instance
@@ -175,10 +175,7 @@ class SimulationConfig:
     miss_penalty: float = 3.0
     warmup_fraction: float = 0.1
     tracer: Tracer | None = None
-    timeline: TimelineConfig | None = None
-    popularity: PopularityConfig | None = None
-    slo: SLOConfig | None = None
-    causal: CausalConfig | None = None
+    observers: tuple = ()
     #: Requests per planned batch (:mod:`repro.cluster.engine.batch`);
     #: ``None`` means :data:`~repro.cluster.engine.batch.DEFAULT_BATCH_SIZE`.
     #: A tuning knob only: results are identical at every size.
@@ -211,13 +208,7 @@ class SimulationConfig:
             raise ValueError("miss_penalty must be >= 1")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        for ch in CHANNELS:
-            value = getattr(self, ch.name, None)
-            if value is not None and not isinstance(value, ch.config):
-                raise TypeError(
-                    f"{ch.name} must be a {ch.config.__name__} or None, "
-                    f"got {type(value).__name__}"
-                )
+        observer_configs(self.observers)
         if self.batch_size is not None:
             if not isinstance(self.batch_size, int) or isinstance(
                 self.batch_size, bool
@@ -247,19 +238,10 @@ class SimulationResult:
     #: event carries; keys in
     #: :data:`repro.cluster.engine.lifecycle.METRIC_SNAPSHOT_KEYS`.
     metrics: dict[str, float | int | str] = field(default_factory=dict)
-    #: Finalized sim-time timeline section (``None`` unless the run had
-    #: timeline collection enabled) — see :mod:`repro.obs.timeline`.
-    timeline: dict | None = None
-    #: Finalized streaming-popularity section (``None`` unless the run
-    #: had popularity observation enabled) — see
-    #: :mod:`repro.obs.popularity`.
-    popularity: dict | None = None
-    #: Finalized SLO section (``None`` unless the run had SLO
-    #: evaluation enabled) — see :mod:`repro.obs.slo`.
-    slo: dict | None = None
-    #: Finalized causal critical-path section (``None`` unless the run
-    #: had causal collection enabled) — see :mod:`repro.obs.causal`.
-    causal: dict | None = None
+    #: The finished section of every observer the run enabled, keyed by
+    #: channel name (``"timeline"``, ``"popularity"``, ...; see
+    #: :mod:`repro.obs.sections`).
+    sections: dict[str, dict] = field(default_factory=dict)
     #: The draw key the run used: ``config.seed``, or the fresh key drawn
     #: when that is ``None`` (pass it back as ``seed`` to replay the run).
     seed: int | None = None
@@ -392,55 +374,23 @@ class RequestLifecycle:
         if self.emit and self.topology is not None:
             self.topology.emit_events(self.tracer)
         self.scheme = planner_name(planner)
-        # Each observer's config: the run's own, else its channel's
-        # ambient one; ``None`` leaves that observer off.
-        on = {
-            ch.name: ch.resolve(getattr(config, ch.name))
-            for ch in CHANNELS
-            if ch.config is not None
-        }
-        run = {"scheme": self.scheme, "engine": engine}
-        size = {"n_requests": self.n_requests, "n_servers": cluster.n_servers}
-        self.collector: TimelineCollector | None = (
-            TimelineCollector(on["timeline"], **size, **run)
-            if on["timeline"] is not None
-            else None
+        #: The run's enabled observers by channel name; the hoisted hooks
+        #: below come from the roles they declare (``repro.obs.sections``).
+        run = RunStart(
+            self.scheme, engine, self.n_requests, cluster.n_servers, self.tracer
         )
-        self.causal: CausalCollector | None = (
-            CausalCollector(on["causal"], **size, **run)
-            if on["causal"] is not None
-            else None
-        )
-        #: The active per-partition recorders (timeline and/or causal).
-        #: Both expose the same buffer-only hook API, so disciplines fan
-        #: one guarded ``for c in lc.recorders:`` out to whichever are
-        #: enabled; ``record`` is the hoisted emptiness check.
-        self.recorders: tuple = tuple(
-            c for c in (self.collector, self.causal) if c is not None
-        )
+        self.observers = start_observers(config.observers, run)
+        started = tuple(self.observers.values())
+        #: Disciplines fan one guarded ``for c in lc.recorders:`` out to
+        #: the per-partition recorders; ``record`` is the hoisted check.
+        self.recorders: tuple = tuple(o for o in started if o.records)
         self.record = bool(self.recorders)
-        self.popularity: PopularityMonitor | None = (
-            PopularityMonitor(
-                on["popularity"],
-                n_servers=cluster.n_servers,
-                tracer=self.tracer,
-                **run,
-            )
-            if on["popularity"] is not None
-            else None
-        )
-        #: Hoisted popularity check — disabled observation must stay free.
+        #: The observer fed every planned batch (:meth:`account_bytes`).
+        self.popularity = next((o for o in started if o.feeds), None)
         self.track = self.popularity is not None
-        self.slo_monitor: SLOMonitor | None = (
-            SLOMonitor(on["slo"], tracer=self.tracer, **run)
-            if on["slo"] is not None
-            else None
-        )
-        #: Hot-path miss log (one bool per request, arrival order) the
-        #: SLO evaluator buckets at finalize time; ``None`` keeps
-        #: :meth:`admit` free when evaluation is disabled.
-        self._slo_miss: list[bool] | None = (
-            self.slo_monitor.miss_log if self.slo_monitor is not None else None
+        #: Miss flags in arrival order; ``None`` keeps :meth:`admit` free.
+        self._miss_log: list[bool] | None = next(
+            (o.miss_log for o in started if o.miss_log is not None), None
         )
         # Memoize goodput factors per fan-out: parallelism is a small
         # integer, so this avoids one interpolation per flow.
@@ -477,26 +427,31 @@ class RequestLifecycle:
             j0 += batch.n
         self.trace = ArrivalTrace(all_times, all_fids)
 
-    def observe_popularity(self, t: float, file_id: int, op: ReadOp) -> None:
-        """Feed one planned request to the popularity monitor.
+    def byte_ledger(self) -> np.ndarray:
+        """A zeroed per-server byte ledger for :meth:`account_bytes`,
+        attached to the feed observer (its window loads are ledger
+        snapshot differences)."""
+        ledger = np.zeros(self.cluster.n_servers)
+        if self.track:
+            self.popularity.attach_cumulative_loads(ledger)
+        return ledger
 
-        Guard call sites with ``if lifecycle.track:`` so disabled
-        observation stays free.  This appends straight into the
-        monitor's window buffers (the engine hot loop runs it per
-        request; :meth:`PopularityMonitor.observe` is the same fold for
-        external callers) — only the rare window boundary does real work.
-        """
-        mon = self.popularity
-        if mon._time_mode:
-            mon.observe(file_id, t=t, servers=op.server_ids, sizes=op.sizes)
+    def account_bytes(self, batch: PlanBatch, server_bytes: np.ndarray) -> None:
+        """Add one planned batch's bytes to the :meth:`byte_ledger` in
+        flow order (``np.add.at`` counts duplicate servers too); a feed
+        observer's ``observe_batch`` accrues them between its window
+        rolls, so each roll sees the bytes of every earlier request."""
+        servers, sizes = batch.servers, batch.sizes
+        if not self.track:
+            np.add.at(server_bytes, servers, sizes)
             return
-        if mon._t_first is None:
-            mon._t_first = t
-        mon._t_last = t
-        pend = mon._pend
-        pend.append(file_id)
-        if len(pend) >= mon._win_requests:
-            mon._roll()
+        off = batch.req_off
+
+        def accrue(lo: int, hi: int) -> None:
+            a, b = off[lo], off[hi]
+            np.add.at(server_bytes, servers[a:b], sizes[a:b])
+
+        self.popularity.observe_batch(batch.times, batch.file_ids, accrue)
 
     def goodput_row(self, parallelism: int) -> np.ndarray:
         """Every server's memoized goodput multiplier at fan-out
@@ -519,8 +474,8 @@ class RequestLifecycle:
         """LRU touch/put under the cache budget; ``True`` means a miss.
 
         Called once per request in arrival order by every discipline, so
-        it doubles as the SLO miss-flag hook: the only enabled-path cost
-        is one list append (the evaluator buckets at finalize time).
+        it doubles as the miss-log hook: the only enabled-path cost is one
+        list append (the SLO evaluator buckets at finish time).
         """
         missed = False
         if self.lru is not None:
@@ -530,8 +485,8 @@ class RequestLifecycle:
                 self.misses += 1
                 self.lru.put(file_id, self.planner.footprint(file_id))
                 missed = True
-        if self._slo_miss is not None:
-            self._slo_miss.append(missed)
+        if self._miss_log is not None:
+            self._miss_log.append(missed)
         return missed
 
     def admit_many(self, file_ids: np.ndarray) -> np.ndarray:
@@ -539,8 +494,8 @@ class RequestLifecycle:
         the miss flags."""
         if self.lru is None:
             missed = np.zeros(file_ids.size, dtype=bool)
-            if self._slo_miss is not None:
-                self._slo_miss.extend(missed.tolist())
+            if self._miss_log is not None:
+                self._miss_log.extend(missed.tolist())
             return missed
         admit = self.admit
         return np.array([admit(f) for f in file_ids.tolist()], dtype=bool)
@@ -622,38 +577,10 @@ class RequestLifecycle:
             tracer=self.tracer,
             end_ts=float(self.trace.times[-1]) if self.n_requests else 0.0,
         )
-        # Finalize order is fixed: the trace sees timeline windows before
-        # causal spans, and SLO evaluation reads the popularity section.
-        sections: dict[str, dict | None] = {
-            ch.name: None for ch in CHANNELS if ch.config is not None
-        }
-        requests = {
-            "times": self.trace.times,
-            "file_ids": self.trace.file_ids,
-            "latencies": latencies,
-            "warmup_fraction": self.config.warmup_fraction,
-        }
-        if self.collector is not None:
-            sections["timeline"] = self.collector.finalize(**requests)
-            if self.emit:
-                self._emit_timeline_windows(sections["timeline"])
-        if self.causal is not None:
-            sections["causal"] = self.causal.finalize(**requests)
-            if self.emit:
-                self.causal.emit_spans(self.tracer)
-        if self.popularity is not None:
-            sections["popularity"] = self.popularity.finalize()
-        if self.slo_monitor is not None:
-            sections["slo"] = self.slo_monitor.evaluate(
-                self.trace.times,
-                latencies,
-                missed=self._slo_miss if self.lru is not None else None,
-                server_bytes=server_bytes,
-                popularity=sections["popularity"],
-            )
-        for ch in CHANNELS:
-            if sections.get(ch.name) is not None:
-                ch.publish(sections[ch.name])
+        end = RunEnd(
+            self.trace.times, self.trace.file_ids, latencies, server_bytes,
+            self.config.warmup_fraction,
+        )
         return SimulationResult(
             latencies=latencies,
             arrival_times=self.trace.times.copy(),
@@ -663,26 +590,6 @@ class RequestLifecycle:
             misses=self.misses,
             config=self.config,
             metrics=metrics,
-            **sections,
+            sections=finish_observers(self.observers, end),
             seed=self.seed,
         )
-
-    def _emit_timeline_windows(self, timeline: dict) -> None:
-        """One ``timeline_window`` trace event per retained window."""
-        window_s = timeline["window_s"]
-        for w in range(timeline["n_windows"]):
-            served = timeline["bytes"][w]
-            busy = timeline["busy_s"][w]
-            depth = timeline["queue_depth"][w]
-            self.tracer.event(
-                ev.TIMELINE_WINDOW,
-                ts=w * window_s,
-                scheme=self.scheme,
-                window=w,
-                window_s=window_s,
-                bytes=float(sum(served)),
-                busy_max_s=float(max(busy)) if busy else 0.0,
-                queue_depth_mean=(
-                    float(sum(depth) / len(depth)) if depth else 0.0
-                ),
-            )

@@ -185,14 +185,8 @@ def _run_heap(
     emit = lc.emit
     record = lc.record
     recorders = lc.recorders
-    track = lc.track
 
-    server_bytes = np.zeros(n_servers)
-    if track:
-        # Window loads come from snapshot-diffing this vector, so it
-        # accrues at each arrival; otherwise each batch adds its bytes
-        # when planned, in the same (fid) order.
-        lc.popularity.attach_cumulative_loads(server_bytes)
+    server_bytes = lc.byte_ledger()
     latencies = np.full(n_requests, np.nan)
 
     # Request bookkeeping, filled a batch at a time; request j's flows
@@ -303,8 +297,7 @@ def _run_heap(
                 lc.straggler_reads += int(
                     np.count_nonzero(batch.straggled_extra)
                 )
-                if not track:
-                    np.add.at(server_bytes, b_servers, b_sizes)
+                lc.account_bytes(batch, server_bytes)
                 if record:
                     segments.append((b_servers, b_sizes, batch.gfactors))
                 del batch  # only the segment outlives planning
@@ -313,11 +306,6 @@ def _run_heap(
             n = req_f1[j]
             op_servers = b_servers[f0 - f_base : n - f_base]
             op = _SegView(op_servers, b_sizes[f0 - f_base : n - f_base])
-            if track:
-                # Arrivals pop in nondecreasing time, so sim-time window
-                # rollover inside the monitor stays monotone.
-                lc.observe_popularity(t, fid0, op)
-                np.add.at(server_bytes, op_servers, op.sizes)
             req_miss[j] = lc.admit(fid0)
 
             rows = slice(f0, n)

@@ -106,10 +106,10 @@ def run_fig16_sketch(
         discipline="fifo",
         jitter="deterministic",
         seed=seed + 2,
-        popularity=PopularityConfig(top_k=top_k, estimate_ids=n_files),
+        observers=(PopularityConfig(top_k=top_k, estimate_ids=n_files),),
     )
     result = simulate_reads(trace, policy, EC2_CLUSTER, config)
-    section = result.popularity
+    section = result.sections["popularity"]
 
     est = np.asarray(section["estimated_popularity"], dtype=np.float64)
     est_pop = shifted.with_popularities(est)

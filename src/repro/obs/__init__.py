@@ -42,7 +42,7 @@ Cooperating pieces (each documented in its module, schema tables in
     (``SnapshotDeltaSource``) — the scrape surface.
 :mod:`repro.obs.slo`
     Declarative service-level objectives with multi-window
-    multi-burn-rate alerting; sections land in schema-v5 manifests and
+    multi-burn-rate alerting; sections land in run manifests and
     breach/recovery events in the trace stream.
 :mod:`repro.obs.dash`
     Fold trace events or manifests into a renderable cluster health
@@ -51,16 +51,16 @@ Cooperating pieces (each documented in its module, schema tables in
     Causal request tracing: contextvar-propagated trace contexts with
     W3C-traceparent serialization, per-request fork-join span trees,
     and critical-path analysis with a conservation invariant
-    (``python -m repro critical``); sections land in schema-v6
-    manifests.
+    (``python -m repro critical``); sections land in run manifests.
 :mod:`repro.obs.membership`
     The channel for cluster-membership sections: churn experiments
     publish each topology's epoch/event history and the sections land
-    in schema-v7 manifests (and the dash membership panel).
+    in run manifests (and the dash membership panel).
 :mod:`repro.obs.sections`
     The observer :class:`Channel` — ambient config stack, nested section
     sinks, section checks — and the ordered :data:`CHANNELS` registry
-    every observer above publishes through.
+    every observer above publishes through, plus the ``Observer``
+    protocol the simulator starts and finishes each run observer by.
 
 :mod:`repro.obs.events` pins the event-name vocabulary.
 """
@@ -149,7 +149,6 @@ from repro.obs.replay import (
 )
 from repro.obs.runinfo import (
     MANIFEST_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     build_manifest,
     config_hash,
     git_sha,
@@ -186,10 +185,6 @@ from repro.obs.spans import (
     span_wrap,
     write_chrome_trace,
 )
-
-# Legacy aliases for the removed repro.obs.profiling module's names.
-profiled = span
-profile = span_wrap
 from repro.obs.timeline import (
     TIMELINES,
     TIMELINE_SCHEMA_VERSION,
@@ -246,7 +241,6 @@ __all__ = [
     "SLOConfig",
     "SLObjective",
     "SLOMonitor",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "SnapshotDeltaSource",
     "SpaceSavingTopK",
     "SpanCollector",
@@ -300,8 +294,6 @@ __all__ = [
     "peak_rss_bytes",
     "per_server_loads",
     "popularity_from_trace",
-    "profile",
-    "profiled",
     "publish_causal",
     "publish_membership",
     "publish_popularity",

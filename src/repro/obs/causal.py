@@ -48,7 +48,7 @@ holds by construction; :meth:`CausalCollector.finalize` re-adds the
 segments and records the worst relative error (float re-addition noise,
 orders of magnitude under the 1e-9 tolerance), and
 :func:`causal_from_trace` re-verifies the invariant from the JSON floats
-of a replayed trace.  Sections land in schema-v6 run manifests, render
+of a replayed trace.  Sections land in run manifests, render
 through ``repro critical``, feed the ``repro dash`` edge-type panel,
 and export as Chrome/Perfetto span trees with parent/child flow events
 (:func:`causal_chrome_events`).
@@ -310,7 +310,7 @@ def causal_span(
         )
 
 
-# -- run configuration + ambient plumbing (mirrors obs.timeline) ----------
+# -- run configuration -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -333,15 +333,6 @@ class CausalConfig:
             raise ValueError("tolerance must be positive")
 
 
-#: The causal :class:`~repro.obs.sections.Channel` (see
-#: :mod:`repro.obs.sections`).
-CAUSAL = Channel("causal", "causal", CausalConfig, "scheme")
-get_causal_config = CAUSAL.current
-use_causal = CAUSAL.use
-collect_causal = CAUSAL.collect
-publish_causal = CAUSAL.publish
-
-
 # -- the collector ---------------------------------------------------------
 
 
@@ -358,27 +349,11 @@ class CausalCollector(PartitionRecorder):
     events with deterministic ids.
     """
 
-    def __init__(
-        self,
-        config: CausalConfig,
-        *,
-        n_requests: int,
-        n_servers: int,
-        scheme: str,
-        engine: str,
-    ) -> None:
-        super().__init__(
-            config,
-            n_requests=n_requests,
-            n_servers=n_servers,
-            scheme=scheme,
-            engine=engine,
-        )
-        #: Workload fingerprint, set by finalize; discriminates repeated
-        #: same-scheme runs in one process so trace ids never collide.
-        self.run_key = ""
-        #: Sorted arrays stashed by finalize for :meth:`emit_spans`.
-        self._fin: dict[str, Any] | None = None
+    #: Workload fingerprint, set by finalize; discriminates repeated
+    #: same-scheme runs in one process so trace ids never collide.
+    run_key = ""
+    #: Sorted arrays stashed by finalize for :meth:`emit_spans`.
+    _fin: dict[str, Any] | None = None
 
     def finalize(
         self,
@@ -411,16 +386,8 @@ class CausalCollector(PartitionRecorder):
         self.run_key = fp.hexdigest()
 
         req, pos, server, size, start, end, extra, _gf = (
-            self._merged_records()
+            self._sorted_records()
         )
-        order = np.lexsort((pos, req))
-        req = req[order]
-        pos = pos[order]
-        server = server[order]
-        size = size[order]
-        start = start[order]
-        end = end[order]
-        extra = extra[order]
 
         ids = np.arange(n_req, dtype=np.int64)
         blk_lo = np.searchsorted(req, ids, side="left")
@@ -609,6 +576,21 @@ class CausalCollector(PartitionRecorder):
             )
             n += 1
         return n
+
+    def _emit(self, section: dict[str, Any]) -> None:
+        self.emit_spans(self.tracer)
+
+
+# -- ambient config + section sinks (see repro.obs.sections) ----------------
+
+#: The causal :class:`~repro.obs.sections.Channel`.
+CAUSAL = Channel(
+    "causal", "causal", CausalConfig, "scheme", observer=CausalCollector
+)
+get_causal_config = CAUSAL.current
+use_causal = CAUSAL.use
+collect_causal = CAUSAL.collect
+publish_causal = CAUSAL.publish
 
 
 # -- DAG reconstruction from traces ---------------------------------------

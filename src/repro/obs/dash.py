@@ -244,12 +244,11 @@ def dash_from_manifest(manifest: Mapping[str, Any]) -> DashBoard:
     Per-server loads come out of the ``sim.server_bytes`` metric series
     (labels parsed back from the snapshot keys); the hot list and the
     imbalance come from the last popularity section per scheme; alerts
-    and budgets from the ``slo`` sections.  Works on any supported
-    schema version — sections a version lacks just leave parts of the
-    board blank.
+    and budgets from the ``slo`` sections.  ``manifest`` must have the
+    current schema (:func:`repro.obs.runinfo.validate_manifest`).
     """
     board = DashBoard()
-    for key, value in (manifest.get("metrics") or {}).items():
+    for key, value in manifest["metrics"].items():
         try:
             name, labels = parse_snapshot_key(key)
         except ValueError:
@@ -274,11 +273,11 @@ def dash_from_manifest(manifest: Mapping[str, Any]) -> DashBoard:
             for pct in ("p50", "p95", "p99"):
                 if pct in value:
                     st.latencies.append(float(value[pct]))
-    for section in manifest.get("popularity") or []:
+    for section in manifest["popularity"]:
         st = board.state(str(section.get("scheme", "?")))
         for entry in section.get("top") or []:
             st.hot.update(int(entry["file_id"]), float(entry["count"]))
-    for section in manifest.get("causal") or []:
+    for section in manifest["causal"]:
         st = board.state(str(section.get("scheme", "?")))
         edges = section.get("edges") or {}
         st.crit_edges["queue"] += float(edges.get("queue_s", 0.0))
@@ -286,7 +285,7 @@ def dash_from_manifest(manifest: Mapping[str, Any]) -> DashBoard:
         st.crit_edges["transfer"] += float(edges.get("transfer_s", 0.0))
         st.crit_edges["join"] += float(edges.get("join_s", 0.0))
         st.crit_requests += int(edges.get("requests", 0))
-    for section in manifest.get("slo") or []:
+    for section in manifest["slo"]:
         st = board.state(str(section.get("scheme", "?")))
         for objective in section.get("objectives", ()):
             st.budget_remaining[str(objective.get("name", "?"))] = float(
@@ -301,7 +300,7 @@ def dash_from_manifest(manifest: Mapping[str, Any]) -> DashBoard:
                         str(alert.get("severity", "?")),
                     )
                 ] = dict(alert)
-    for section in manifest.get("membership") or []:
+    for section in manifest["membership"]:
         scheme = str(section.get("scheme", "?"))
         for entry in section.get("epochs") or []:
             idx = int(entry.get("epoch", 0))

@@ -34,7 +34,7 @@ Like timelines, collection is off by default: a run observes nothing
 unless its :class:`~repro.cluster.engine.lifecycle.SimulationConfig`
 carries a :class:`PopularityConfig` or one is installed ambiently with
 :func:`use_popularity`.  Finalized sections are plain JSON-able dicts;
-they serialize into run manifests (schema version 3) and render through
+they serialize into run manifests and render through
 ``repro top`` / ``repro watch``.
 """
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
-from repro.obs.sections import Channel
+from repro.obs.sections import Channel, Observer, RunEnd
 from repro.obs.tracing import Tracer, get_tracer
 
 __all__ = [
@@ -358,16 +358,6 @@ class PopularityConfig:
             raise ValueError("estimate_ids must be positive (or None)")
 
 
-# -- ambient config + section sinks (see repro.obs.sections) --------------
-
-#: The popularity :class:`~repro.obs.sections.Channel`.
-POPULARITY = Channel("popularity", "popularity", PopularityConfig, "scheme")
-get_popularity_config = POPULARITY.current
-use_popularity = POPULARITY.use
-collect_popularity = POPULARITY.collect
-publish_popularity = POPULARITY.publish
-
-
 # -- the monitor -----------------------------------------------------------
 
 #: Closed windows a monitor holds before folding them into its sketch and
@@ -375,7 +365,7 @@ publish_popularity = POPULARITY.publish
 _FOLD_WINDOWS = 16
 
 
-class PopularityMonitor:
+class PopularityMonitor(Observer):
     """Streaming popularity/skew monitor fed from a request path.
 
     The :meth:`observe` hot path only appends to buffers (the file id,
@@ -390,6 +380,9 @@ class PopularityMonitor:
     are folded into the counters but their rows dropped, counted in the
     section's ``clipped_windows``).
     """
+
+    feeds = True
+    run_fields = ("n_servers", "scheme", "engine", "tracer")
 
     def __init__(
         self,
@@ -438,6 +431,9 @@ class PopularityMonitor:
         self._prev: tuple[np.ndarray, np.ndarray, set[int]] | None = None
         self._prev_top: list[int] | None = None
         self._prev_count = 0
+
+    def finish(self, end: RunEnd) -> dict[str, Any]:
+        return self.finalize()
 
     # -- hot path ------------------------------------------------------
 
@@ -815,6 +811,19 @@ class PopularityMonitor:
             est = self.estimated_popularities(self.config.estimate_ids)
             section["estimated_popularity"] = [float(p) for p in est]
         return section
+
+
+# -- ambient config + section sinks (see repro.obs.sections) --------------
+
+#: The popularity :class:`~repro.obs.sections.Channel`.
+POPULARITY = Channel(
+    "popularity", "popularity", PopularityConfig, "scheme",
+    observer=PopularityMonitor,
+)
+get_popularity_config = POPULARITY.current
+use_popularity = POPULARITY.use
+collect_popularity = POPULARITY.collect
+publish_popularity = POPULARITY.publish
 
 
 def _shares_at(

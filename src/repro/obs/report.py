@@ -29,10 +29,10 @@ Regression rules
   ``run_all --jobs N`` pass stays diff-clean against a serial pass.
 * a baseline experiment missing from the new set is always a regression.
 * manifests written by **different schema versions** do not diff:
-  later schemas add keys (``timelines`` in v2, ``popularity`` in v3)
-  whose absence in the older set would read as spurious regressions, so
   :func:`diff_manifests` raises :class:`SchemaMismatchError` instead —
-  regenerate both sets with the same build.
+  regenerate both sets with the same build.  (Loading already refuses
+  any manifest but the current schema,
+  :func:`repro.obs.runinfo.validate_manifest`.)
 """
 
 from __future__ import annotations
@@ -41,16 +41,14 @@ import math
 import re
 from typing import Any
 
+from repro.obs.runinfo import SchemaMismatchError
+
 __all__ = [
     "SchemaMismatchError",
     "diff_manifests",
     "render_diff",
     "render_report",
 ]
-
-
-class SchemaMismatchError(ValueError):
-    """Two manifest sets cannot be diffed across schema versions."""
 
 #: Diff thresholds (overridable per call / via CLI flags).
 WALL_TOLERANCE = 0.5  # +50 % wall time

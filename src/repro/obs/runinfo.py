@@ -32,58 +32,28 @@ Schema (version 7) — one flat JSON object:
 ``spans``            finished spans: ``name``/``span_id``/``parent``/
                      ``start``/``wall_s`` (+ optional ``labels``)
 ``metrics``          metrics-registry snapshot at end of run
-``timelines``        sim-time timeline sections published during the run
-                     (channel ``TIMELINES``, :mod:`repro.obs.timeline`);
-                     empty list when the experiment records none.  New in
-                     version 2.
-``popularity``       streaming popularity sections published during the
-                     run (channel ``POPULARITY``,
-                     :mod:`repro.obs.popularity`): sketched top-K,
-                     Zipf-exponent estimate, drift/hot-spot alerts.
-                     Empty list when the run observed none.  New in
-                     version 3.
+``timelines``,       the sections each observer channel published during
+``popularity``,      the run, one list per
+``slo``, ``causal``, :data:`~repro.obs.sections.CHANNELS` key in registry
+``membership``       order (empty when it published none); each entry's
+                     channel marker (``scheme``, or the ``epochs`` list
+                     for membership) passes
+                     :meth:`~repro.obs.sections.Channel.check`
 ``peak_rss_bytes``   process peak resident set size at manifest build
                      (``resource.getrusage``), or ``None`` where the
-                     platform doesn't report it.  New in version 4.
+                     platform doesn't report it.
 ``total_requests``   total simulated requests across the experiment's
                      runs (summed from the ``sim.requests`` counters in
-                     the metrics snapshot).  New in version 4.
-``slo``              SLO evaluation sections published during the run
-                     (channel ``SLO``, :mod:`repro.obs.slo`): per-objective
-                     budget accounting plus burn-rate breach/recovery
-                     alerts.
-                     Empty list when the run evaluated none.  New in
-                     version 5.
-``causal``           causal critical-path sections published during the
-                     run (channel ``CAUSAL``, :mod:`repro.obs.causal`):
-                     per-scheme edge-type aggregation,
-                     conservation-invariant check, and the slowest-K
-                     requests with their critical chains.
-                     Empty list when the run collected none.  New in
-                     version 6.
-``membership``       cluster-membership sections published during the run
-                     (channel ``MEMBERSHIP``, :mod:`repro.obs.membership`):
-                     the epoch/event history of each
-                     :class:`~repro.cluster.topology.ClusterTopology`
-                     a churn experiment ran against, with per-epoch
-                     server sets and (when the experiment recorded them)
-                     per-epoch bytes moved.  Empty list for
-                     fixed-topology runs.  New in version 7.
+                     the metrics snapshot).
 ===================  ==========================================================
 
-The five section keys are the :data:`~repro.obs.sections.CHANNELS` keys,
-written in registry order; each holds a list of objects whose channel
-marker (``scheme``, or the ``epochs`` list for membership) passes
-:meth:`~repro.obs.sections.Channel.check`.
+``docs/observability.md`` describes what each section holds.
 
-Older manifests still load: readers treat a missing ``timelines`` (v1),
-``popularity`` (v1/v2), ``slo`` (v1-v4), ``causal`` (v1-v5), or
-``membership`` (v1-v6) as an empty list, and missing
-``peak_rss_bytes``/``total_requests`` (v1-v3) as unknown.
-
-:func:`validate_manifest` enforces this shape; :func:`load_manifest`
-validates on read so a corrupt or foreign JSON file fails loudly rather
-than polluting a report.
+:func:`validate_manifest` enforces this shape and reads the current
+schema only: a manifest of any other version raises
+:class:`SchemaMismatchError` naming its version (regenerate it with this
+build).  :func:`load_manifest` validates on read so a corrupt or foreign
+JSON file fails loudly rather than polluting a report.
 """
 
 from __future__ import annotations
@@ -100,7 +70,7 @@ from repro.obs.sections import CHANNELS
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
+    "SchemaMismatchError",
     "build_manifest",
     "config_hash",
     "git_sha",
@@ -114,8 +84,10 @@ __all__ = [
 
 MANIFEST_SCHEMA_VERSION = 7
 
-#: schema versions this build can read.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+
+class SchemaMismatchError(ValueError):
+    """A manifest (or a pair of manifest sets) of another schema version."""
+
 
 #: required key -> accepted types (``None`` entries listed explicitly).
 _MANIFEST_FIELDS: dict[str, tuple[type, ...]] = {
@@ -131,17 +103,9 @@ _MANIFEST_FIELDS: dict[str, tuple[type, ...]] = {
     "rows": (list,),
     "spans": (list,),
     "metrics": (dict,),
-}
-
-#: keys required only from a given schema version onward.
-_VERSIONED_FIELDS: dict[str, tuple[int, tuple[type, ...]]] = {
-    "timelines": (2, (list,)),
-    "popularity": (3, (list,)),
-    "peak_rss_bytes": (4, (int, float, type(None))),
-    "total_requests": (4, (int,)),
-    "slo": (5, (list,)),
-    "causal": (6, (list,)),
-    "membership": (7, (list,)),
+    **{ch.key: (list,) for ch in CHANNELS},
+    "peak_rss_bytes": (int, float, type(None)),
+    "total_requests": (int,),
 }
 
 
@@ -295,10 +259,17 @@ def build_manifest(
 
 
 def validate_manifest(manifest: Any) -> dict[str, Any]:
-    """Check the manifest schema; returns ``manifest`` or raises ValueError."""
+    """Check the manifest schema; returns ``manifest`` or raises ValueError
+    (:class:`SchemaMismatchError` for a manifest of another version)."""
     if not isinstance(manifest, dict):
         raise ValueError(
             f"manifest must be a JSON object, got {type(manifest).__name__}"
+        )
+    version = manifest.get("schema_version", MANIFEST_SCHEMA_VERSION)
+    if version != MANIFEST_SCHEMA_VERSION:
+        raise SchemaMismatchError(
+            f"manifest has schema version {version!r}; this build reads "
+            f"only version {MANIFEST_SCHEMA_VERSION}"
         )
     for key, types in _MANIFEST_FIELDS.items():
         if key not in manifest:
@@ -309,34 +280,13 @@ def validate_manifest(manifest: Any) -> dict[str, Any]:
                 f"{type(manifest[key]).__name__}, expected one of "
                 f"{'/'.join(t.__name__ for t in types)}"
             )
-    if manifest["schema_version"] not in SUPPORTED_SCHEMA_VERSIONS:
-        raise ValueError(
-            f"unsupported manifest schema_version "
-            f"{manifest['schema_version']!r} (this build reads "
-            f"{'/'.join(str(v) for v in SUPPORTED_SCHEMA_VERSIONS)})"
-        )
-    for key, (since, types) in _VERSIONED_FIELDS.items():
-        if manifest["schema_version"] < since:
-            continue
-        if key not in manifest:
-            raise ValueError(
-                f"manifest is missing required key {key!r} "
-                f"(required since schema version {since})"
-            )
-        if not isinstance(manifest[key], types):
-            raise ValueError(
-                f"manifest key {key!r} has type "
-                f"{type(manifest[key]).__name__}, expected one of "
-                f"{'/'.join(t.__name__ for t in types)}"
-            )
     if manifest["wall_s"] < 0:
         raise ValueError("manifest wall_s must be non-negative")
-    if manifest["schema_version"] >= 4:
-        rss = manifest["peak_rss_bytes"]
-        if rss is not None and rss < 0:
-            raise ValueError("manifest peak_rss_bytes must be non-negative")
-        if manifest["total_requests"] < 0:
-            raise ValueError("manifest total_requests must be non-negative")
+    rss = manifest["peak_rss_bytes"]
+    if rss is not None and rss < 0:
+        raise ValueError("manifest peak_rss_bytes must be non-negative")
+    if manifest["total_requests"] < 0:
+        raise ValueError("manifest total_requests must be non-negative")
     for i, row in enumerate(manifest["rows"]):
         if not isinstance(row, dict):
             raise ValueError(f"manifest row {i} is not an object")
@@ -348,8 +298,7 @@ def validate_manifest(manifest: Any) -> dict[str, Any]:
         if s["wall_s"] < 0:
             raise ValueError(f"manifest span {i} has negative wall_s")
     for ch in CHANNELS:
-        if ch.key in manifest:
-            ch.check_list(manifest[ch.key], f"manifest {ch.key}")
+        ch.check_list(manifest[ch.key], f"manifest {ch.key}")
     return manifest
 
 
@@ -378,7 +327,8 @@ def load_manifest_dir(
     Returns ``(manifests, skipped)``: manifests keyed by experiment name,
     plus the file names that exist but are not valid manifests (e.g.
     ``BENCH_*.json`` trajectory files) so callers can warn instead of
-    silently ignoring them.
+    silently ignoring them.  A manifest of another schema version is not
+    skipped: its :class:`SchemaMismatchError` propagates, naming the file.
     """
     path = Path(path)
     manifests: dict[str, dict[str, Any]] = {}
@@ -386,6 +336,8 @@ def load_manifest_dir(
     for file in sorted(path.glob("*.json")):
         try:
             manifest = load_manifest(file)
+        except SchemaMismatchError as exc:
+            raise SchemaMismatchError(f"{file}: {exc}") from None
         except (ValueError, json.JSONDecodeError, OSError):
             skipped.append(file.name)
             continue

@@ -8,12 +8,15 @@ simulator finds it when the run's own config carries none
 active sink (:meth:`Channel.publish`), and sinks nest, so a session-level
 collector sees everything a per-experiment collector does
 (:meth:`Channel.collect`).  A :class:`Channel` is that plumbing, written
-once; :data:`CHANNELS` lists the five in manifest key order.
+once; :data:`CHANNELS` lists the five in manifest key order.  The four
+run observers also share one life cycle, :class:`Observer`: the
+simulator starts, feeds and finishes them without naming any.
 
-Each observer module builds its channel next to its config class and
+Each observer module builds its channel next to its observer class and
 keeps its public names (``use_timeline``, ``collect_slo``, ...) as
 aliases of the channel's bound methods.  Adding an observer takes one
-:class:`Channel`, one entry in :data:`CHANNELS` and its collector class.
+:class:`Observer`, its :class:`Channel`, and one entry in each of
+:data:`CHANNELS` and :data:`FINISH_ORDER`.
 
 Every check here raises a real exception (never an ``assert``), so the
 contract holds under ``python -O``.
@@ -23,20 +26,88 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Iterator
 
-__all__ = ["CHANNELS", "Channel"]
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.obs.tracing import Tracer
+
+__all__ = [
+    "CHANNELS",
+    "FINISH_ORDER",
+    "Channel",
+    "Observer",
+    "RunEnd",
+    "RunStart",
+    "finish_observers",
+    "observer_configs",
+    "start_observers",
+]
+
+
+@dataclass(frozen=True)
+class RunStart:
+    """What a starting run tells each observer."""
+
+    scheme: str
+    engine: str
+    n_requests: int
+    n_servers: int
+    tracer: Tracer
+
+
+@dataclass(frozen=True)
+class RunEnd:
+    """What a finished run hands each observer, in arrival order, with
+    the sections finished so far (by channel name)."""
+
+    times: np.ndarray
+    file_ids: np.ndarray
+    latencies: np.ndarray
+    server_bytes: np.ndarray
+    warmup_fraction: float
+    sections: dict[str, dict[str, Any]] = field(default_factory=dict)
+
+
+class Observer:
+    """One run's observer: :meth:`start` builds it, :meth:`finish` ends it.
+
+    Its roles tell the simulator which hot-path hooks to hoist, so an
+    observer that is off costs nothing: ``records`` takes the
+    ``record_*_frame`` hooks (:class:`~repro.obs.timeline.PartitionRecorder`);
+    ``feeds`` takes every planned batch (``attach_cumulative_loads`` of
+    the byte ledger, then ``observe_batch``; one per run); ``miss_log``
+    gets one cache-miss flag per request, in arrival order.
+    """
+
+    records: bool = False
+    feeds: bool = False
+    miss_log: list[bool] | None = None
+    #: The :class:`RunStart` fields the constructor takes as keywords.
+    run_fields: tuple[str, ...] = ("scheme", "engine", "tracer")
+
+    @classmethod
+    def start(cls, config: Any, run: RunStart) -> Observer:
+        """The observer of one run with ``config``."""
+        return cls(config, **{f: getattr(run, f) for f in cls.run_fields})
+
+    def finish(self, end: RunEnd) -> dict[str, Any]:
+        """The run's finished section (emitting any trace events)."""
+        raise NotImplementedError
 
 
 class Channel:
     """The ambient config stack and nested section sinks of one observer.
 
-    ``name`` is the :class:`~repro.cluster.engine.lifecycle.SimulationConfig`
-    and :class:`~repro.cluster.engine.lifecycle.SimulationResult` field,
+    ``name`` is the key of the channel's section in
+    :attr:`~repro.cluster.engine.lifecycle.SimulationResult.sections`,
     ``key`` the manifest key (and :func:`repro.obs.runinfo.build_manifest`
     keyword), ``config`` the config class :meth:`use` accepts (``None``
-    for a channel without ambient config), and every section must be a
-    dict whose ``marker`` key holds a ``marker_type`` value.
+    for a channel without ambient config), ``observer`` the
+    :class:`Observer` a run with that config starts, and every section
+    must be a dict whose ``marker`` key holds a ``marker_type`` value.
     """
 
     def __init__(
@@ -46,12 +117,14 @@ class Channel:
         config: type | None,
         marker: str,
         marker_type: type = str,
+        observer: type[Observer] | None = None,
     ) -> None:
         self.name = name
         self.key = key
         self.config = config
         self.marker = marker
         self.marker_type = marker_type
+        self.observer = observer
         self._local = threading.local()
 
     def current(self) -> Any:
@@ -150,3 +223,51 @@ from repro.obs.timeline import TIMELINES  # noqa: E402
 
 #: Every observer channel, in manifest key order.
 CHANNELS: tuple[Channel, ...] = (TIMELINES, POPULARITY, SLO, CAUSAL, MEMBERSHIP)
+
+#: The run observers' channels, in the order runs finish them: the trace
+#: sees timeline windows before causal spans, and SLO evaluation reads
+#: the popularity section.
+FINISH_ORDER: tuple[Channel, ...] = (TIMELINES, CAUSAL, POPULARITY, SLO)
+
+
+def observer_configs(observers: tuple) -> dict[str, Any]:
+    """Each config in ``observers`` by its channel's name; ``TypeError``
+    for a value no channel takes, ``ValueError`` for two of one channel."""
+    if not isinstance(observers, tuple):
+        raise TypeError(
+            f"observers must be a tuple, got {type(observers).__name__}"
+        )
+    chosen: dict[str, Any] = {}
+    for config in observers:
+        ch = next((c for c in FINISH_ORDER if isinstance(config, c.config)), None)
+        if ch is None:
+            names = ", ".join(c.config.__name__ for c in FINISH_ORDER)
+            raise TypeError(f"observers take {names}; got {type(config).__name__}")
+        if ch.name in chosen:
+            raise ValueError(f"observers holds two {ch.config.__name__}s")
+        chosen[ch.name] = config
+    return chosen
+
+
+def start_observers(observers: tuple, run: RunStart) -> dict[str, Observer]:
+    """Start every enabled observer, by channel name in finish order:
+    those with a config in ``observers``, else an ambient one."""
+    chosen = observer_configs(observers)
+    started: dict[str, Observer] = {}
+    for ch in FINISH_ORDER:
+        config = ch.resolve(chosen.get(ch.name))
+        if config is not None:
+            started[ch.name] = ch.observer.start(config, run)
+    return started
+
+
+def finish_observers(
+    started: dict[str, Observer], end: RunEnd
+) -> dict[str, dict[str, Any]]:
+    """Finish :func:`start_observers`' observers in order, publishing
+    each section to its channel; returns ``end.sections``."""
+    for ch in FINISH_ORDER:
+        if ch.name in started:
+            section = end.sections[ch.name] = started[ch.name].finish(end)
+            ch.publish(section)
+    return end.sections

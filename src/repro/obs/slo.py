@@ -37,7 +37,7 @@ through the run's :class:`~repro.obs.tracing.Tracer`, bump
 ``slo.breaches`` / ``slo.recoveries`` counters, and set a
 ``slo.budget_remaining`` gauge per objective, so ``repro stats``, the
 OpenMetrics export, and ``repro dash`` all see them.  Finalized sections
-are plain JSON-able dicts landing in run manifests (schema version 5).
+are plain JSON-able dicts landing in run manifests.
 
 Like timelines and popularity, evaluation is off by default per
 ``SimulationConfig`` but ``run_experiment`` installs
@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
-from repro.obs.sections import Channel
+from repro.obs.sections import Channel, Observer, RunEnd
 from repro.obs.tracing import Tracer, get_tracer
 
 __all__ = [
@@ -260,16 +260,6 @@ def default_slo_config() -> SLOConfig:
     return SLOConfig()
 
 
-# -- ambient config + section sinks (see repro.obs.sections) --------------
-
-#: The SLO :class:`~repro.obs.sections.Channel`.
-SLO = Channel("slo", "slo", SLOConfig, "scheme")
-get_slo_config = SLO.current
-use_slo = SLO.use
-collect_slo = SLO.collect
-publish_slo = SLO.publish
-
-
 # -- the evaluator ---------------------------------------------------------
 
 
@@ -280,13 +270,13 @@ def _rolling_sum(values: np.ndarray, span: int) -> np.ndarray:
     return c[1:] - c[lo]
 
 
-class SLOMonitor:
+class SLOMonitor(Observer):
     """Order-insensitive SLO evaluator for one simulated run.
 
     The hot path is :attr:`miss_log` — ``RequestLifecycle.admit`` appends
     one bool per request in arrival order.  Everything else happens once
-    in :meth:`evaluate`, which the lifecycle calls at ``result()`` time
-    with the arrays it already owns.
+    in :meth:`evaluate`, which :meth:`finish` calls at the end of the
+    run with the run's arrays and the popularity section.
     """
 
     def __init__(
@@ -306,6 +296,14 @@ class SLOMonitor:
         self.engine = engine
         self.tracer = tracer if tracer is not None else get_tracer()
         self.miss_log: list[bool] = []
+
+    def finish(self, end: RunEnd) -> dict[str, Any]:
+        return self.evaluate(
+            end.times,
+            end.latencies,
+            server_bytes=end.server_bytes,
+            popularity=end.sections.get("popularity"),
+        )
 
     # -- per-objective SLI series ---------------------------------------
 
@@ -581,6 +579,16 @@ class SLOMonitor:
             "breaches": sum(s["breaches"] for s in summaries),
             "recoveries": sum(s["recoveries"] for s in summaries),
         }
+
+
+# -- ambient config + section sinks (see repro.obs.sections) --------------
+
+#: The SLO :class:`~repro.obs.sections.Channel`.
+SLO = Channel("slo", "slo", SLOConfig, "scheme", observer=SLOMonitor)
+get_slo_config = SLO.current
+use_slo = SLO.use
+collect_slo = SLO.collect
+publish_slo = SLO.publish
 
 
 def slo_from_trace(

@@ -29,7 +29,7 @@ is independent of event ordering — ``limited(inf)`` and ``ps`` yield
 byte-identical sections, and two identical seeded runs always do.
 
 Sections are plain JSON-able dicts; they serialize into run manifests
-(:mod:`repro.obs.runinfo`, schema version 2), export as Chrome-trace
+(:mod:`repro.obs.runinfo`), export as Chrome-trace
 counter events (:func:`chrome_counter_events`), and render through the
 ``repro timeline`` / ``repro tail`` CLI subcommands.
 """
@@ -41,8 +41,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.obs import events as ev
 from repro.obs.metrics import Histogram
-from repro.obs.sections import Channel
+from repro.obs.sections import Channel, Observer, RunEnd
+from repro.obs.tracing import Tracer
 
 __all__ = [
     "TIMELINES",
@@ -97,21 +99,11 @@ class TimelineConfig:
             raise ValueError("reservoir_size must be >= 1")
 
 
-# -- ambient config + section sinks (see repro.obs.sections) --------------
-
-#: The timeline :class:`~repro.obs.sections.Channel`: manifest key
-#: ``timelines``, :class:`TimelineConfig` ambient config.
-TIMELINES = Channel("timeline", "timelines", TimelineConfig, "scheme")
-get_timeline_config = TIMELINES.current
-use_timeline = TIMELINES.use
-collect_timelines = TIMELINES.collect
-publish_timeline = TIMELINES.publish
-
 
 # -- the collector --------------------------------------------------------
 
 
-class PartitionRecorder:
+class PartitionRecorder(Observer):
     """The buffer-only per-partition hook API of the recording observers.
 
     Timeline and causal collection read the same raw records, so both
@@ -119,8 +111,12 @@ class PartitionRecorder:
     ``for c in lc.recorders:`` out to whichever are enabled — no
     discipline needs observer-specific code.  Each hook takes a frame of
     many requests at once and only buffers; subclasses aggregate in
-    ``finalize`` from :meth:`_merged_records`.
+    ``finalize`` from :meth:`_sorted_records` and trace the section in
+    ``_emit``, which :meth:`finish` calls when ``tracer`` is enabled.
     """
+
+    records = True
+    run_fields = ("n_requests", "n_servers", "scheme", "engine", "tracer")
 
     def __init__(
         self,
@@ -130,12 +126,14 @@ class PartitionRecorder:
         n_servers: int,
         scheme: str,
         engine: str,
+        tracer: Tracer | None = None,
     ) -> None:
         self.config = config
         self.n_requests = int(n_requests)
         self.n_servers = int(n_servers)
         self.scheme = scheme
         self.engine = engine
+        self.tracer = tracer
         # Raw partition records, append-only (aggregated at finalize):
         # each frame holds many requests' partition rows as flat arrays,
         # so a million-request run buffers thousands of frames instead of
@@ -145,6 +143,17 @@ class PartitionRecorder:
         self.crit_pos = np.full(self.n_requests, -1, dtype=np.int64)
         self.missed = np.zeros(self.n_requests, dtype=bool)
         self.straggled = np.zeros(self.n_requests, dtype=bool)
+
+    def finish(self, end: RunEnd) -> dict[str, Any]:
+        section = self.finalize(
+            times=end.times,
+            file_ids=end.file_ids,
+            latencies=end.latencies,
+            warmup_fraction=end.warmup_fraction,
+        )
+        if self.tracer is not None and self.tracer.enabled:
+            self._emit(section)
+        return section
 
     # -- hot-path hooks (buffer only, no arithmetic) ------------------
 
@@ -183,18 +192,22 @@ class PartitionRecorder:
 
     # -- finalize -----------------------------------------------------
 
-    def _merged_records(self) -> tuple[np.ndarray, ...]:
-        """Every frame concatenated into flat arrays.
+    def _sorted_records(self) -> tuple[np.ndarray, ...]:
+        """Every frame's records as flat arrays, lexsorted by
+        ``(request, partition)``.
 
-        Unsorted — finalize lexsorts by ``(request, partition)``, and
-        each ``(request, partition)`` pair is recorded at most once, so
-        the merged order never leaks into the section.
+        Each pair is recorded at most once, so the order and grouping
+        the frames arrived in never leak into a section.
         """
         if not self._frames:
             ints = np.empty(0, dtype=np.int64)
             floats = np.empty(0)
             return (ints, ints, ints) + (floats,) * 5
-        return tuple(np.concatenate(col) for col in zip(*self._frames))
+        cols = [np.concatenate(col) for col in zip(*self._frames)]
+        order = np.lexsort((cols[1], cols[0]))
+        for i, col in enumerate(cols):  # one column at a time: low peak
+            cols[i] = col[order]
+        return tuple(cols)
 
 
 class TimelineCollector(PartitionRecorder):
@@ -228,17 +241,8 @@ class TimelineCollector(PartitionRecorder):
         latencies = np.asarray(latencies, dtype=np.float64)
 
         req, pos, server, size, start, end, extra, gfactor = (
-            self._merged_records()
+            self._sorted_records()
         )
-        order = np.lexsort((pos, req))
-        req = req[order]
-        pos = pos[order]
-        server = server[order]
-        size = size[order]
-        start = start[order]
-        end = end[order]
-        extra = extra[order]
-        gfactor = gfactor[order]
 
         span_end = 0.0
         if req.size:
@@ -431,6 +435,26 @@ class TimelineCollector(PartitionRecorder):
         )
         return tail
 
+    def _emit(self, section: dict[str, Any]) -> None:
+        """One ``timeline_window`` trace event per retained window."""
+        window_s = section["window_s"]
+        for w in range(section["n_windows"]):
+            served = section["bytes"][w]
+            busy = section["busy_s"][w]
+            depth = section["queue_depth"][w]
+            self.tracer.event(
+                ev.TIMELINE_WINDOW,
+                ts=w * window_s,
+                scheme=self.scheme,
+                window=w,
+                window_s=window_s,
+                bytes=float(sum(served)),
+                busy_max_s=float(max(busy)) if busy else 0.0,
+                queue_depth_mean=(
+                    float(sum(depth) / len(depth)) if depth else 0.0
+                ),
+            )
+
 
 def _accumulate_overlap(target, lo, hi, server, window_s) -> None:
     """Add each ``[lo, hi)`` interval's overlap with every window to
@@ -455,6 +479,20 @@ def _accumulate_overlap(target, lo, hi, server, window_s) -> None:
                 b, (w + 1) * window_s
             )
             target[w, s] += max(0.0, min(b, w_hi) - max(a, w_lo))
+
+
+# -- ambient config + section sinks (see repro.obs.sections) --------------
+
+#: The timeline :class:`~repro.obs.sections.Channel`: manifest key
+#: ``timelines``, :class:`TimelineConfig` ambient config.
+TIMELINES = Channel(
+    "timeline", "timelines", TimelineConfig, "scheme",
+    observer=TimelineCollector,
+)
+get_timeline_config = TIMELINES.current
+use_timeline = TIMELINES.use
+collect_timelines = TIMELINES.collect
+publish_timeline = TIMELINES.publish
 
 
 # -- rendering helpers ----------------------------------------------------

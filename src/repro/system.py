@@ -161,7 +161,11 @@ class SPCacheSystem:
                 file_id, new_k, placement="least_loaded"
             )
             moved += self.master.meta(file_id).size
-            assert len(meta.locations) == new_k
+            if len(meta.locations) != new_k:
+                raise RuntimeError(
+                    f"repartitioning file {file_id} left "
+                    f"{len(meta.locations)} partitions, expected {new_k}"
+                )
         if reset_window:
             self.master.reset_access_counts()
         self.rebalances += 1

@@ -89,7 +89,6 @@ def poisson_arrivals(
             raise ValueError("n_requests must be non-negative")
         gaps = rng.exponential(1.0 / rate, size=n_requests)
         return np.cumsum(gaps)
-    assert horizon is not None
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     # Oversample by 4 sigma, then trim — avoids a Python accumulation loop.

@@ -275,7 +275,7 @@ def _write_timeline_manifest(path):
     trace = poisson_trace(pop, n_requests=200, seed=11)
     config = SimulationConfig(
         discipline="ps", jitter="deterministic", seed=1,
-        timeline=TimelineConfig(),
+        observers=(TimelineConfig(),),
     )
     with collect_timelines() as sections:
         simulate_reads(trace, policy, cluster, config)
@@ -455,14 +455,16 @@ def _write_popularity_manifest(path):
     trace = poisson_trace(pop, n_requests=200, seed=11)
     config = SimulationConfig(
         discipline="fifo", jitter="deterministic", seed=1,
-        popularity=PopularityConfig(window_requests=50, min_window_count=10),
+        observers=(
+            PopularityConfig(window_requests=50, min_window_count=10),
+        ),
     )
     result = simulate_reads(trace, policy, cluster, config)
     manifest = build_manifest(
-        "figP", [], wall_s=0.1, popularity=[result.popularity]
+        "figP", [], wall_s=0.1, popularity=[result.sections["popularity"]]
     )
     write_manifest(manifest, path)
-    return result.popularity
+    return result.sections["popularity"]
 
 
 def test_top_renders_manifest_sections(tmp_path, capsys):
@@ -880,6 +882,7 @@ def test_stats_layered_event_table_with_store_kinds(tmp_path, capsys):
         ("dash", {"causal": 5}, "causal"),
         ("dash", {"popularity": [1]}, "popularity[0]"),
         ("dash", {"membership": [{"epochs": 3}]}, "membership[0]"),
+        ("dash", {"schema_version": 6, "metrics": {}}, "schema version 6"),
     ],
 )
 def test_viewers_reject_malformed_sections(tmp_path, capsys, viewer, doc, key):

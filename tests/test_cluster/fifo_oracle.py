@@ -46,7 +46,9 @@ def run_fifo(lc: RequestLifecycle) -> SimulationResult:
         fid = int(file_ids[j])
         op = keyed.plan(j, fid)
         if lc.track:
-            lc.observe_popularity(t, fid, op)
+            lc.popularity.observe(
+                fid, t=t, servers=op.server_ids, sizes=op.sizes
+            )
         servers = op.server_ids
         k = servers.size
         bw = bandwidths[servers]

@@ -155,7 +155,9 @@ def _run_heap(
             if track:
                 # Arrivals pop in nondecreasing time, so sim-time
                 # window rollover inside the monitor stays monotone.
-                lc.observe_popularity(t, fid0, op)
+                lc.popularity.observe(
+                    fid0, t=t, servers=op.server_ids, sizes=op.sizes
+                )
             op_servers = op.server_ids
             op_sizes = op.sizes
             k = op.parallelism

@@ -51,7 +51,7 @@ def _run(discipline, oracle=False, **overrides):
         jitter="deterministic",
         goodput=None,
         seed=23,
-        causal=CausalConfig(),
+        observers=(CausalConfig(),),
     )
     base.update(overrides)
     run = simulate_oracle if oracle else simulate_reads
@@ -64,16 +64,16 @@ def _canonical(section):
 
 @pytest.mark.parametrize("discipline", DISCIPLINES)
 def test_batched_section_is_byte_identical_to_scalar(discipline):
-    scalar = _run(discipline, oracle=True).causal
+    scalar = _run(discipline, oracle=True).sections["causal"]
     for batch_size in (None, 64):
-        batched = _run(discipline, batch_size=batch_size).causal
+        batched = _run(discipline, batch_size=batch_size).sections["causal"]
         assert _canonical(batched) == _canonical(scalar), batch_size
 
 
 @pytest.mark.parametrize("discipline", DISCIPLINES)
 def test_conservation_holds_at_1e9(discipline):
     for batch_size in (None, 64):
-        section = _run(discipline, batch_size=batch_size).causal
+        section = _run(discipline, batch_size=batch_size).sections["causal"]
         conservation = section["conservation"]
         assert conservation["checked"] == 300
         assert conservation["max_rel_err"] <= 1e-9, (
@@ -134,8 +134,8 @@ def test_trace_round_trip_reconstructs_every_request(discipline):
 def test_limited_inf_causal_is_exactly_ps():
     """The discipline-endpoint guarantee extends to causal sections,
     modulo the engine label (which names the discipline by design)."""
-    ps = _run("ps").causal
-    inf = _run("limited(inf)").causal
+    ps = _run("ps").sections["causal"]
+    inf = _run("limited(inf)").sections["causal"]
 
     def canonical(section):
         data = dict(section)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.events import EventQueue
+from .event_queue import EventQueue
 
 
 def test_runs_in_time_order():

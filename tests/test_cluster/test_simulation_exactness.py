@@ -9,9 +9,10 @@ import pytest
 from repro.cluster import SimulationConfig, simulate_reads
 from repro.cluster.client import ReadOp
 from repro.cluster.engine import draws
-from repro.cluster.events import EventQueue
 from repro.common import ClusterSpec
 from repro.workloads.arrivals import ArrivalTrace
+
+from .event_queue import EventQueue
 
 
 class _SingleFilePlanner:

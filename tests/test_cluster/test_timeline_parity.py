@@ -42,7 +42,7 @@ def _run(discipline, **overrides):
         jitter="deterministic",
         goodput=None,
         seed=23,
-        timeline=TimelineConfig(),
+        observers=(TimelineConfig(),),
     )
     base.update(overrides)
     return simulate_reads(trace, policy, cluster, SimulationConfig(**base))
@@ -56,8 +56,8 @@ def _canonical(section):
 
 def test_limited_inf_timeline_is_exactly_ps():
     """The two heap configurations must agree byte for byte."""
-    ps = _run("ps").timeline
-    inf = _run("limited(inf)").timeline
+    ps = _run("ps").sections["timeline"]
+    inf = _run("limited(inf)").sections["timeline"]
     assert _canonical(inf) == _canonical(ps)
 
 
@@ -67,16 +67,16 @@ def test_limited_inf_timeline_matches_ps_with_stragglers_and_jitter():
         goodput=GoodputModel(),
         stragglers=StragglerInjector(BingStragglerProfile(probability=0.2)),
     )
-    ps = _run("ps", **kwargs).timeline
-    inf = _run("limited(inf)", **kwargs).timeline
+    ps = _run("ps", **kwargs).sections["timeline"]
+    inf = _run("limited(inf)", **kwargs).sections["timeline"]
     assert _canonical(inf) == _canonical(ps)
 
 
 def test_limited_one_timeline_matches_fifo():
     """c=1 reproduces the FIFO physics; the recorders differ (vectorized
     blocks vs. event-heap scalars), so series agree to float tolerance."""
-    fifo = _run("fifo").timeline
-    lim1 = _run("limited(1)").timeline
+    fifo = _run("fifo").sections["timeline"]
+    lim1 = _run("limited(1)").sections["timeline"]
     assert lim1["window_s"] == pytest.approx(fifo["window_s"])
     assert lim1["n_windows"] == fifo["n_windows"]
     for key in ("bytes", "busy_s", "queue_depth"):
@@ -105,8 +105,8 @@ def test_limited_one_timeline_matches_fifo():
 def test_timelines_do_not_perturb_results():
     """Recording a timeline must not change the simulated physics."""
     for discipline in ("fifo", "ps", "limited(3)"):
-        plain = _run(discipline, timeline=None)
+        plain = _run(discipline, observers=())
         observed = _run(discipline)
         assert np.array_equal(observed.latencies, plain.latencies)
         assert np.array_equal(observed.server_bytes, plain.server_bytes)
-        assert plain.timeline is None and observed.timeline is not None
+        assert "timeline" not in plain.sections and "timeline" in observed.sections

@@ -193,9 +193,9 @@ def test_ambient_config_and_collection():
         with collect_causal(sections):
             result = _simulate(causal=None)  # picks up the ambient config
     assert get_causal_config() is None
-    assert result.causal is not None
-    assert len(result.causal["chains"]) <= 5
-    assert sections == [result.causal]
+    assert "causal" in result.sections
+    assert len(result.sections["causal"]["chains"]) <= 5
+    assert sections == [result.sections["causal"]]
 
 
 # -- collector: conservation + sections ------------------------------------
@@ -215,7 +215,7 @@ def _simulate(causal=CausalConfig(), discipline="fifo", **overrides):
         discipline=discipline,
         jitter="deterministic",
         seed=23,
-        causal=causal,
+        observers=(causal,) if causal is not None else (),
         **overrides,
     )
     return simulate_reads(trace, policy, cluster, config)
@@ -223,7 +223,7 @@ def _simulate(causal=CausalConfig(), discipline="fifo", **overrides):
 
 def test_section_shape_and_conservation():
     result = _simulate()
-    section = result.causal
+    section = result.sections["causal"]
     assert section["scheme"] == "sp-cache"
     assert section["n_requests"] == result.n_requests
     conservation = section["conservation"]
@@ -244,7 +244,7 @@ def test_section_shape_and_conservation():
 
 
 def test_chains_are_slowest_first_and_conserve():
-    section = _simulate().causal
+    section = _simulate().sections["causal"]
     chains = section["chains"]
     assert chains
     latencies = [c["latency_s"] for c in chains]
@@ -266,7 +266,7 @@ def test_causal_collection_does_not_perturb_results():
     observed = _simulate()
     assert np.array_equal(observed.latencies, plain.latencies)
     assert np.array_equal(observed.server_bytes, plain.server_bytes)
-    assert plain.causal is None and observed.causal is not None
+    assert "causal" not in plain.sections and "causal" in observed.sections
 
 
 def test_emit_spans_requires_finalize():
@@ -293,14 +293,14 @@ def test_trace_rebuild_matches_in_process_section():
     # aggregation skips the configured warmup prefix.
     result, records = _traced_run(warmup_fraction=0.0)
     (section,) = causal_from_trace(records)
-    assert section["scheme"] == result.causal["scheme"]
-    assert section["n_requests"] == result.causal["n_requests"]
-    assert section["reconstructed"] == result.causal["n_requests"]
+    assert section["scheme"] == result.sections["causal"]["scheme"]
+    assert section["n_requests"] == result.sections["causal"]["n_requests"]
+    assert section["reconstructed"] == result.sections["causal"]["n_requests"]
     assert section["dropped"] == 0
     assert section["conservation"]["ok"]
     for key in ("queue_s", "service_s", "transfer_s", "join_s"):
         assert section["edges"][key] == pytest.approx(
-            result.causal["edges"][key], rel=1e-9, abs=1e-12
+            result.sections["causal"]["edges"][key], rel=1e-9, abs=1e-12
         )
 
 
@@ -362,7 +362,7 @@ def test_causal_from_trace_ignores_foreign_events():
 
 
 def test_edge_and_chain_rows():
-    section = _simulate().causal
+    section = _simulate().sections["causal"]
     rows = critical_edge_rows(section)
     assert [r["edge"] for r in rows] == [
         "queue", "service", "transfer", "join"

@@ -98,7 +98,7 @@ class TestFeed:
 class TestManifest:
     def _manifest(self):
         return {
-            "schema_version": 5,
+            "schema_version": 7,
             "metrics": {
                 "sim.server_bytes{engine=ps,scheme=sp-cache,server_id=0}": 30.0,
                 "sim.server_bytes{engine=ps,scheme=sp-cache,server_id=1}": 10.0,
@@ -133,6 +133,8 @@ class TestManifest:
                     ],
                 }
             ],
+            "causal": [],
+            "membership": [],
         }
 
     def test_board_from_manifest(self):
@@ -144,10 +146,6 @@ class TestManifest:
         assert list(st.active_alerts) == [("p99_latency", "page")]
         assert st.budget_remaining["p99_latency"] == pytest.approx(0.4)
         assert st.hot.top(1)[0][0] == 3
-
-    def test_older_schema_leaves_board_partial(self):
-        board = dash_from_manifest({"schema_version": 1, "metrics": {}})
-        assert board.schemes == []
 
 
 class TestRenderFrame:
@@ -218,6 +216,9 @@ class TestMembershipPanel:
         manifest = {
             "schema_version": 7,
             "metrics": {},
+            "popularity": [],
+            "slo": [],
+            "causal": [],
             "membership": [
                 {
                     "scheme": "ring",

@@ -328,21 +328,21 @@ def _simulate(discipline="fifo", popularity=None, **overrides):
         discipline=discipline,
         jitter="deterministic",
         seed=1,
-        popularity=popularity,
+        observers=(popularity,) if popularity is not None else (),
     )
     base.update(overrides)
     return simulate_reads(trace, policy, cluster, SimulationConfig(**base))
 
 
 def test_simulation_disabled_by_default():
-    assert _simulate().popularity is None
+    assert "popularity" not in _simulate().sections
 
 
 @pytest.mark.parametrize("discipline", ["fifo", "ps"])
 def test_simulation_observes_every_request(discipline):
     config = PopularityConfig(window_requests=100)
     result = _simulate(discipline=discipline, popularity=config)
-    section = result.popularity
+    section = result.sections["popularity"]
     assert section is not None
     assert section["scheme"] == "sp-cache"
     assert section["engine"] == discipline
@@ -364,8 +364,8 @@ def test_ambient_config_and_collector():
             assert get_popularity_config() is cfg
             result = _simulate()
     assert get_popularity_config() is None
-    assert result.popularity is not None
-    assert sections == [result.popularity]
+    assert "popularity" in result.sections
+    assert sections == [result.sections["popularity"]]
 
 
 def test_publish_without_collector_is_noop():

@@ -19,6 +19,7 @@ from repro.obs import (
     validate_manifest,
     write_manifest,
 )
+from repro.obs.runinfo import SchemaMismatchError
 
 
 def _manifest(**overrides):
@@ -137,14 +138,6 @@ def test_v2_manifest_requires_timelines_key():
         validate_manifest(m)
 
 
-def test_v1_manifest_without_timelines_still_loads():
-    """Old manifests written before the timelines key keep validating."""
-    m = _manifest()
-    m["schema_version"] = 1
-    del m["timelines"]
-    assert validate_manifest(m) is m
-
-
 @pytest.mark.parametrize("ch", CHANNELS, ids=lambda ch: ch.key)
 def test_build_manifest_carries_sections(ch):
     """Every channel's sections round-trip under its key, keys in order."""
@@ -171,50 +164,6 @@ def test_build_manifest_carries_sections(ch):
         validate_manifest(bad)
 
 
-def test_v5_manifest_without_causal_still_loads():
-    """Manifests written before the causal key keep validating."""
-    m = _manifest()
-    m["schema_version"] = 5
-    del m["causal"]
-    del m["membership"]
-    assert validate_manifest(m) is m
-
-
-def test_v6_manifest_without_membership_still_loads():
-    """Manifests written before the membership key keep validating."""
-    m = _manifest()
-    m["schema_version"] = 6
-    del m["membership"]
-    assert validate_manifest(m) is m
-
-
-def test_v4_manifest_without_slo_still_loads():
-    """Manifests written before the slo key keep validating."""
-    m = _manifest()
-    m["schema_version"] = 4
-    del m["slo"]
-    assert validate_manifest(m) is m
-
-
-def test_v2_manifest_without_popularity_still_loads():
-    """Manifests written before the popularity key keep validating."""
-    m = _manifest()
-    m["schema_version"] = 2
-    del m["popularity"]
-    del m["peak_rss_bytes"]
-    del m["total_requests"]
-    assert validate_manifest(m) is m
-
-
-def test_v3_manifest_without_resource_fields_still_loads():
-    """Manifests written before peak RSS / request totals keep validating."""
-    m = _manifest()
-    m["schema_version"] = 3
-    del m["peak_rss_bytes"]
-    del m["total_requests"]
-    assert validate_manifest(m) is m
-
-
 def test_manifest_records_peak_rss_and_total_requests():
     m = build_manifest(
         "figR",
@@ -237,6 +186,19 @@ def test_manifest_resource_field_overrides():
     )
     assert m["peak_rss_bytes"] == 123456
     assert m["total_requests"] == 9
+
+
+def test_v6_manifest_is_refused_with_its_version(tmp_path):
+    """Only the current schema reads: an older manifest is refused with
+    its version named, and a manifest directory does not skip it."""
+    m = _manifest()
+    m["schema_version"] = 6
+    del m["membership"]
+    with pytest.raises(SchemaMismatchError, match="schema version 6"):
+        validate_manifest(m)
+    (tmp_path / "figX.json").write_text(json.dumps(m))
+    with pytest.raises(SchemaMismatchError, match=r"figX\.json.*version 6"):
+        load_manifest_dir(tmp_path)
 
 
 def test_validate_rejects_missing_key():

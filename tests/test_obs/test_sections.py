@@ -1,10 +1,18 @@
-"""The observer channel contract, checked once for every channel."""
+"""The observer channel contract, checked once for every channel, and
+the observer protocol the simulator starts and finishes runs through."""
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import pytest
 
-from repro.obs import CHANNELS
+from repro.cluster import SimulationConfig, simulate_reads
+from repro.common import ClusterSpec, Gbps
+from repro.obs import CHANNELS, TimelineConfig, use_timeline
+from repro.obs.sections import FINISH_ORDER
+from repro.policies import SPCachePolicy
+from repro.workloads import paper_fileset, poisson_trace
 
 
 def _section(ch):
@@ -59,3 +67,69 @@ def test_channel_contract(ch):
         ch.publish({ch.marker: 3.5})
     with pytest.raises(ValueError, match="list"):
         ch.check_list({"not": "a list"}, ch.key)
+
+
+# -- the observer protocol ------------------------------------------------
+
+
+def _run(observers=()):
+    cluster = ClusterSpec(n_servers=6, bandwidth=Gbps)
+    pop = paper_fileset(20, size_mb=20, zipf_exponent=1.1, total_rate=5)
+    policy = SPCachePolicy(pop, cluster, seed=5)
+    trace = poisson_trace(pop, n_requests=120, seed=11)
+    config = SimulationConfig(
+        discipline="fifo", jitter="deterministic", observers=observers
+    )
+    return simulate_reads(trace, policy, cluster, config)
+
+
+def test_finish_order_and_manifest_order():
+    assert [ch.name for ch in FINISH_ORDER] == [
+        "timeline", "causal", "popularity", "slo",
+    ]
+    assert [ch.key for ch in CHANNELS] == [
+        "timelines", "popularity", "slo", "causal", "membership",
+    ]
+    assert all(ch.observer is not None for ch in FINISH_ORDER)
+
+
+def test_observers_reject_a_non_config():
+    with pytest.raises(TypeError, match="got dict"):
+        SimulationConfig(observers=({"window_s": 1.0},))
+    with pytest.raises(TypeError, match="got TimelineConfig"):
+        SimulationConfig(observers=TimelineConfig())
+
+
+def test_observers_reject_two_configs_for_one_channel():
+    with pytest.raises(ValueError, match="two TimelineConfigs"):
+        SimulationConfig(
+            observers=(TimelineConfig(), TimelineConfig(tail_k=3))
+        )
+
+
+_ENABLED = [(), *[(ch.name,) for ch in FINISH_ORDER], ("slo", "timeline"),
+            tuple(ch.name for ch in FINISH_ORDER)]
+
+
+@pytest.mark.parametrize("ambient", [False, True], ids=["explicit", "ambient"])
+@pytest.mark.parametrize("enabled", _ENABLED, ids=lambda e: "+".join(e) or "none")
+def test_sections_hold_exactly_the_enabled_channels(enabled, ambient):
+    chosen = [ch for ch in FINISH_ORDER if ch.name in enabled]
+    with ExitStack() as stack:
+        if ambient:
+            for ch in chosen:
+                stack.enter_context(ch.use(ch.config()))
+            result = _run()
+        else:
+            result = _run(tuple(ch.config() for ch in chosen))
+    assert list(result.sections) == [ch.name for ch in chosen]
+    for ch in chosen:
+        ch.check(result.sections[ch.name], ch.name)
+
+
+def test_explicit_config_wins_over_ambient():
+    with use_timeline(TimelineConfig(tail_k=3)):
+        result = _run((TimelineConfig(tail_k=5),))
+        ambient = _run()
+    assert result.sections["timeline"]["tail"]["k"] == 5
+    assert ambient.sections["timeline"]["tail"]["k"] == 3

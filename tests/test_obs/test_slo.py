@@ -252,7 +252,10 @@ def _simulate(
     policy = SPCachePolicy(pop, cluster, seed=seed)
     trace = poisson_trace(pop, n_requests=300, seed=11)
     config = SimulationConfig(
-        jitter="deterministic", seed=1, slo=slo, batch_size=batch_size
+        jitter="deterministic",
+        seed=1,
+        observers=(slo,) if slo is not None else (),
+        batch_size=batch_size,
     )
     run = simulate_oracle if oracle else simulate_reads
     if tracer is not None:
@@ -264,14 +267,14 @@ def _simulate(
 class TestEngineIntegration:
     def test_disabled_by_default(self):
         result = _simulate()
-        assert result.slo is None
+        assert "slo" not in result.sections
 
     def test_enabled_run_lands_section(self):
         result = _simulate(slo=parse_slo("p99<0.001"))
-        assert result.slo is not None
-        assert result.slo["scheme"] == "sp-cache"
-        assert result.slo["requests"] == 300
-        assert result.slo["breaches"] >= 1
+        assert "slo" in result.sections
+        assert result.sections["slo"]["scheme"] == "sp-cache"
+        assert result.sections["slo"]["requests"] == 300
+        assert result.sections["slo"]["breaches"] >= 1
 
     def test_results_identical_with_and_without_slo(self):
         off = _simulate()
@@ -282,13 +285,14 @@ class TestEngineIntegration:
     def test_batched_engine_matches_scalar_section(self):
         scalar = _simulate(slo=parse_slo("p99<0.001"), oracle=True)
         batched = _simulate(slo=parse_slo("p99<0.001"), batch_size=64)
-        assert scalar.slo["breaches"] == batched.slo["breaches"]
-        assert scalar.slo["objectives"] == batched.slo["objectives"]
+        a, b = scalar.sections["slo"], batched.sections["slo"]
+        assert a["breaches"] == b["breaches"]
+        assert a["objectives"] == b["objectives"]
 
     def test_ambient_config_reaches_engine(self):
         with use_slo(parse_slo("p99<0.001")), collect_slo() as sink:
             result = _simulate()
-        assert result.slo is not None and sink == [result.slo]
+        assert "slo" in result.sections and sink == [result.sections["slo"]]
 
     def test_breach_events_reach_trace(self):
         sink = RingBufferSink()

@@ -187,12 +187,11 @@ def test_chrome_trace_from_replayed_events():
 
 
 def test_legacy_profiling_shim_is_removed():
-    # The deprecated repro.obs.profiling shim completed its removal
-    # cycle; the aliases live on in repro.obs only.
+    # The deprecated repro.obs.profiling shim and its profiled/profile
+    # aliases are gone; span and span_wrap replace them.
     with pytest.raises(ModuleNotFoundError):
         import repro.obs.profiling  # noqa: F401
 
     import repro.obs as obs
 
-    assert obs.profiled is span
-    assert obs.profile is span_wrap
+    assert not hasattr(obs, "profiled") and not hasattr(obs, "profile")

@@ -46,7 +46,7 @@ def _simulate(discipline="ps", timeline=TimelineConfig(), **overrides):
         discipline=discipline,
         jitter="deterministic",
         seed=1,
-        timeline=timeline,
+        observers=(timeline,) if timeline is not None else (),
     )
     base.update(overrides)
     return simulate_reads(trace, policy, cluster, SimulationConfig(**base))
@@ -57,12 +57,12 @@ def _simulate(discipline="ps", timeline=TimelineConfig(), **overrides):
 
 def test_disabled_by_default():
     result = _simulate(timeline=None)
-    assert result.timeline is None
+    assert "timeline" not in result.sections
 
 
 def test_explicit_config_enables_collection():
     result = _simulate()
-    section = result.timeline
+    section = result.sections["timeline"]
     assert section is not None
     assert section["schema_version"] == TIMELINE_SCHEMA_VERSION
     assert section["scheme"] == "sp-cache"
@@ -72,15 +72,15 @@ def test_explicit_config_enables_collection():
 def test_ambient_config_enables_collection():
     with use_timeline(TimelineConfig(tail_k=5)):
         result = _simulate(timeline=None)
-    assert result.timeline is not None
-    assert result.timeline["tail"]["k"] == 5
+    assert "timeline" in result.sections
+    assert result.sections["timeline"]["tail"]["k"] == 5
     assert get_timeline_config() is None  # restored on exit
 
 
 def test_explicit_config_wins_over_ambient():
     with use_timeline(TimelineConfig(tail_k=5)):
         result = _simulate(timeline=TimelineConfig(tail_k=3))
-    assert result.timeline["tail"]["k"] == 3
+    assert result.sections["timeline"]["tail"]["k"] == 3
 
 
 def test_collect_timelines_receives_published_sections():
@@ -91,7 +91,7 @@ def test_collect_timelines_receives_published_sections():
     # Nested sinks both see the inner publish; the outer saw both runs.
     assert len(inner) == 1
     assert len(outer) == 2
-    assert inner[0] == result.timeline
+    assert inner[0] == result.sections["timeline"]
 
 
 def test_publish_timeline_without_sinks_is_noop():
@@ -106,7 +106,7 @@ def test_use_timeline_rejects_non_config():
 
 def test_simulation_config_rejects_bad_timeline():
     with pytest.raises(TypeError, match="TimelineConfig"):
-        SimulationConfig(timeline={"window_s": 1.0})
+        SimulationConfig(observers=({"window_s": 1.0},))
 
 
 @pytest.mark.parametrize(
@@ -129,7 +129,7 @@ def test_timeline_config_validates(kwargs):
 
 
 def test_section_series_shapes_agree():
-    section = _simulate().timeline
+    section = _simulate().sections["timeline"]
     n_windows, n_servers = section["n_windows"], section["n_servers"]
     for key in ("bytes", "busy_s", "queue_depth"):
         arr = np.asarray(section[key])
@@ -142,12 +142,12 @@ def test_section_series_shapes_agree():
 
 def test_bytes_series_conserves_server_bytes():
     result = _simulate()
-    total = np.asarray(result.timeline["bytes"]).sum()
+    total = np.asarray(result.sections["timeline"]["bytes"]).sum()
     assert np.isclose(total, result.server_bytes.sum())
 
 
 def test_windowed_latency_percentiles_present():
-    section = _simulate().timeline
+    section = _simulate().sections["timeline"]
     populated = [r for r in section["latency"] if r["count"]]
     assert populated
     for row in populated:
@@ -161,7 +161,7 @@ def test_explicit_window_width_and_max_windows_clipping():
     result = _simulate(
         timeline=TimelineConfig(window_s=0.01, max_windows=4)
     )
-    section = result.timeline
+    section = result.sections["timeline"]
     assert section["n_windows"] == 4
     assert section["window_s"] == 0.01
     assert section["clipped_partitions"] > 0
@@ -172,7 +172,7 @@ def test_explicit_window_width_and_max_windows_clipping():
 
 
 def test_sections_are_json_serializable():
-    section = _simulate().timeline
+    section = _simulate().sections["timeline"]
     parsed = json.loads(json.dumps(section))
     assert parsed["n_requests"] == section["n_requests"]
 
@@ -183,7 +183,7 @@ def test_sections_are_json_serializable():
 def test_exemplar_components_sum_to_latency():
     section = _simulate(
         stragglers=StragglerInjector.intensive()
-    ).timeline
+    ).sections["timeline"]
     exemplars = section["tail"]["exemplars"]
     assert len(exemplars) == section["tail"]["k"]
     for e in exemplars:
@@ -199,7 +199,7 @@ def test_exemplar_components_sum_to_latency():
 def test_attribution_components_sum_to_mean_tail_latency():
     att = _simulate(
         stragglers=StragglerInjector.intensive()
-    ).timeline["tail"]["attribution"]
+    ).sections["timeline"]["tail"]["attribution"]
     total = (
         att["queueing_s"]
         + att["straggling_s"]
@@ -214,8 +214,8 @@ def test_attribution_components_sum_to_mean_tail_latency():
 def test_straggler_component_larger_with_stragglers_on():
     """The fig19 acceptance angle: injected stragglers must surface as a
     strictly larger straggling component than a stragglers-off run."""
-    on = _simulate(stragglers=StragglerInjector.intensive()).timeline
-    off = _simulate(stragglers=StragglerInjector.none()).timeline
+    on = _simulate(stragglers=StragglerInjector.intensive()).sections["timeline"]
+    off = _simulate(stragglers=StragglerInjector.none()).sections["timeline"]
     s_on = on["tail"]["attribution"]["straggling_s"]
     s_off = off["tail"]["attribution"]["straggling_s"]
     assert s_on > s_off == 0.0
@@ -224,7 +224,7 @@ def test_straggler_component_larger_with_stragglers_on():
 
 def test_warmup_fraction_skips_head_of_trace():
     result = _simulate(warmup_fraction=0.5)
-    tail = result.timeline["tail"]
+    tail = result.sections["timeline"]["tail"]
     assert tail["warmup_skipped"] == 150
     assert tail["attribution"]["requests"] == 150
     assert all(e["req"] >= 150 for e in tail["exemplars"])
@@ -238,23 +238,23 @@ def test_miss_flag_reaches_exemplars():
         seed=1,
         cache_budget=25 * 1024 * 1024,  # room for ~one 20 MB file
         miss_penalty=5.0,
-        timeline=TimelineConfig(),
+        observers=(TimelineConfig(),),
     )
     result = simulate_reads(trace, policy, cluster, config)
-    exemplars = result.timeline["tail"]["exemplars"]
+    exemplars = result.sections["timeline"]["tail"]["exemplars"]
     # A 5x penalty pushes missed requests into the slowest-K reservoir.
     assert any(e["missed"] for e in exemplars)
     # The miss penalty lands after the join, so the join component
     # carries it.
-    assert result.timeline["tail"]["attribution"]["join_s"] > 0
+    assert result.sections["timeline"]["tail"]["attribution"]["join_s"] > 0
 
 
 # -- determinism --------------------------------------------------------
 
 
 def test_identical_runs_produce_byte_identical_sections():
-    a = _simulate(stragglers=StragglerInjector.intensive()).timeline
-    b = _simulate(stragglers=StragglerInjector.intensive()).timeline
+    a = _simulate(stragglers=StragglerInjector.intensive()).sections["timeline"]
+    b = _simulate(stragglers=StragglerInjector.intensive()).sections["timeline"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -270,7 +270,7 @@ def test_sparkline_spans_blocks():
 
 
 def test_timeline_series_rows_cover_each_series():
-    section = _simulate().timeline
+    section = _simulate().sections["timeline"]
     rows = timeline_series_rows(section)
     names = [r["series"] for r in rows]
     assert "bytes/window" in names
@@ -281,7 +281,7 @@ def test_timeline_series_rows_cover_each_series():
 
 
 def test_tail_attribution_rows_share_sums_to_100():
-    section = _simulate().timeline
+    section = _simulate().sections["timeline"]
     rows = tail_attribution_rows(section)
     assert [r["component"] for r in rows] == [
         "queueing", "straggling", "transfer", "join",
@@ -290,7 +290,7 @@ def test_tail_attribution_rows_share_sums_to_100():
 
 
 def test_chrome_counter_events_shape():
-    section = _simulate().timeline
+    section = _simulate().sections["timeline"]
     events = chrome_counter_events([section])
     meta = [e for e in events if e["ph"] == "M"]
     counters = [e for e in events if e["ph"] == "C"]
@@ -317,10 +317,10 @@ def test_zero_request_run_finalizes_empty_section():
             discipline="ps",
             jitter="deterministic",
             seed=0,
-            timeline=TimelineConfig(),
+            observers=(TimelineConfig(),),
         ),
     )
-    section = result.timeline
+    section = result.sections["timeline"]
     assert section["n_requests"] == 0
     assert section["n_windows"] == 0
     assert section["tail"]["exemplars"] == []
@@ -348,10 +348,12 @@ def test_custom_discipline_without_partition_hooks_charges_join():
             trace,
             policy,
             cluster,
-            SimulationConfig(discipline="flatjoin", timeline=TimelineConfig()),
+            SimulationConfig(
+                discipline="flatjoin", observers=(TimelineConfig(),)
+            ),
         )
     finally:
         _REGISTRY.pop("flatjoin", None)
-    att = result.timeline["tail"]["attribution"]
+    att = result.sections["timeline"]["tail"]["attribution"]
     assert att["join_s"] == pytest.approx(att["mean_tail_latency_s"])
     assert att["queueing_s"] == att["transfer_s"] == att["straggling_s"] == 0.0
