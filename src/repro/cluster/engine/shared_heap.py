@@ -40,9 +40,28 @@ The event heap carries only request arrivals and delayed straggler
 reports.  The next flow completion is the ``argmin`` of ``eta`` over the
 live fid window ``[lo, n)`` (``lo`` is the oldest unfinished flow;
 waiting and finished flows hold ``eta = inf``), so no completion
-candidate ever goes stale.  Each event re-rates, in one vectorized
-step, exactly the flows whose share can change — active flows on the
-touched server(s) plus the flows of the affected request(s).
+candidate ever goes stale.
+
+One step retires a completion *instant*, not one flow: the argmin plus
+the later flows of its request with ``eta == t`` (SP-Cache's equal,
+client-capped partitions finish together).  Fid ranges are contiguous,
+so these head the global tie list, and the step keeps the longest prefix
+that provably retires at ``t`` one flow at a time: (i) a tied flow's
+residue is fixed for the instant and its rate only rises there, so it
+stays at ``t`` if ``t + r / rate == t`` at its current rate — ``t`` is
+rounded, so a sibling may keep a residue that carries it one ulp past
+``t``; (ii) no other active flow below the prefix's last fid that the
+prefix touches may round onto ``t`` even at its largest possible rate
+``min(B_s, B_c)``, else the argmin goes alone.  Under ``limited(c)`` the
+prefix ends before a completion that wakes a waiting flow.  A one-flow
+prefix is the per-flow step.
+
+Each step re-rates, in one vectorized call, exactly the flows whose share
+can change: active flows on the touched server(s) plus the flows of the
+affected request(s).  A tie group runs its bookkeeping in fid order, then
+re-rates the union once under the final shares; each flow's last re-rate
+in the per-flow loop saw those already, since a later share change would
+have touched it again.
 
 Results are bit-for-bit those of the per-flow, per-request heap loop this
 engine replaced (kept as the test oracle
@@ -51,9 +70,8 @@ engine replaced (kept as the test oracle
 * event order — that loop popped ``(time, kind, id)`` tuples, so at equal
   times an arrival (kind 0) came first, then the completion with the
   lowest fid (kind 1), then straggler reports (kind 2).  ``argmin``
-  returns the first index on ties, which is the lowest fid; exact ties
-  are common, since SP-Cache's equal partitions get equal client-capped
-  rates;
+  returns the first index on ties, which is the lowest fid, and a tie
+  group retires in fid order;
 * arithmetic — a re-rate performs the same IEEE-754 double operations
   in the same order, elementwise: ``rem - rate * (t - last)``, then
   ``max(., 0)``, then ``min(B_s / n_s, B_c / n_r)`` (each share the
@@ -128,22 +146,31 @@ class _Flows:
             setattr(self, name, new)
         self.capacity = cap
 
+    def residue(self, idx: np.ndarray, t: float) -> np.ndarray:
+        """Active flows ``idx``'s remaining bytes at time ``t``, not stored.
+
+        A new or just-woken flow has rate 0, so its ``last`` never matters:
+        ``rem - 0 * (t - last)`` is ``rem``.  At ``last == t`` the residue is
+        ``rem`` itself, so bringing a flow to ``t`` twice is a no-op.
+        """
+        rem = self.remaining[idx]
+        rem -= self.rate[idx] * (t - self.last[idx])
+        np.maximum(rem, 0.0, out=rem)
+        return rem
+
     def rerate(
         self,
         idx: np.ndarray,
         t: float,
         server_share: np.ndarray,
         request_share: np.ndarray,
+        rem: np.ndarray | None = None,
     ) -> None:
-        """Bring active flows ``idx`` to time ``t``, re-rate them under the
-        current shares, and set their completion times.
-
-        A new or just-woken flow has rate 0, so its ``last`` never matters:
-        ``rem - 0 * (t - last)`` is ``rem``.
-        """
-        rem = self.remaining[idx]
-        rem -= self.rate[idx] * (t - self.last[idx])
-        np.maximum(rem, 0.0, out=rem)
+        """Bring active flows ``idx`` to time ``t`` (their :meth:`residue`,
+        unless given as ``rem``), re-rate them under the current shares,
+        and set their completion times."""
+        if rem is None:
+            rem = self.residue(idx, t)
         rate = np.minimum(
             server_share[self.on[idx]], request_share[self.request[idx]]
         )
@@ -177,6 +204,7 @@ def _run_heap(
 ) -> SimulationResult:
     """Run the flow engine; ``capacity=None`` means unbounded (pure PS)."""
     bw = [float(b) for b in lc.bandwidths]
+    bw_cap = np.array(bw)  # a flow's largest possible rate, with B_c
     client_bw = lc.cluster.effective_client_bandwidth
     n_servers = lc.cluster.n_servers
     n_requests = lc.n_requests
@@ -216,8 +244,8 @@ def _run_heap(
     server_share = np.zeros(n_servers)
     request_share = np.zeros(n_requests)
     server_waiting: list[deque[int]] = [deque() for _ in range(n_servers)]
-    # Reused "server gained a flow" mask indexed by ``flows.on``; the
-    # trailing sentinel slot stays False so inactive flows never select.
+    # Reused "server gained or freed a flow" mask indexed by ``flows.on``;
+    # the trailing sentinel slot stays False so inactive flows never select.
     touched = np.zeros(n_servers + 1, dtype=bool)
 
     # Heap of (time, kind, id): kind 0 = arrival of request id; kind 2 =
@@ -262,6 +290,72 @@ def _run_heap(
                     latency=latency,
                 )
 
+    def retire(g: int, j: int, sid: int, t: float, extra_s: float) -> None:
+        """Free done flow ``g``'s share of server ``sid`` and report it to
+        request ``j``'s join (``extra_s`` late, for a straggler: a
+        sleeping thread frees its bandwidth on time)."""
+        c = server_count[sid] - 1
+        server_count[sid] = c
+        if c:
+            server_share[sid] = bw[sid] / c
+        if extra_s > 0.0:
+            heapq.heappush(heap, (t + extra_s, 2, g))
+        else:
+            notify(j, t, g)
+
+    def coalesce(fid: int, j: int, t: float, lo: int, n: int):
+        """The tie group of argmin ``fid`` (request ``j``) at ``t``: the
+        longest prefix of the request's flows from ``fid`` on with
+        ``eta == t`` that guards (i) and (ii) of the module docstring let
+        retire together; ``None`` when that is ``fid`` alone.
+
+        Returns ``(rows, servers, idx, rem)``: the prefix's fids and
+        servers, the active flows on those servers and in the request (the
+        prefix among them), and their residues at ``t``.
+        """
+        rows = (flows.eta[fid : req_f1[j]] == t).nonzero()[0]
+        rows += fid
+        servers = flows.on[rows]
+        if capacity is not None:
+            # A wake lowers shares: end the prefix before it.
+            for k, sid in enumerate(servers.tolist()):
+                if server_waiting[sid]:
+                    rows, servers = rows[:k], servers[:k]
+                    break
+        on = flows.on[lo:n]
+        a = max(req_f0[j], lo) - lo
+        b = req_f1[j] - lo
+        while True:
+            if rows.size < 2:
+                return None
+            touched[servers] = True
+            sel = touched[on]
+            touched[servers] = False
+            np.not_equal(on[a:b], n_servers, out=sel[a:b])
+            idx = sel.nonzero()[0]
+            idx += lo
+            rem = flows.residue(idx, t)
+            # (i) every tied flow after the argmin stays at t.
+            tied = rows[1:]
+            pos = np.searchsorted(idx, tied)
+            r = rem[pos] / flows.rate[tied]
+            r += t
+            stay = r == t
+            if stay.all():
+                break
+            k = 1 + int(stay.argmin())
+            rows, servers = rows[:k], servers[:k]
+        # (ii) idx[:k] lies below the prefix's last fid; beside the prefix
+        # it may hold other flows, none of which may round onto t.
+        k = int(pos[-1])
+        if k >= rows.size:
+            below = idx[:k]
+            r = rem[:k] / np.minimum(bw_cap[flows.on[below]], client_bw)
+            r += t
+            if ((r == t) & (flows.eta[below] != t)).any():
+                return None
+        return rows, servers, idx, rem
+
     while True:
         if lo < n:
             window = flows.eta[lo:n]
@@ -280,6 +374,7 @@ def _run_heap(
 
         if kind == 0:
             j = ident
+            rem = None
             if j >= batch_end:
                 j0, batch = next(batches)
                 batch_end = j0 + batch.n
@@ -357,57 +452,79 @@ def _run_heap(
 
         elif kind == 1:
             fid = ident
-            sid = int(flows.on[fid])
             j = int(flows.request[fid])
-            flows.done[fid] = True
-            flows.on[fid] = n_servers
-            flows.eta[fid] = math.inf
+            # Does a later flow of the request tie?  (A short slice: the
+            # list test is cheaper than a numpy compare.)
+            group = None
+            if request_count[j] > 1 and t in (
+                flows.eta[fid + 1 : req_f1[j]].tolist()
+            ):
+                group = coalesce(fid, j, t, lo, n)
+            if group is None:
+                rows = fid
+                sid = int(flows.on[fid])
+            else:
+                rows, servers, idx, rem = group
+            flows.done[rows] = True
+            flows.on[rows] = n_servers
+            flows.eta[rows] = math.inf
             if record:
-                flows.end[fid] = t
-            c = server_count[sid] - 1
-            server_count[sid] = c
-            if c:
-                server_share[sid] = bw[sid] / c
-            c = request_count[j] - 1
+                flows.end[rows] = t
+            if group is None:
+                extra_s = float(flows.extra[fid]) if stragglers else 0.0
+                retire(fid, j, sid, t, extra_s)
+                c = request_count[j] - 1
+            else:
+                # In fid order, as the per-flow loop retired them.
+                for g, sid, extra_s in zip(
+                    rows.tolist(), servers.tolist(), flows.extra[rows].tolist()
+                ):
+                    retire(g, j, sid, t, extra_s)
+                c = request_count[j] - rows.size
             request_count[j] = c
             if c:
                 request_share[j] = client_bw / c
-            extra_s = float(flows.extra[fid]) if stragglers else 0.0
-            if extra_s > 0.0:
-                # Straggler: bandwidth freed now, completion reported late.
-                heapq.heappush(heap, (t + extra_s, 2, fid))
-            else:
-                notify(j, t, fid)
 
-            # The freed server's active flows and the request's own flows
-            # gain share.
-            woken = -1
-            if capacity is not None and server_waiting[sid]:
-                # A slot freed: promote the longest-waiting flow.  Its
-                # activation also squeezes its request's flows elsewhere.
-                woken = server_waiting[sid].popleft()
-                rw = int(flows.request[woken])
-                flows.on[woken] = sid
-                flows.start[woken] = t
-                c = server_count[sid] + 1
-                server_count[sid] = c
-                server_share[sid] = bw[sid] / c
-                c = request_count[rw] + 1
-                request_count[rw] = c
-                request_share[rw] = client_bw / c
-            idx = _NONE
-            if server_count[sid] or request_count[j]:
-                # A request's fid range holds only its own flows, so on it
-                # "active on sid or active in the request" is just "active".
-                on = flows.on[lo:n]
-                sel = on == sid
-                for r in (j, rw) if woken >= 0 else (j,):
-                    if request_count[r]:
-                        a = max(req_f0[r], lo) - lo
-                        b = req_f1[r] - lo
-                        np.not_equal(on[a:b], n_servers, out=sel[a:b])
-                idx = sel.nonzero()[0]
-                idx += lo
+            if group is not None:
+                # One re-rate of the union under the final shares: in the
+                # per-flow loop each flow's last re-rate at t already saw
+                # them, since a later share change would touch it again.
+                keep = flows.on[idx] != n_servers
+                idx = idx[keep]
+                rem = rem[keep]
+            else:
+                rem = None
+                # The freed server's active flows and the request's own
+                # flows gain share.
+                woken = -1
+                if capacity is not None and server_waiting[sid]:
+                    # A slot freed: promote the longest-waiting flow.  Its
+                    # activation also squeezes its request's flows
+                    # elsewhere.
+                    woken = server_waiting[sid].popleft()
+                    rw = int(flows.request[woken])
+                    flows.on[woken] = sid
+                    flows.start[woken] = t
+                    c = server_count[sid] + 1
+                    server_count[sid] = c
+                    server_share[sid] = bw[sid] / c
+                    c = request_count[rw] + 1
+                    request_count[rw] = c
+                    request_share[rw] = client_bw / c
+                idx = _NONE
+                if server_count[sid] or request_count[j]:
+                    # A request's fid range holds only its own flows, so on
+                    # it "active on sid or active in the request" is just
+                    # "active".
+                    on = flows.on[lo:n]
+                    sel = on == sid
+                    for r in (j, rw) if woken >= 0 else (j,):
+                        if request_count[r]:
+                            a = max(req_f0[r], lo) - lo
+                            b = req_f1[r] - lo
+                            np.not_equal(on[a:b], n_servers, out=sel[a:b])
+                    idx = sel.nonzero()[0]
+                    idx += lo
             if fid == lo:
                 while lo < n and flows.done[lo]:
                     lo += 1
@@ -417,7 +534,7 @@ def _run_heap(
             continue
 
         if idx.size:
-            flows.rerate(idx, t, server_share, request_share)
+            flows.rerate(idx, t, server_share, request_share, rem)
 
     if np.isnan(latencies).any():  # pragma: no cover - engine invariant
         raise AssertionError("some requests never completed")

@@ -44,5 +44,10 @@ def run_fig06(ks: tuple[int, ...] = (1, 2, 5, 10, 20, 50, 100)) -> list[dict]:
                 "paper_500mbps": PAPER["500mbps"].get(k, ""),
             }
         )
-    assert np.all(np.diff([r["goodput_1gbps"] for r in rows]) <= 0)
+    goodput = [r["goodput_1gbps"] for r in rows]
+    if not np.all(np.diff(goodput) <= 0):
+        raise ValueError(
+            "fig06: goodput at 1 Gbps must not rise with the partition "
+            f"count; got {dict(zip(ks, goodput))}"
+        )
     return rows

@@ -71,5 +71,13 @@ def run_fig11(n_files: int = 100, rate: float = 8.0) -> list[dict]:
             "partition_size_mb": "",
         }
     )
-    assert np.all(np.diff(ks.astype(float)) <= 0)  # monotone in popularity
+    rises = np.flatnonzero(~(np.diff(ks.astype(float)) <= 0))
+    if rises.size:
+        raise ValueError(
+            "fig11: partition counts must not rise as popularity falls; "
+            "got (rank, partitions) -> (rank, partitions) "
+            + ", ".join(
+                f"({i + 1}, {ks[i]}) -> ({i + 2}, {ks[i + 1]})" for i in rises
+            )
+        )
     return rows

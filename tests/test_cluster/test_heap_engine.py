@@ -14,12 +14,17 @@ Hypothesis drives the corners where the designs could diverge: capacity
 goodput and stragglers on and off, several partitions of one request on
 one server, simultaneous arrivals, arrivals landing on a completion, and
 exact completion-time ties (equal partition sizes on equal-speed
-servers).
+servers, and client-capped equal-size fan-outs of up to 6 flows).
+
+The production engine retires a request's flows that tie at one instant
+in a single step, guarded so that it stays exact; hand-built cases pin
+each guard at the float level, where random draws rarely land.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +105,36 @@ def _assert_same(new, old):
         assert _section(new.sections[name]) == _section(old.sections[name])
 
 
+def _exact(**kwargs):
+    """No jitter, goodput loss or stragglers: flow sizes are the bytes."""
+    kwargs.setdefault("stragglers", StragglerInjector.none())
+    return SimulationConfig(jitter="deterministic", goodput=None, **kwargs)
+
+
+_RECORDED = (TimelineConfig(), CausalConfig())
+
+
 # Few distinct values, so equal sizes on equal-speed servers tie exactly.
 _SIZES = st.sampled_from([1e6, 2e6, 5e6])
 
 
 @st.composite
+def _fan_out(draw, n_servers):
+    """One size on up to 6 distinct servers: under a binding client cap
+    every flow gets the same rate, so the whole fan-out ties.  (At most
+    12 MB, so the file fits the 25 MB cache budget.)"""
+    k = draw(st.integers(2, min(6, n_servers)))
+    servers = draw(st.permutations(range(n_servers)))[:k]
+    return ReadOp(
+        server_ids=np.array(servers, dtype=np.int64),
+        sizes=np.full(k, draw(st.sampled_from([1e6, 2e6]))),
+        join_count=draw(st.integers(1, k)),
+    )
+
+
+@st.composite
 def _scenarios(draw):
-    n_servers = draw(st.integers(1, 4))
+    n_servers = draw(st.integers(1, 6))
     bandwidth = draw(
         st.one_of(
             st.just(1e8),
@@ -117,7 +145,8 @@ def _scenarios(draw):
             ).map(np.array),
         )
     )
-    client_bandwidth = draw(st.sampled_from([None, 1.5e8, 1e15]))
+    # 6e7 binds for any fan-out of two or more flows.
+    client_bandwidth = draw(st.sampled_from([None, 6e7, 1.5e8, 1e15]))
     cluster = ClusterSpec(
         n_servers=n_servers,
         bandwidth=bandwidth,
@@ -126,6 +155,9 @@ def _scenarios(draw):
     n_files = draw(st.integers(1, 5))
     plans = []
     for _ in range(n_files):
+        if n_servers > 1 and draw(st.booleans()):
+            plans.append(draw(_fan_out(n_servers)))
+            continue
         k = draw(st.integers(1, 4))
         servers = draw(
             st.lists(
@@ -246,13 +278,130 @@ def test_arrival_tying_a_completion_goes_first():
     trace = ArrivalTrace(
         times=np.cumsum([0.01, 0.02, 0.005]), file_ids=np.zeros(3, np.int64)
     )
-    config = SimulationConfig(
-        jitter="deterministic",
-        goodput=None,
-        stragglers=StragglerInjector.none(),
-    )
-    new, old = _run_both(trace, planner, cluster, config, None)
+    new, old = _run_both(trace, planner, cluster, _exact(), None)
     _assert_same(new, old)
+
+
+def test_tied_sibling_with_a_residue_finishes_after_the_instant():
+    """Two 3 MB reads on two 100 MB/s servers arrive at 0.3 s and tie at
+    ``t = 0.3 + 0.03``.  ``t - 0.3`` rounds short of 0.03, so the second
+    keeps a positive residue; retiring the first re-rates it to
+    ``t + r / rate``, one ulp past ``t``.  The instant step must leave it
+    for later rather than retire both at ``t``."""
+    bandwidth = 1e8
+    a, size = 0.3, 3e6
+    t = a + size / bandwidth
+    r = size - bandwidth * (t - a)
+    assert r > 0 and t + r / bandwidth > t
+    cluster = ClusterSpec(
+        n_servers=2, bandwidth=bandwidth, client_bandwidth=1e15
+    )
+    planner = _ScriptedPlanner(
+        [ReadOp(server_ids=np.array([0, 1]), sizes=np.array([size, size]))]
+    )
+    trace = ArrivalTrace(times=np.array([a]), file_ids=np.zeros(1, np.int64))
+    new, old = _run_both(trace, planner, cluster, _exact(), None)
+    _assert_same(new, old)
+    assert new.latencies[0] > t - a
+
+
+def test_flow_rounding_onto_the_instant_cuts_into_the_tie_group():
+    """Three client-capped reads (50 MB/s each) arrive at 0: partitions 1
+    and 2 hold 1 MB and tie at 0.02 s; partition 0 holds one ulp more and
+    ends one ulp later.  Retiring partition 1 lifts partition 0 to 75 MB/s,
+    which rounds it onto 0.02, so it retires before partition 2, which is
+    then the join's critical partition.  Retiring 1 and 2 together would
+    make partition 0 critical."""
+    size = 1e6
+    big = math.nextafter(size, math.inf)
+    capped = 1.5e8 / 3
+    t = size / capped
+    assert big / capped > t
+    r = big - capped * t
+    assert t + r / (1.5e8 / 2) == t
+    cluster = ClusterSpec(n_servers=3, bandwidth=1e8, client_bandwidth=1.5e8)
+    planner = _ScriptedPlanner(
+        [
+            ReadOp(
+                server_ids=np.array([0, 1, 2]),
+                sizes=np.array([big, size, size]),
+            )
+        ]
+    )
+    trace = ArrivalTrace(times=np.zeros(1), file_ids=np.zeros(1, np.int64))
+    config = _exact(observers=_RECORDED)
+    _assert_same(*_run_both(trace, planner, cluster, config, None))
+
+
+def test_arrival_at_the_instant_splits_the_tie_group():
+    """Four 1 MB reads on four servers arrive at 0.1 s and tie at 0.11 s,
+    where a second request's reads land on servers 1 and 2.  The arrival
+    comes first and halves the shares there, pushing those two flows (with
+    their rounding residues) one ulp past 0.11."""
+    bandwidth = 1e8
+    size = 1e6
+    t = 0.1 + size / bandwidth
+    cluster = ClusterSpec(
+        n_servers=4, bandwidth=bandwidth, client_bandwidth=1e15
+    )
+    planner = _ScriptedPlanner(
+        [
+            ReadOp(server_ids=np.arange(4), sizes=np.full(4, size)),
+            ReadOp(server_ids=np.array([1, 2]), sizes=np.full(2, size)),
+        ]
+    )
+    trace = ArrivalTrace(times=np.array([0.1, t]), file_ids=np.array([0, 1]))
+    config = _exact(observers=_RECORDED)
+    _assert_same(*_run_both(trace, planner, cluster, config, None))
+
+
+def test_limited_wake_inside_a_tie_group():
+    """``limited(2)``: request 0 holds server 0 with a long read; request
+    1's five reads go to servers 1, 2, 0, 3 and 0 again, so the last waits.
+    The first four tie at 0.02 s (client cap 200 MB/s over four, and half
+    of server 0); retiring the one on server 0 wakes the waiting read,
+    which lowers its request's share mid-instant."""
+    cluster = ClusterSpec(n_servers=4, bandwidth=1e8, client_bandwidth=2e8)
+    planner = _ScriptedPlanner(
+        [
+            ReadOp(server_ids=np.array([0]), sizes=np.array([1e8])),
+            ReadOp(
+                server_ids=np.array([1, 2, 0, 3, 0]),
+                sizes=np.array([1e6, 1e6, 1e6, 1e6, 5e5]),
+            ),
+        ]
+    )
+    trace = ArrivalTrace(times=np.zeros(2), file_ids=np.array([0, 1]))
+    config = _exact(observers=_RECORDED)
+    _assert_same(*_run_both(trace, planner, cluster, config, 2))
+
+
+def test_straggler_reports_pushed_inside_a_tie_group():
+    """Six client-capped 1 MB reads tie; with seed 0 one of request 0's
+    six straggles, so the instant step pushes its late report between the
+    joins' other notifications (the join needs five)."""
+    cluster = ClusterSpec(n_servers=6, bandwidth=1e8, client_bandwidth=1.5e8)
+    planner = _ScriptedPlanner(
+        [
+            ReadOp(
+                server_ids=np.arange(6), sizes=np.full(6, 1e6), join_count=5
+            )
+        ]
+    )
+    trace = ArrivalTrace(
+        times=np.array([0.0, 0.01]), file_ids=np.zeros(2, np.int64)
+    )
+    config = _exact(
+        stragglers=StragglerInjector(BingStragglerProfile(probability=0.5)),
+        seed=0,
+        observers=_RECORDED,
+    )
+    _j0, batch = next(
+        RequestLifecycle(trace, planner, cluster, config, "ps").batches()
+    )
+    straggled = batch.extra[:6] > 0
+    assert straggled.any() and not straggled.all()
+    _assert_same(*_run_both(trace, planner, cluster, config, None))
 
 
 def _policy_scenario():
