@@ -6,12 +6,12 @@ ratio reflects realistic per-request work rather than the bare scalar
 loop (where any python-level collection dominates; cf. the timeline
 numbers in ``bench_obs_overhead``):
 
-* ``off`` — causal collection disabled (the default): the engine's
-  recorder tuple is empty, so the hot path pays one hoisted boolean
-  check per run and nothing per request;
-* ``on`` — a :class:`~repro.obs.CausalConfig` attached: per request the
-  lifecycle appends the raw partition/request/join records into the
-  collector's buffers; edge classification, the conservation check,
+* ``off`` — causal collection disabled (the default): the run has no
+  partition log, so the hot path pays one hoisted boolean check per run
+  and nothing per request;
+* ``on`` — a :class:`~repro.obs.CausalConfig` attached: the engine
+  appends the raw partition/request/join records to the run's partition
+  log; edge classification, the conservation check,
   and the top-K chain extraction all happen in one vectorized
   finalize pass;
 * ``on + spans`` — collection plus span-tree emission into an

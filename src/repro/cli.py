@@ -586,8 +586,9 @@ def _cmd_stats(args) -> int:
             )
 
     # Every known event kind renders with its layer (simulator, store,
-    # core, popularity, slo, profiling, causal); unknown kinds — traces
-    # from newer builds — are counted separately, never dropped silently.
+    # core, topology, popularity, slo, profiling for spans, causal);
+    # unknown kinds — a newer build's, or the retired ``profile`` record
+    # of an older one — are counted separately, never dropped silently.
     counts = event_counts(events)
     payload["events"] = counts
     unknown = unknown_events(events)

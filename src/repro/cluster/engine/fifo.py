@@ -175,7 +175,7 @@ def _record_frames(
     join_at: np.ndarray,
     missed: np.ndarray,
 ) -> None:
-    """One recorder frame per batch — no per-request Python objects."""
+    """One partition-log frame per batch — no per-request Python objects."""
     n = batch.n
     k = batch.k
     total = batch.servers.size
@@ -191,19 +191,18 @@ def _record_frames(
     crit = np.full(n, -1, dtype=np.int64)
     mreq = req_local[match][::-1]
     crit[mreq] = batch.pos[match][::-1]
-    for c in lc.recorders:
-        c.record_partition_frame(
-            j0 + req_local,
-            batch.pos,
-            batch.servers,
-            batch.sizes,
-            start,
-            comp,
-            extras,
-            batch.gfactors,
-        )
-        c.record_request_frame(reqs, missed, batch.straggled_mult)
-        c.record_join_frame(reqs, crit)
+    lc.log.record_partition_frame(
+        j0 + req_local,
+        batch.pos,
+        batch.servers,
+        batch.sizes,
+        start,
+        comp,
+        extras,
+        batch.gfactors,
+    )
+    lc.log.record_request_frame(reqs, missed, batch.straggled_mult)
+    lc.log.record_join_frame(reqs, crit)
 
 
 register_discipline(FifoDiscipline.name, FifoDiscipline)

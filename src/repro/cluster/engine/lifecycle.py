@@ -51,6 +51,7 @@ from repro.obs.sections import (
     observer_configs,
     start_observers,
 )
+from repro.obs.timeline import PartitionLog
 from repro.obs.tracing import Tracer, get_tracer
 from repro.store.lru import LRUCache
 from repro.workloads.arrivals import ArrivalTrace
@@ -381,10 +382,15 @@ class RequestLifecycle:
         )
         self.observers = start_observers(config.observers, run)
         started = tuple(self.observers.values())
-        #: Disciplines fan one guarded ``for c in lc.recorders:`` out to
-        #: the per-partition recorders; ``record`` is the hoisted check.
-        self.recorders: tuple = tuple(o for o in started if o.records)
-        self.record = bool(self.recorders)
+        #: The run's one partition log, fed by the disciplines'
+        #: ``record_*_frame`` calls when any observer records; ``record``
+        #: is the hoisted check.
+        self.log: PartitionLog | None = (
+            PartitionLog(self.n_requests)
+            if any(o.records for o in started)
+            else None
+        )
+        self.record = self.log is not None
         #: The observer fed every planned batch (:meth:`account_bytes`).
         self.popularity = next((o for o in started if o.feeds), None)
         self.track = self.popularity is not None
@@ -473,6 +479,8 @@ class RequestLifecycle:
     def admit(self, file_id: int) -> bool:
         """LRU touch/put under the cache budget; ``True`` means a miss.
 
+        A file larger than the whole budget is served as an uncached
+        miss: it pays the miss penalty every time and is never inserted.
         Called once per request in arrival order by every discipline, so
         it doubles as the miss-log hook: the only enabled-path cost is one
         list append (the SLO evaluator buckets at finish time).
@@ -483,7 +491,9 @@ class RequestLifecycle:
                 self.hits += 1
             else:
                 self.misses += 1
-                self.lru.put(file_id, self.planner.footprint(file_id))
+                footprint = self.planner.footprint(file_id)
+                if footprint <= self.lru.capacity:
+                    self.lru.put(file_id, footprint)
                 missed = True
         if self._miss_log is not None:
             self._miss_log.append(missed)
@@ -579,7 +589,7 @@ class RequestLifecycle:
         )
         end = RunEnd(
             self.trace.times, self.trace.file_ids, latencies, server_bytes,
-            self.config.warmup_fraction,
+            self.config.warmup_fraction, self.log,
         )
         return SimulationResult(
             latencies=latencies,

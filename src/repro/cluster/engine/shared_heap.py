@@ -33,8 +33,8 @@ batches (:meth:`RequestLifecycle.batches`) when the first of them
 arrives, and a batch's flow rows are filled in one step: arrivals pop in
 request order, so its flows take the next contiguous fids.  A flow's
 straggler report delay is a flow column; of the rest of a batch only the
-columns the recorders read at the end (servers, nominal bytes, goodput
-factors) outlive planning, one segment per batch.
+columns the partition log reads at the end (servers, nominal bytes,
+goodput factors) outlive planning, one segment per batch.
 
 The event heap carries only request arrivals and delayed straggler
 reports.  The next flow completion is the ``argmin`` of ``eta`` over the
@@ -212,7 +212,6 @@ def _run_heap(
     stragglers = lc.injector.enabled
     emit = lc.emit
     record = lc.record
-    recorders = lc.recorders
 
     server_bytes = lc.byte_ledger()
     latencies = np.full(n_requests, np.nan)
@@ -229,7 +228,7 @@ def _run_heap(
     req_f0 = [0] * n_requests
     req_f1 = [0] * n_requests
     # One (servers, nominal bytes, goodput factors) segment per batch, in
-    # fid order: what the recorders read at the end.
+    # fid order: what the partition log reads at the end.
     segments: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     flows = _Flows(n_requests)
@@ -547,19 +546,18 @@ def _run_heap(
         starts = flows.start[:n]
         first = np.array(req_f0)
         all_reqs = np.arange(n_requests)
-        for c in recorders:
-            c.record_request_frame(all_reqs, req_miss, req_straggled)
-            c.record_join_frame(all_reqs, np.array(req_critical) - first)
-            c.record_partition_frame(
-                reqs,
-                np.arange(n) - first[reqs],
-                servers,
-                nominal,
-                np.where(np.isnan(starts), trace.times[reqs], starts),
-                flows.end[:n],
-                flows.extra[:n],
-                gfactors,
-            )
+        lc.log.record_request_frame(all_reqs, req_miss, req_straggled)
+        lc.log.record_join_frame(all_reqs, np.array(req_critical) - first)
+        lc.log.record_partition_frame(
+            reqs,
+            np.arange(n) - first[reqs],
+            servers,
+            nominal,
+            np.where(np.isnan(starts), trace.times[reqs], starts),
+            flows.end[:n],
+            flows.extra[:n],
+            gfactors,
+        )
 
     return lc.result(latencies, server_bytes)
 

@@ -17,11 +17,11 @@ lookup/placement → ``worker`` read/write/evict → ``lineage`` recovery)
 is instrumented with it.  The disabled path is one ``tracer.enabled``
 check — free, like every other hook in :mod:`repro.obs`.
 
-**Engine span trees** — a :class:`CausalCollector` rides inside
-:class:`~repro.cluster.engine.lifecycle.RequestLifecycle` with the same
-buffer-only hook API as :class:`~repro.obs.timeline.TimelineCollector`,
-so every discipline (``fifo``/``ps``/``limited``) feeds it for free,
-at any batch size.  Span identity is *deterministic*: the trace id is a
+**Engine span trees** — a :class:`CausalCollector` reads the run's
+:class:`~repro.obs.timeline.PartitionLog`, the one record buffer it
+shares with :class:`~repro.obs.timeline.TimelineCollector`, so every
+discipline (``fifo``/``ps``/``limited``) feeds it for free, at any
+batch size.  Span identity is *deterministic*: the trace id is a
 hash of ``(scheme, engine, request)`` and span ids hash the role within
 the tree, so two runs of the same workload — an engine and its
 per-request oracle, or two batch sizes — produce byte-identical causal
@@ -41,6 +41,10 @@ max-latency chain across its ``k`` partition fetches: the fetch whose
   (``reported - end``);
 * ``join``     — the residual: post-join decode plus any miss penalty
   (``latency - queue - service - transfer``).
+
+A timeline tail exemplar splits the same chain under other names:
+its ``queueing``, ``transfer`` and ``straggling`` are ``queue``,
+``service`` and ``transfer`` here, and ``join`` is ``join``.
 
 Because ``join`` is defined as the residual, the **conservation
 invariant** — critical-path segment sum equals the end-to-end latency —
@@ -68,8 +72,7 @@ import numpy as np
 
 from repro.obs import events as ev
 from repro.obs.replay import load_events
-from repro.obs.sections import Channel
-from repro.obs.timeline import PartitionRecorder
+from repro.obs.sections import Channel, Observer, RunEnd
 from repro.obs.tracing import Tracer, get_tracer
 
 __all__ = [
@@ -336,43 +339,58 @@ class CausalConfig:
 # -- the collector ---------------------------------------------------------
 
 
-class CausalCollector(PartitionRecorder):
-    """Buffers raw per-partition records; all analysis in :meth:`finalize`.
+class CausalCollector(Observer):
+    """Critical chains from the run's partition log
+    (:class:`~repro.obs.timeline.PartitionLog`).
 
-    Shares :class:`~repro.obs.timeline.TimelineCollector`'s hook API
-    (:class:`~repro.obs.timeline.PartitionRecorder`), so the lifecycle
-    can fan one guarded call out to both collectors and no discipline
-    needs causal-specific code.  :meth:`finalize` computes every request's
-    critical chain, verifies the conservation invariant, and returns a
+    The log is the one :class:`~repro.obs.timeline.TimelineCollector`
+    reads, and its critical-path split is this collector's chain edges.
+    :meth:`finalize` verifies the conservation invariant and returns a
     JSON-able section; :meth:`emit_spans` (call after finalize, only
     when tracing) emits the full per-request span trees as ``cspan``
     events with deterministic ids.
     """
 
+    records = True
+    run_fields = ("n_servers", "scheme", "engine", "tracer")
     #: Workload fingerprint, set by finalize; discriminates repeated
     #: same-scheme runs in one process so trace ids never collide.
     run_key = ""
-    #: Sorted arrays stashed by finalize for :meth:`emit_spans`.
-    _fin: dict[str, Any] | None = None
 
-    def finalize(
+    def __init__(
         self,
+        config: CausalConfig,
         *,
-        times: np.ndarray,
-        file_ids: np.ndarray,
-        latencies: np.ndarray,
-        warmup_fraction: float = 0.0,
-    ) -> dict[str, Any]:
+        n_servers: int,
+        scheme: str,
+        engine: str,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.config = config
+        self.n_servers = int(n_servers)
+        self.scheme = scheme
+        self.engine = engine
+        self.tracer = tracer
+        #: The finished run, kept by finalize for :meth:`emit_spans`.
+        self._end: RunEnd | None = None
+
+    def finish(self, end: RunEnd) -> dict[str, Any]:
+        section = self.finalize(end)
+        if self.tracer is not None and self.tracer.enabled:
+            self.emit_spans(self.tracer)
+        return section
+
+    def finalize(self, end: RunEnd) -> dict[str, Any]:
         """Critical chains + conservation check, as one JSON-able section.
 
-        Deterministic by construction: records are lexsorted by
+        Deterministic by construction: the log is lexsorted by
         ``(request, partition)`` before any arithmetic, so frames recorded
         in any order and grouping produce identical sections.
         """
         cfg = self.config
-        times = np.asarray(times, dtype=np.float64)
-        latencies = np.asarray(latencies, dtype=np.float64)
-        file_ids = np.asarray(file_ids, dtype=np.int64)
+        times = np.asarray(end.times, dtype=np.float64)
+        latencies = np.asarray(end.latencies, dtype=np.float64)
+        file_ids = np.asarray(end.file_ids, dtype=np.int64)
         n_req = int(latencies.size)
 
         # Workload fingerprint for the deterministic trace ids: two
@@ -385,37 +403,11 @@ class CausalCollector(PartitionRecorder):
         fp.update(latencies.tobytes())
         self.run_key = fp.hexdigest()
 
-        req, pos, server, size, start, end, extra, _gf = (
-            self._sorted_records()
+        log = end.log.split(times, latencies)
+        self._end = end
+        queue, service, transfer, join = (
+            log.queue, log.service, log.transfer, log.join
         )
-
-        ids = np.arange(n_req, dtype=np.int64)
-        blk_lo = np.searchsorted(req, ids, side="left")
-        blk_hi = np.searchsorted(req, ids, side="right")
-        kk = blk_hi - blk_lo
-        crit = self.crit_pos[:n_req]
-        valid = (kk > 0) & (crit >= 0) & (crit < kk)
-        crow = np.where(valid, blk_lo + np.clip(crit, 0, None), 0)
-        if req.size:
-            # A discipline records each partition position exactly once,
-            # so within one request's block ``pos`` is 0..k-1 in order
-            # and the critical row sits at ``blk_lo + crit``; verify
-            # rather than assume, demoting mismatches to join-only.
-            valid &= np.where(valid, pos[crow] == crit, False)
-
-        queue = np.zeros(n_req)
-        service = np.zeros(n_req)
-        transfer = np.zeros(n_req)
-        crit_server = np.full(n_req, -1, dtype=np.int64)
-        crit_bytes = np.zeros(n_req)
-        if req.size and n_req:
-            rows = crow[valid]
-            queue[valid] = start[rows] - times[valid]
-            service[valid] = end[rows] - start[rows]
-            transfer[valid] = extra[rows]
-            crit_server[valid] = server[rows]
-            crit_bytes[valid] = size[rows]
-        join = latencies - queue - service - transfer
 
         # Conservation: re-add the segments and compare against the
         # end-to-end latency.  ``join`` is the residual, so the only
@@ -431,7 +423,7 @@ class CausalCollector(PartitionRecorder):
             "ok": bool(max_rel <= cfg.tolerance),
         }
 
-        skip = int(n_req * warmup_fraction)
+        skip = int(n_req * end.warmup_fraction)
         edges = {
             "queue_s": float(queue[skip:].sum()),
             "service_s": float(service[skip:].sum()),
@@ -448,46 +440,26 @@ class CausalCollector(PartitionRecorder):
             for r in slowest.tolist():
                 chains.append(
                     {
-                        "req": int(r),
+                        "req": r,
                         "trace_id": request_trace_id(
-                            self.scheme, self.engine, int(r), self.run_key
+                            self.scheme, self.engine, r, self.run_key
                         ),
                         "file_id": int(file_ids[r]),
                         "arrival_s": float(times[r]),
                         "latency_s": float(latencies[r]),
-                        "k": int(kk[r]),
-                        "crit": int(crit[r]),
-                        "server": int(crit_server[r]),
-                        "bytes": float(crit_bytes[r]),
+                        "k": int(log.blk_hi[r] - log.blk_lo[r]),
+                        "crit": int(log.crit_pos[r]),
+                        "server": int(log.crit_server[r]),
+                        "bytes": float(log.crit_bytes[r]),
                         "queue_s": float(queue[r]),
                         "service_s": float(service[r]),
                         "transfer_s": float(transfer[r]),
                         "join_s": float(join[r]),
-                        "missed": bool(self.missed[r]),
-                        "straggled": bool(self.straggled[r]),
+                        "missed": bool(log.missed[r]),
+                        "straggled": bool(log.straggled[r]),
                     }
                 )
 
-        self._fin = {
-            "req": req,
-            "pos": pos,
-            "server": server,
-            "size": size,
-            "start": start,
-            "end": end,
-            "extra": extra,
-            "times": times,
-            "file_ids": np.asarray(file_ids, dtype=np.int64),
-            "latencies": latencies,
-            "blk_lo": blk_lo,
-            "blk_hi": blk_hi,
-            "crit": crit,
-            "valid": valid,
-            "queue": queue,
-            "service": service,
-            "transfer": transfer,
-            "join": join,
-        }
         return {
             "schema_version": CAUSAL_SCHEMA_VERSION,
             "scheme": self.scheme,
@@ -510,20 +482,21 @@ class CausalCollector(PartitionRecorder):
         traces of one workload carry identical DAGs.
         Returns the number of events emitted.
         """
-        if self._fin is None:
+        if self._end is None:
             raise RuntimeError("emit_spans requires finalize() first")
         if not tracer.enabled:
             return 0
-        f = self._fin
+        end = self._end
+        log = end.log
         event = tracer.event
         n = 0
-        lat = f["latencies"]
-        for r in range(int(lat.size)):
+        for r in range(int(end.latencies.size)):
             tid = request_trace_id(self.scheme, self.engine, r, self.run_key)
             root = request_span_id(tid, "request")
-            arrival = float(f["times"][r])
-            latency = float(lat[r])
-            crit = int(f["crit"][r])
+            arrival = float(end.times[r])
+            latency = float(end.latencies[r])
+            crit = int(log.crit_pos[r])
+            lo, hi = int(log.blk_lo[r]), int(log.blk_hi[r])
             event(
                 ev.CSPAN,
                 ts=arrival,
@@ -534,19 +507,19 @@ class CausalCollector(PartitionRecorder):
                 scheme=self.scheme,
                 engine=self.engine,
                 req=r,
-                file_id=int(f["file_ids"][r]),
+                file_id=int(end.file_ids[r]),
                 latency_s=latency,
-                k=int(f["blk_hi"][r] - f["blk_lo"][r]),
+                k=hi - lo,
                 crit=crit,
-                missed=bool(self.missed[r]),
-                straggled=bool(self.straggled[r]),
+                missed=bool(log.missed[r]),
+                straggled=bool(log.straggled[r]),
             )
             n += 1
-            for row in range(int(f["blk_lo"][r]), int(f["blk_hi"][r])):
-                p = int(f["pos"][row])
+            for row in range(lo, hi):
+                p = int(log.pos[row])
                 event(
                     ev.CSPAN,
-                    ts=float(f["start"][row]),
+                    ts=float(log.start[row]),
                     name="fetch",
                     trace_id=tid,
                     span_id=request_span_id(tid, f"fetch{p}"),
@@ -554,15 +527,15 @@ class CausalCollector(PartitionRecorder):
                     scheme=self.scheme,
                     req=r,
                     pos=p,
-                    server=int(f["server"][row]),
-                    bytes=float(f["size"][row]),
-                    queue_s=float(f["start"][row] - arrival),
-                    service_s=float(f["end"][row] - f["start"][row]),
-                    transfer_s=float(f["extra"][row]),
+                    server=int(log.server[row]),
+                    bytes=float(log.size[row]),
+                    queue_s=float(log.start[row] - arrival),
+                    service_s=float(log.end[row] - log.start[row]),
+                    transfer_s=float(log.extra[row]),
                     critical=bool(p == crit),
                 )
                 n += 1
-            join_s = float(f["join"][r])
+            join_s = float(log.join[r])
             event(
                 ev.CSPAN,
                 ts=arrival + latency - join_s,
@@ -576,9 +549,6 @@ class CausalCollector(PartitionRecorder):
             )
             n += 1
         return n
-
-    def _emit(self, section: dict[str, Any]) -> None:
-        self.emit_spans(self.tracer)
 
 
 # -- ambient config + section sinks (see repro.obs.sections) ----------------

@@ -68,7 +68,6 @@ SLO_RECOVERED = "slo_recovered"  # burn-rate alert closed: objective, severity
 
 # -- spans / profiling (repro.obs.spans) --------------------------------------
 SPAN = "span"  # hierarchical wall-clock span: name, span_id, parent, wall_s
-PROFILE = "profile"  # legacy flat wall-clock span: name, wall_s
 
 # -- causal tracing (repro.obs.causal) ----------------------------------------
 CSPAN = "cspan"  # causal span: name, trace_id, span_id, parent_id, edges
@@ -108,5 +107,4 @@ EVENT_LAYER: dict[str, str] = {
     **{name: "slo" for name in SLO_EVENTS},
     **{name: "causal" for name in CAUSAL_EVENTS},
     SPAN: "profiling",
-    PROFILE: "profiling",
 }

@@ -240,23 +240,19 @@ def metrics_snapshots(source) -> dict[str, dict[str, Any]]:
 
 
 def span_tree(source) -> list[dict[str, Any]]:
-    """Rebuild the span forest from ``span`` (and legacy ``profile``) events.
+    """Rebuild the span forest from ``span`` events.
 
     Returns the root nodes; every node is the original record plus a
     ``children`` list.  A node whose ``parent`` id never appears in the
-    trace (e.g. the trace started mid-run) is promoted to a root.  Legacy
-    ``profile`` events carry no ids and always become leaf roots.
+    trace (e.g. the trace started mid-run) is promoted to a root.
     """
     nodes: dict[int, dict[str, Any]] = {}
     order: list[dict[str, Any]] = []
     for record in load_events(source):
-        kind = record.get("event")
-        if kind == ev.SPAN and "span_id" in record:
+        if record.get("event") == ev.SPAN and "span_id" in record:
             node = {**record, "children": []}
             nodes[record["span_id"]] = node
             order.append(node)
-        elif kind == ev.PROFILE:
-            order.append({**record, "span_id": None, "children": []})
     roots: list[dict[str, Any]] = []
     for node in order:
         parent = node.get("parent")

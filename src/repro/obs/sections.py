@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.obs.timeline import PartitionLog
     from repro.obs.tracing import Tracer
 
 __all__ = [
@@ -61,13 +62,15 @@ class RunStart:
 @dataclass(frozen=True)
 class RunEnd:
     """What a finished run hands each observer, in arrival order, with
-    the sections finished so far (by channel name)."""
+    the run's partition log (``None`` when no observer records) and the
+    sections finished so far (by channel name)."""
 
     times: np.ndarray
     file_ids: np.ndarray
     latencies: np.ndarray
     server_bytes: np.ndarray
     warmup_fraction: float
+    log: PartitionLog | None = None
     sections: dict[str, dict[str, Any]] = field(default_factory=dict)
 
 
@@ -75,11 +78,13 @@ class Observer:
     """One run's observer: :meth:`start` builds it, :meth:`finish` ends it.
 
     Its roles tell the simulator which hot-path hooks to hoist, so an
-    observer that is off costs nothing: ``records`` takes the
-    ``record_*_frame`` hooks (:class:`~repro.obs.timeline.PartitionRecorder`);
-    ``feeds`` takes every planned batch (``attach_cumulative_loads`` of
-    the byte ledger, then ``observe_batch``; one per run); ``miss_log``
-    gets one cache-miss flag per request, in arrival order.
+    observer that is off costs nothing: ``records`` reads the run's one
+    :class:`~repro.obs.timeline.PartitionLog` (:attr:`RunEnd.log`), which
+    the simulator builds and feeds through its ``record_*_frame`` hooks
+    when any started observer records; ``feeds`` takes every planned
+    batch (``attach_cumulative_loads`` of the byte ledger, then
+    ``observe_batch``; one per run); ``miss_log`` gets one cache-miss
+    flag per request, in arrival order.
     """
 
     records: bool = False

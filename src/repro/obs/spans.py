@@ -292,23 +292,9 @@ def _as_span_dicts(source: Any) -> list[dict[str, Any]]:
                     "labels": labels,
                 }
             )
-        elif kind == ev.PROFILE:  # legacy flat profiling hook
-            labels = {
-                k: v
-                for k, v in item.items()
-                if k not in ("event", "ts", "name", "wall_s")
-            }
-            out.append(
-                {
-                    "name": item.get("name", "?"),
-                    "span_id": None,
-                    "parent": None,
-                    "start": float(item.get("ts", 0.0)),
-                    "wall_s": float(item.get("wall_s", 0.0)),
-                    "labels": labels,
-                }
-            )
-        elif "name" in item and "wall_s" in item:  # manifest span dicts
+        elif kind is None and "name" in item and "wall_s" in item:
+            # manifest span dicts (a trace record of another kind, such
+            # as an older build's ``profile``, is no span)
             out.append(
                 {
                     "name": item["name"],
@@ -331,7 +317,7 @@ def chrome_trace(
 
     ``source`` may be a :class:`SpanCollector`, an iterable of
     :class:`SpanRecord` / span dicts, or replayed trace events (``span``
-    and legacy ``profile`` records).  Each span becomes one complete
+    records).  Each span becomes one complete
     ("X"-phase) event with microsecond timestamps, so the output loads
     directly in ``chrome://tracing`` and https://ui.perfetto.dev.
 

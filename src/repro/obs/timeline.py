@@ -22,11 +22,12 @@ server discipline (``fifo``/``ps``/``limited``) feeds it for free:
 Default state is a no-op: a run collects nothing unless its
 :class:`~repro.cluster.engine.lifecycle.SimulationConfig` carries a
 :class:`TimelineConfig` or one is installed ambiently with
-:func:`use_timeline`.  Hot-path hooks only buffer raw records; all
-aggregation happens once in :meth:`TimelineCollector.finalize`, where
-records are re-sorted by ``(request, partition)`` so the produced section
-is independent of event ordering — ``limited(inf)`` and ``ps`` yield
-byte-identical sections, and two identical seeded runs always do.
+:func:`use_timeline`.  Hot-path hooks only buffer raw records in the
+run's one :class:`PartitionLog`, which the causal collector reads too;
+it sorts them by ``(request, partition)`` once, at finalize, so the
+produced section is independent of event ordering — ``limited(inf)`` and
+``ps`` yield byte-identical sections, and two identical seeded runs
+always do.
 
 Sections are plain JSON-able dicts; they serialize into run manifests
 (:mod:`repro.obs.runinfo`), export as Chrome-trace
@@ -49,7 +50,7 @@ from repro.obs.tracing import Tracer
 __all__ = [
     "TIMELINES",
     "TIMELINE_SCHEMA_VERSION",
-    "PartitionRecorder",
+    "PartitionLog",
     "TimelineConfig",
     "TimelineCollector",
     "chrome_counter_events",
@@ -99,61 +100,37 @@ class TimelineConfig:
             raise ValueError("reservoir_size must be >= 1")
 
 
+# -- the partition log ----------------------------------------------------
 
-# -- the collector --------------------------------------------------------
 
+class PartitionLog:
+    """One run's per-partition records, shared by the recording observers.
 
-class PartitionRecorder(Observer):
-    """The buffer-only per-partition hook API of the recording observers.
-
-    Timeline and causal collection read the same raw records, so both
-    collectors inherit these hooks and the engines fan one guarded
-    ``for c in lc.recorders:`` out to whichever are enabled — no
-    discipline needs observer-specific code.  Each hook takes a frame of
-    many requests at once and only buffers; subclasses aggregate in
-    ``finalize`` from :meth:`_sorted_records` and trace the section in
-    ``_emit``, which :meth:`finish` calls when ``tracer`` is enabled.
+    :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` builds one
+    when any started observer declares ``records`` (timeline, causal);
+    the disciplines feed it through the ``record_*_frame`` hooks, which
+    only buffer, and :class:`~repro.obs.sections.RunEnd` hands it to the
+    collectors.  Whichever collector finalizes first calls :meth:`split`,
+    which sorts the records and splits every request's latency along its
+    critical path — once per run, however many collectors read it.
     """
 
-    records = True
-    run_fields = ("n_requests", "n_servers", "scheme", "engine", "tracer")
-
-    def __init__(
-        self,
-        config: Any,
-        *,
-        n_requests: int,
-        n_servers: int,
-        scheme: str,
-        engine: str,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.config = config
-        self.n_requests = int(n_requests)
-        self.n_servers = int(n_servers)
-        self.scheme = scheme
-        self.engine = engine
-        self.tracer = tracer
-        # Raw partition records, append-only (aggregated at finalize):
-        # each frame holds many requests' partition rows as flat arrays,
-        # so a million-request run buffers thousands of frames instead of
-        # millions of Python scalars.
+    def __init__(self, n_requests: int) -> None:
+        # Raw partition records, append-only: each frame holds many
+        # requests' partition rows as flat arrays, so a million-request
+        # run buffers thousands of frames instead of millions of scalars.
         self._frames: list[tuple[np.ndarray, ...]] = []
         # Per-request facts, filled as the run learns them.
-        self.crit_pos = np.full(self.n_requests, -1, dtype=np.int64)
-        self.missed = np.zeros(self.n_requests, dtype=bool)
-        self.straggled = np.zeros(self.n_requests, dtype=bool)
-
-    def finish(self, end: RunEnd) -> dict[str, Any]:
-        section = self.finalize(
-            times=end.times,
-            file_ids=end.file_ids,
-            latencies=end.latencies,
-            warmup_fraction=end.warmup_fraction,
-        )
-        if self.tracer is not None and self.tracer.enabled:
-            self._emit(section)
-        return section
+        self.crit_pos = np.full(n_requests, -1, dtype=np.int64)
+        self.missed = np.zeros(n_requests, dtype=bool)
+        self.straggled = np.zeros(n_requests, dtype=bool)
+        #: Set by :meth:`split`: the records as columns ``req``, ``pos``,
+        #: ``server``, ``size``, ``start``, ``end``, ``extra``,
+        #: ``gfactor`` sorted by ``(request, partition)``; request ``r``'s
+        #: rows ``blk_lo[r]:blk_hi[r]``; its critical partition's
+        #: ``crit_server``/``crit_bytes`` (``-1``/``0`` without one); and
+        #: its latency split ``queue + service + transfer + join``.
+        self.req: np.ndarray | None = None
 
     # -- hot-path hooks (buffer only, no arithmetic) ------------------
 
@@ -190,63 +167,123 @@ class PartitionRecorder(Observer):
             poss, dtype=np.int64
         )
 
-    # -- finalize -----------------------------------------------------
+    # -- the critical-path split ----------------------------------------
 
-    def _sorted_records(self) -> tuple[np.ndarray, ...]:
-        """Every frame's records as flat arrays, lexsorted by
-        ``(request, partition)``.
+    def split(self, times: np.ndarray, latencies: np.ndarray) -> PartitionLog:
+        """Sort the records and split each request's latency (float64
+        arrival times and latencies); returns the log.  Runs once: later
+        calls (the run's other collectors) reuse the result.
 
-        Each pair is recorded at most once, so the order and grouping
-        the frames arrived in never leak into a section.
+        Records are lexsorted by ``(request, partition)`` before any
+        arithmetic, and each pair is recorded at most once, so the order
+        and grouping the frames arrived in never leak into a section.
+        The critical partition is the one whose reported completion fired
+        the join, so its edges are ``queue = start - arrival``,
+        ``service = end - start`` and ``transfer`` (the straggler report
+        delay), and ``join = latency - queue - service - transfer`` (the
+        post-join decode plus any miss penalty) makes the four sum to the
+        latency.  A request without a recorded critical partition is all
+        ``join``.
         """
-        if not self._frames:
+        if self.req is not None:
+            return self
+        if self._frames:
+            cols = [np.concatenate(col) for col in zip(*self._frames)]
+            order = np.lexsort((cols[1], cols[0]))
+            for i, col in enumerate(cols):  # one column at a time: low peak
+                cols[i] = col[order]
+        else:
             ints = np.empty(0, dtype=np.int64)
-            floats = np.empty(0)
-            return (ints, ints, ints) + (floats,) * 5
-        cols = [np.concatenate(col) for col in zip(*self._frames)]
-        order = np.lexsort((cols[1], cols[0]))
-        for i, col in enumerate(cols):  # one column at a time: low peak
-            cols[i] = col[order]
-        return tuple(cols)
+            cols = [ints, ints, ints] + [np.empty(0)] * 5
+        self._frames = []
+        req, pos, server, size, start, end, extra, _ = cols
+        self.req, self.pos, self.server, self.size = req, pos, server, size
+        self.start, self.end, self.extra, self.gfactor = cols[4:]
+
+        n_req = int(latencies.size)
+        ids = np.arange(n_req, dtype=np.int64)
+        self.blk_lo = np.searchsorted(req, ids, side="left")
+        self.blk_hi = np.searchsorted(req, ids, side="right")
+        kk = self.blk_hi - self.blk_lo
+        crit = self.crit_pos[:n_req]
+        valid = (kk > 0) & (crit >= 0) & (crit < kk)
+        crow = np.where(valid, self.blk_lo + np.clip(crit, 0, None), 0)
+        if req.size:
+            # A discipline records each partition position exactly once,
+            # so within one request's block ``pos`` is 0..k-1 in order
+            # and the critical row sits at ``blk_lo + crit``; verify
+            # rather than assume, demoting mismatches to join-only.
+            valid &= np.where(valid, pos[crow] == crit, False)
+        rows = crow[valid]
+        self.queue = np.zeros(n_req)
+        self.service = np.zeros(n_req)
+        self.transfer = np.zeros(n_req)
+        self.crit_server = np.full(n_req, -1, dtype=np.int64)
+        self.crit_bytes = np.zeros(n_req)
+        self.queue[valid] = start[rows] - times[valid]
+        self.service[valid] = end[rows] - start[rows]
+        self.transfer[valid] = extra[rows]
+        self.crit_server[valid] = server[rows]
+        self.crit_bytes[valid] = size[rows]
+        self.join = latencies - self.queue - self.service - self.transfer
+        return self
 
 
-class TimelineCollector(PartitionRecorder):
-    """Buffers raw per-partition/per-request records during one run.
+# -- the collector --------------------------------------------------------
 
-    Disciplines call the ``record_*_frame`` hooks (guarded by the
-    lifecycle's hoisted ``record`` flag); :meth:`finalize` does all
-    aggregation.  A discipline that never calls the partition hooks still
-    finalizes to a valid (empty-series) section — attribution then
-    charges everything to the ``join`` component.
+
+class TimelineCollector(Observer):
+    """Windowed series and tail exemplars from the run's
+    :class:`PartitionLog`.
+
+    A discipline that never calls the partition hooks still finalizes
+    to a valid (empty-series) section — attribution then charges
+    everything to the ``join`` component.
     """
 
-    def finalize(
-        self,
-        *,
-        times: np.ndarray,
-        file_ids: np.ndarray,
-        latencies: np.ndarray,
-        warmup_fraction: float = 0.0,
-    ) -> dict[str, Any]:
-        """Aggregate the buffered records into one JSON-able section.
+    records = True
+    run_fields = ("n_servers", "scheme", "engine", "tracer")
 
-        Deterministic by construction: records are sorted by
-        ``(request, partition)`` before any float accumulation, so the
-        output depends only on the simulated quantities — never on event
-        ordering or the wall clock.
+    def __init__(
+        self,
+        config: TimelineConfig,
+        *,
+        n_servers: int,
+        scheme: str,
+        engine: str,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.config = config
+        self.n_servers = int(n_servers)
+        self.scheme = scheme
+        self.engine = engine
+        self.tracer = tracer
+
+    def finish(self, end: RunEnd) -> dict[str, Any]:
+        section = self.finalize(end)
+        if self.tracer is not None and self.tracer.enabled:
+            self._emit(section)
+        return section
+
+    def finalize(self, end: RunEnd) -> dict[str, Any]:
+        """Aggregate the run's partition log into one JSON-able section.
+
+        Deterministic by construction: the log is sorted by ``(request,
+        partition)`` before any float accumulation, so the output depends
+        only on the simulated quantities — never on event ordering or the
+        wall clock.
         """
         cfg = self.config
-        n_req = int(np.asarray(latencies).size)
-        times = np.asarray(times, dtype=np.float64)
-        latencies = np.asarray(latencies, dtype=np.float64)
-
-        req, pos, server, size, start, end, extra, gfactor = (
-            self._sorted_records()
-        )
+        times = np.asarray(end.times, dtype=np.float64)
+        latencies = np.asarray(end.latencies, dtype=np.float64)
+        n_req = int(latencies.size)
+        log = end.log.split(times, latencies)
+        req, server, size = log.req, log.server, log.size
+        start, end_s, extra = log.start, log.end, log.extra
 
         span_end = 0.0
         if req.size:
-            span_end = float((end + extra).max())
+            span_end = float((end_s + extra).max())
         if n_req:
             span_end = max(span_end, float(times.max()))
         if cfg.window_s is not None:
@@ -270,7 +307,7 @@ class TimelineCollector(PartitionRecorder):
             clipped_partitions = int(np.count_nonzero(wi >= n_windows))
             wi = np.clip(wi, 0, n_windows - 1)
             np.add.at(bytes_w.ravel(), wi * self.n_servers + server, size)
-            _accumulate_overlap(busy_w, start, end, server, window_s)
+            _accumulate_overlap(busy_w, start, end_s, server, window_s)
             arrival = times[req]
             _accumulate_overlap(queue_w, arrival, start, server, window_s)
         queue_depth = queue_w / window_s if n_windows else queue_w
@@ -302,8 +339,7 @@ class TimelineCollector(PartitionRecorder):
                 latency_rows.append(row)
 
         tail = self._finalize_tail(
-            times, file_ids, latencies, warmup_fraction,
-            req, pos, server, size, start, end, extra, gfactor,
+            times, end.file_ids, latencies, end.warmup_fraction, log
         )
 
         return {
@@ -324,19 +360,7 @@ class TimelineCollector(PartitionRecorder):
         }
 
     def _finalize_tail(
-        self,
-        times,
-        file_ids,
-        latencies,
-        warmup_fraction,
-        req,
-        pos,
-        server,
-        size,
-        start,
-        end,
-        extra,
-        gfactor,
+        self, times, file_ids, latencies, warmup_fraction, log: PartitionLog
     ) -> dict[str, Any]:
         cfg = self.config
         n_req = int(latencies.size)
@@ -361,57 +385,47 @@ class TimelineCollector(PartitionRecorder):
 
         k = min(cfg.tail_k, int(steady.size))
         slowest = np.argsort(-steady, kind="stable")[:k] + skip
-        # Partition rows are sorted by request id, so each request's block
-        # is one contiguous slice.
-        blk_lo = np.searchsorted(req, slowest, side="left")
-        blk_hi = np.searchsorted(req, slowest, side="right")
-
-        comps = np.zeros((k, 4))  # queueing, straggling, transfer, join
+        # Queueing, straggling, transfer, join: the log's queue,
+        # transfer, service and join edges (one row per exemplar).
+        comps = np.stack(
+            [
+                log.queue[slowest],
+                log.transfer[slowest],
+                log.service[slowest],
+                log.join[slowest],
+            ],
+            axis=1,
+        )
+        pos, server, size = log.pos, log.server, log.size
+        start, end, extra, gfactor = log.start, log.end, log.extra, log.gfactor
         exemplars: list[dict[str, Any]] = []
-        for i in range(k):
-            r = int(slowest[i])
-            lat = float(latencies[r])
+        for i, r in enumerate(slowest.tolist()):
             arrival = float(times[r])
-            lo, hi = int(blk_lo[i]), int(blk_hi[i])
-            parts: list[dict[str, Any]] = []
-            crit_row = -1
-            crit = int(self.crit_pos[r])
-            for row in range(lo, hi):
-                parts.append(
-                    {
-                        "server": int(server[row]),
-                        "bytes": float(size[row]),
-                        "queue_s": float(start[row] - arrival),
-                        "transfer_s": float(end[row] - start[row]),
-                        "straggle_s": float(extra[row]),
-                        "goodput": float(gfactor[row]),
-                        "critical": bool(pos[row] == crit),
-                    }
-                )
-                if pos[row] == crit:
-                    crit_row = row
-            if crit_row >= 0:
-                queueing = float(start[crit_row] - arrival)
-                transfer = float(end[crit_row] - start[crit_row])
-                straggling = float(extra[crit_row])
-                last_server = int(server[crit_row])
-            else:
-                # Discipline recorded no partitions (or no join): charge
-                # the whole latency to the join component.
-                queueing = transfer = straggling = 0.0
-                last_server = -1
-            join = lat - queueing - transfer - straggling
-            comps[i] = (queueing, straggling, transfer, join)
+            lo, hi = int(log.blk_lo[r]), int(log.blk_hi[r])
+            crit = int(log.crit_pos[r])
+            parts = [
+                {
+                    "server": int(server[row]),
+                    "bytes": float(size[row]),
+                    "queue_s": float(start[row] - arrival),
+                    "transfer_s": float(end[row] - start[row]),
+                    "straggle_s": float(extra[row]),
+                    "goodput": float(gfactor[row]),
+                    "critical": bool(pos[row] == crit),
+                }
+                for row in range(lo, hi)
+            ]
+            queueing, straggling, transfer, join = comps[i].tolist()
             exemplars.append(
                 {
                     "req": r,
                     "file_id": int(file_ids[r]),
                     "arrival_s": arrival,
-                    "latency_s": lat,
+                    "latency_s": float(latencies[r]),
                     "parallelism": hi - lo,
-                    "missed": bool(self.missed[r]),
-                    "straggled": bool(self.straggled[r]),
-                    "last_server": last_server,
+                    "missed": bool(log.missed[r]),
+                    "straggled": bool(log.straggled[r]),
+                    "last_server": int(log.crit_server[r]),
                     "components": {
                         "queueing_s": queueing,
                         "straggling_s": straggling,
@@ -425,9 +439,7 @@ class TimelineCollector(PartitionRecorder):
         tail["exemplars"] = exemplars
         means = comps.mean(axis=0)
         tail["attribution"].update(
-            mean_tail_latency_s=float(
-                np.mean([e["latency_s"] for e in exemplars])
-            ),
+            mean_tail_latency_s=float(np.mean(latencies[slowest])),
             queueing_s=float(means[0]),
             straggling_s=float(means[1]),
             transfer_s=float(means[2]),

@@ -145,12 +145,15 @@ def test_stats_tolerates_corrupt_and_unknown_records(tmp_path, capsys):
         fh.write("{broken json\n")
         fh.write('{"event": "future_thing", "ts": 1.0}\n')
         fh.write('["not", "a", "dict"]\n')
+        # An older build's flat profiling record: counted, not dropped.
+        fh.write('{"event": "profile", "name": "x", "ts": 2.0, "wall_s": 0.1}\n')
     capsys.readouterr()
     assert main(["stats", str(out), "--json"]) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert payload["summary"][0]["scheme"] == "sp-cache"
-    assert payload["unknown_events"] == {"future_thing": 1}
+    assert payload["unknown_events"] == {"future_thing": 1, "profile": 1}
+    assert payload["events"]["profile"] == 1
     # Table mode surfaces the skipped kinds on stderr.
     assert main(["stats", str(out)]) == 0
     assert "future_thing" in capsys.readouterr().err

@@ -117,15 +117,16 @@ def run_fifo(lc: RequestLifecycle) -> SimulationResult:
             )
 
     if frames is not None:
-        frames.flush(lc.recorders)
+        frames.flush(lc.log)
     return lc.result(latencies, server_bytes)
 
 
 class _Frames:
-    """Per-request recorder facts, handed over as one frame each at the end.
+    """Per-request partition-log facts, handed over as one frame each at
+    the end.
 
-    The recorders sort partition rows by ``(request, partition)`` before
-    aggregating, so the oracles may record in any order.
+    The log sorts partition rows by ``(request, partition)`` before any
+    aggregation, so the oracles may record in any order.
     """
 
     def __init__(self, n_requests: int) -> None:
@@ -152,12 +153,11 @@ class _Frames:
         ):
             self.partition(j, pos, *row)
 
-    def flush(self, recorders) -> None:
+    def flush(self, log) -> None:
         reqs = np.arange(self.crit.size)
         cols = [np.array(c) for c in zip(*self.rows)] or [
             np.empty(0) for _ in range(8)
         ]
-        for c in recorders:
-            c.record_request_frame(reqs, self.missed, self.straggled)
-            c.record_join_frame(reqs, self.crit)
-            c.record_partition_frame(*cols)
+        log.record_request_frame(reqs, self.missed, self.straggled)
+        log.record_join_frame(reqs, self.crit)
+        log.record_partition_frame(*cols)

@@ -4,8 +4,8 @@ This is the pure-Python event loop the array-backed engine in
 :mod:`repro.cluster.engine.shared_heap` replaced, kept as it was apart
 from its draw calls, which read the keyed draws of
 :mod:`repro.cluster.engine.draws` one request at a time
-(:mod:`keyed_draws`), and its recorder calls, which hand over one frame
-each at the end: every flow lives in parallel Python lists, every rate
+(:mod:`keyed_draws`), and its partition-log calls, which hand over one
+frame each at the end: every flow lives in parallel Python lists, every rate
 change pushes a fresh completion candidate onto one heap, and stale
 candidates are skipped by generation number.  It plans each request with
 the policy's ``plan_read`` and never touches the batch planner.  It is
@@ -283,7 +283,7 @@ def _run_heap(
         raise AssertionError("some requests never completed")
 
     if record:
-        frames.flush(lc.recorders)
+        frames.flush(lc.log)
     return lc.result(latencies, server_bytes)
 
 

@@ -8,6 +8,11 @@ span-tree DAGs, for every discipline.  The conservation
 invariant (critical-path segment sum == end-to-end latency) must hold
 at 1e-9 relative tolerance everywhere, and a trace round trip must
 reconstruct 100 % of the request DAGs.
+
+The timeline and causal collectors read one partition log per run, so
+each section must come out the same whether the other collector ran or
+not, and a timeline tail exemplar must be its causal chain, edge for
+edge, under the name map :data:`EXEMPLAR_CHAIN_NAMES`.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ import json
 
 import pytest
 
-from repro.cluster import SimulationConfig, simulate_reads
+from repro.cluster import SimulationConfig, StragglerInjector, simulate_reads
 from repro.common import ClusterSpec
 from repro.obs import (
     CausalConfig,
     RingBufferSink,
+    TimelineConfig,
     Tracer,
     causal_from_trace,
     span_forest,
@@ -28,10 +34,19 @@ from repro.obs import (
 )
 from repro.policies import SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
+from repro.workloads.bing import BingStragglerProfile
 
 from .heap_oracle import simulate_oracle
 
 DISCIPLINES = ("fifo", "ps", "limited(3)")
+
+#: A timeline tail component and the causal chain edge it equals.
+EXEMPLAR_CHAIN_NAMES = (
+    ("queueing_s", "queue_s"),
+    ("transfer_s", "service_s"),
+    ("straggling_s", "transfer_s"),
+    ("join_s", "join_s"),
+)
 
 
 def _shared_scenario():
@@ -148,3 +163,49 @@ def test_limited_inf_causal_is_exactly_ps():
         return json.dumps(data, sort_keys=True)
 
     assert canonical(inf) == canonical(ps)
+
+
+def _shared_log_run(discipline, observers):
+    """Jitter, stragglers and cache misses on: every edge is non-zero
+    somewhere."""
+    return _run(
+        discipline,
+        jitter="exponential",
+        stragglers=StragglerInjector(BingStragglerProfile(probability=0.3)),
+        cache_budget=2e8,
+        observers=observers,
+    )
+
+
+@pytest.mark.parametrize("discipline", ("fifo", "ps", "limited(2)"))
+def test_each_section_is_independent_of_the_other_collector(discipline):
+    both = _shared_log_run(discipline, (TimelineConfig(), CausalConfig()))
+    alone = {
+        "timeline": _shared_log_run(discipline, (TimelineConfig(),)),
+        "causal": _shared_log_run(discipline, (CausalConfig(),)),
+    }
+    for name, result in alone.items():
+        assert list(result.sections) == [name]
+        assert _canonical(result.sections[name]) == _canonical(
+            both.sections[name]
+        ), name
+
+
+@pytest.mark.parametrize("discipline", ("fifo", "ps", "limited(2)"))
+def test_tail_exemplars_are_the_causal_chains(discipline):
+    sections = _shared_log_run(
+        discipline, (TimelineConfig(), CausalConfig())
+    ).sections
+    exemplars = sections["timeline"]["tail"]["exemplars"]
+    chains = sections["causal"]["chains"]
+    assert len(exemplars) == len(chains) == 64
+    for exemplar, chain in zip(exemplars, chains):
+        assert exemplar["req"] == chain["req"]
+        assert exemplar["last_server"] == chain["server"]
+        components = exemplar["components"]
+        for timeline_name, causal_name in EXEMPLAR_CHAIN_NAMES:
+            assert float.hex(components[timeline_name]) == float.hex(
+                chain[causal_name]
+            ), (exemplar["req"], timeline_name)
+    assert any(c["transfer_s"] > 0 for c in chains)  # stragglers
+    assert any(c["missed"] for c in chains)

@@ -121,13 +121,13 @@ _SIZES = st.sampled_from([1e6, 2e6, 5e6])
 @st.composite
 def _fan_out(draw, n_servers):
     """One size on up to 6 distinct servers: under a binding client cap
-    every flow gets the same rate, so the whole fan-out ties.  (At most
-    12 MB, so the file fits the 25 MB cache budget.)"""
+    every flow gets the same rate, so the whole fan-out ties.  (Up to
+    30 MB, so some files exceed the 25 MB cache budget.)"""
     k = draw(st.integers(2, min(6, n_servers)))
     servers = draw(st.permutations(range(n_servers)))[:k]
     return ReadOp(
         server_ids=np.array(servers, dtype=np.int64),
-        sizes=np.full(k, draw(st.sampled_from([1e6, 2e6]))),
+        sizes=np.full(k, draw(_SIZES)),
         join_count=draw(st.integers(1, k)),
     )
 
@@ -264,6 +264,57 @@ def test_fifo_engine_matches_oracle(scenario):
     )
     old = run_fifo(RequestLifecycle(trace, planner, cluster, config, "fifo"))
     _assert_same(new, old)
+
+
+@pytest.mark.parametrize("capacity", ["fifo", None, 2])
+def test_file_over_the_cache_budget_is_an_uncached_miss(capacity):
+    """File 0 holds 30 MB against a 25 MB budget: every request for it
+    misses and pays the penalty, and it never enters the cache, so file
+    1 (10 MB) misses once and then hits.  Engine and oracle agree."""
+    cluster = ClusterSpec(n_servers=3, bandwidth=1e8, client_bandwidth=1.5e8)
+    planner = _ScriptedPlanner(
+        [
+            ReadOp(server_ids=np.array([0, 1, 2]), sizes=np.full(3, 1e7)),
+            ReadOp(server_ids=np.array([1]), sizes=np.array([1e7])),
+        ]
+    )
+    file_ids = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
+    trace = ArrivalTrace(times=np.arange(6) * 0.5, file_ids=file_ids)
+
+    def run(budget):
+        config = _exact(
+            cache_budget=budget,
+            warmup_fraction=0.0,
+            observers=_RECORDED + (default_slo_config(),),
+        )
+        if capacity == "fifo":
+            new = FifoDiscipline().run(
+                RequestLifecycle(trace, planner, cluster, config, "fifo")
+            )
+            old = run_fifo(
+                RequestLifecycle(trace, planner, cluster, config, "fifo")
+            )
+        else:
+            new, old = _run_both(trace, planner, cluster, config, capacity)
+        _assert_same(new, old)
+        return new
+
+    result, uncached = run(2.5e7), run(None)
+    assert (result.hits, result.misses) == (2, 4)
+    chains = sorted(
+        result.sections["causal"]["chains"], key=lambda c: c["req"]
+    )
+    missed = [c["missed"] for c in chains]
+    assert missed == [True, True, True, False, True, False]
+    miss = next(
+        o for o in result.sections["slo"]["objectives"] if o["kind"] == "miss"
+    )
+    assert miss["bad"] == 4
+    # The cache changes no queueing: a miss is the uncached latency times
+    # the penalty, a hit the uncached latency.
+    penalty = np.where(file_ids == 0, 3.0, 1.0)
+    penalty[1] = 3.0
+    assert _hex(result.latencies) == _hex(uncached.latencies * penalty)
 
 
 def test_arrival_tying_a_completion_goes_first():
@@ -425,7 +476,8 @@ _POLICIES = {
 @pytest.mark.parametrize("scheme", sorted(_POLICIES))
 def test_paper_policies_match_oracle(scheme, batch_size, capacity):
     """The figures' three schemes under the figures' engine settings
-    (deterministic jitter, natural stragglers) with both recorders on."""
+    (deterministic jitter, natural stragglers) with both recording
+    observers on."""
     trace, pop, cluster = _policy_scenario()
     policy = _POLICIES[scheme](pop, cluster)
     config = SimulationConfig(

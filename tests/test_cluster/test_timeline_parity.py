@@ -73,8 +73,9 @@ def test_limited_inf_timeline_matches_ps_with_stragglers_and_jitter():
 
 
 def test_limited_one_timeline_matches_fifo():
-    """c=1 reproduces the FIFO physics; the recorders differ (vectorized
-    blocks vs. event-heap scalars), so series agree to float tolerance."""
+    """c=1 reproduces the FIFO physics; the engines record differently
+    (vectorized blocks vs. event-heap scalars), so series agree to float
+    tolerance."""
     fifo = _run("fifo").sections["timeline"]
     lim1 = _run("limited(1)").sections["timeline"]
     assert lim1["window_s"] == pytest.approx(fifo["window_s"])

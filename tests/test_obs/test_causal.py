@@ -271,7 +271,7 @@ def test_causal_collection_does_not_perturb_results():
 
 def test_emit_spans_requires_finalize():
     collector = CausalCollector(
-        CausalConfig(), n_requests=1, n_servers=1, scheme="s", engine="e"
+        CausalConfig(), n_servers=1, scheme="s", engine="e"
     )
     with pytest.raises(RuntimeError):
         collector.emit_spans(Tracer(RingBufferSink()))

@@ -104,8 +104,8 @@ def test_enabled_slo_overhead_under_5_percent():
 
 def test_enabled_causal_overhead_under_5_percent():
     """Causal collection *on* must stay under the 5% budget: the hot
-    path is the same buffered-append recorder interface the timeline
-    collector uses; edge classification and the conservation check are
+    path is the same buffered-append partition log the timeline
+    collector reads; edge classification and the conservation check are
     one vectorized finalize pass (best-of retries absorb scheduler
     noise on loaded CI boxes)."""
     _load_bench()  # bench_causal_overhead imports from it

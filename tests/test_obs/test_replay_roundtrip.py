@@ -163,7 +163,12 @@ class TestReplayTolerance:
         assert [r["event"] for r in records] == ["read", "read_done"]
 
     def test_unknown_events_counts_unrecognized_kinds(self):
-        from repro.obs import KNOWN_EVENTS, unknown_events
+        from repro.obs import (
+            KNOWN_EVENTS,
+            chrome_trace,
+            span_tree,
+            unknown_events,
+        )
 
         source = [
             {"event": "read", "ts": 0.0},
@@ -171,9 +176,17 @@ class TestReplayTolerance:
             {"event": "future_thing"},
             {"ts": 3.0},  # no event name at all
             {"event": "span", "name": "x"},
+            # The retired flat profiling record of older traces.
+            {"event": "profile", "name": "old", "ts": 1.0, "wall_s": 0.5},
         ]
-        assert unknown_events(source) == {"?": 1, "future_thing": 2}
+        assert unknown_events(source) == {
+            "?": 1, "future_thing": 2, "profile": 1,
+        }
         assert "read" in KNOWN_EVENTS and "span" in KNOWN_EVENTS
+        assert "profile" not in KNOWN_EVENTS
+        assert span_tree(source) == []
+        events = chrome_trace(source)["traceEvents"]
+        assert [e["name"] for e in events if e["ph"] == "X"] == ["x"]
 
     def test_replay_ignores_unknown_and_partial_records(self, workload):
         """Foreign records interleaved with a real trace change nothing."""

@@ -192,8 +192,13 @@ def test_exemplar_components_sum_to_latency():
             c["queueing_s"] + c["straggling_s"] + c["transfer_s"] + c["join_s"]
         )
         assert total == pytest.approx(e["latency_s"], rel=1e-9, abs=1e-12)
-        assert any(p["critical"] for p in e["partitions"])
+        (crit,) = [p for p in e["partitions"] if p["critical"]]
         assert e["parallelism"] == len(e["partitions"])
+        # The split is the critical partition's own row.
+        assert c["queueing_s"] == crit["queue_s"]
+        assert c["transfer_s"] == crit["transfer_s"]
+        assert c["straggling_s"] == crit["straggle_s"]
+        assert e["last_server"] == crit["server"]
 
 
 def test_attribution_components_sum_to_mean_tail_latency():
