@@ -16,9 +16,10 @@ and the per-file mean read latency is bounded through Eq. (9), weighted by
 popularity into the system bound (8).
 
 Implementation notes: all per-server aggregates are ``np.bincount``
-reductions over a flattened (file, server) incidence; the Eq. (9) solve is
-batched across files grouped by fan-out width, so evaluating 10k files
-costs a handful of vectorized bisections rather than 10k CVXPY programs.
+reductions over a flattened (file, server) incidence; the Eq. (9) solve
+runs once over a padded ``(n_files, max k_i)`` matrix of per-queue sojourn
+moments with each row masked to its own width, so evaluating 10k files
+costs one vectorized bisection rather than 10k CVXPY programs.
 """
 
 from __future__ import annotations
@@ -107,12 +108,14 @@ class ForkJoinModel:
             raise ValueError("ks must align with the population")
         if len(servers_of) != pop.n_files:
             raise ValueError("servers_of must have one entry per file")
+        if np.any(ks < 1):
+            raise ValueError("every file needs at least one partition")
 
         lam = pop.rates
         x_part = pop.sizes / ks  # partition bytes per file
 
         # Flatten the (file, server) incidence once.
-        counts = np.array([s.size for s in servers_of])
+        counts = np.array([s.size for s in servers_of], dtype=np.int64)
         if np.any(counts != ks):
             raise ValueError("servers_of entry lengths must equal ks")
         file_idx = np.repeat(np.arange(pop.n_files), counts)
@@ -195,21 +198,17 @@ class ForkJoinModel:
         q_mean = t1 + wait_mean[server_idx]
         q_var = t_var + wait_var[server_idx]
 
-        # Batch the Eq. (9) solves by fan-out width.
-        file_bounds = np.empty(pop.n_files)
-        order = np.argsort(file_idx, kind="stable")
-        q_mean = q_mean[order]
-        q_var = q_var[order]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        for width in np.unique(counts):
-            which = np.nonzero(counts == width)[0]
-            rows_mean = np.empty((which.size, width))
-            rows_var = np.empty((which.size, width))
-            for row, i in enumerate(which):
-                lo, hi = offsets[i], offsets[i + 1]
-                rows_mean[row] = q_mean[lo:hi]
-                rows_var[row] = q_var[lo:hi]
-            file_bounds[which] = fork_join_upper_bound_batch(rows_mean, rows_var)
+        # One Eq. (9) solve for every file: row i of the padded matrices
+        # holds file i's k_i sojourn moments, scattered from the incidence
+        # (file_idx is sorted, so a row's columns follow servers_of[i]).
+        offsets = np.cumsum(counts) - counts
+        col = np.arange(file_idx.size) - offsets[file_idx]
+        width = int(counts.max())
+        rows_mean = np.zeros((pop.n_files, width))
+        rows_var = np.zeros((pop.n_files, width))
+        rows_mean[file_idx, col] = q_mean
+        rows_var[file_idx, col] = q_var
+        file_bounds = fork_join_upper_bound_batch(rows_mean, rows_var, counts)
 
         mean_bound = float(np.dot(pop.popularities, file_bounds))
         return ModelEvaluation(

@@ -94,15 +94,29 @@ def extend_placement(
         raise ValueError("servers_of must align with new_ks")
     if np.any(new_ks > n_servers):
         raise ValueError("k_i may not exceed the server count")
+    short = np.flatnonzero(new_ks < 1)
+    if short.size:
+        raise ValueError(f"file {short[0]} needs at least one partition")
+    ids = np.concatenate(servers_of) if servers_of else np.empty(0, np.int64)
+    stray = np.flatnonzero((ids < 0) | (ids >= n_servers))
+    if stray.size:
+        ends = np.cumsum([old.size for old in servers_of])
+        i = int(np.searchsorted(ends, stray[0], side="right"))
+        raise ValueError(
+            f"file {i} holds a server id outside [0, {n_servers})"
+        )
     rng = make_rng(seed)
+    servers = np.arange(n_servers)
     out: list[np.ndarray] = []
     for old, k in zip(servers_of, new_ks):
         k = int(k)
         if k <= old.size:
             out.append(old[:k])
             continue
-        free = np.setdiff1d(np.arange(n_servers), old, assume_unique=False)
-        extra = rng.permutation(free)[: k - old.size]
+        # The free servers, sorted: what setdiff1d(servers, old) returns.
+        free = np.ones(n_servers, dtype=bool)
+        free[old] = False
+        extra = rng.permutation(servers[free])[: k - old.size]
         out.append(np.concatenate([old, extra]))
     return out
 

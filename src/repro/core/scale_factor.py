@@ -92,6 +92,10 @@ def optimal_scale_factor(
         raise ValueError("growth must exceed 1")
     if improvement_threshold <= 0:
         raise ValueError("improvement_threshold must be positive")
+    if not initial_partitions_fraction > 0:
+        raise ValueError("initial_partitions_fraction must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     if mode not in ("paper", "sweep"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = make_rng(seed)

@@ -12,6 +12,9 @@ from repro.core import ForkJoinModel, partition_counts
 from repro.core.placement import place_partitions_random
 from repro.workloads import paper_fileset, poisson_trace
 from repro.policies import SPCachePolicy
+from repro.workloads import BingStragglerProfile
+
+from . import eq9_oracle
 
 
 def _single_file_model(rate: float, size: float, bandwidth: float):
@@ -139,3 +142,51 @@ def test_evaluate_validates_inputs(small_population, small_cluster):
     bad_servers = [np.array([99])] * n
     with pytest.raises(ValueError):
         model.evaluate(ks, bad_servers)
+    with pytest.raises(ValueError, match="at least one partition"):
+        model.evaluate(
+            np.zeros(n, dtype=np.int64), [np.empty(0, np.int64)] * n
+        )
+
+
+_VARIANTS = {
+    "paper": {},
+    "overhead-aware": dict(
+        goodput=GoodputModel(),
+        client_cap=True,
+        service_distribution="deterministic",
+    ),
+    "stragglers": dict(
+        goodput=GoodputModel(),
+        straggler_moments=BingStragglerProfile().moments(),
+        client_cap=True,
+        service_distribution="deterministic",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("rate", [2.0, 8.0, 30.0])
+def test_evaluate_matches_per_width_oracle(variant, rate):
+    """One padded solve per evaluation gives the per-width reference's
+    bounds: every file within 1e-12 relative, the per-server aggregates
+    exactly, over ragged placements from all-unsplit to every-file-wide
+    (rate 30 leaves some placements unstable)."""
+    pop = paper_fileset(120, size_mb=100, zipf_exponent=1.05, total_rate=rate)
+    cluster = ClusterSpec(n_servers=30, bandwidth=1.25e8)
+    model = ForkJoinModel(pop, cluster, **_VARIANTS[variant])
+    rng = np.random.default_rng(int(rate))
+    for alpha in np.geomspace(3e-9, 1e-5, 7):
+        ks = partition_counts(pop, alpha, n_servers=30)
+        servers_of = place_partitions_random(ks, 30, seed=rng)
+        ours = model.evaluate(ks, servers_of)
+        ref = eq9_oracle.evaluate(model, ks, servers_of)
+        np.testing.assert_array_equal(ours.utilisation, ref.utilisation)
+        assert ours.stable == ref.stable
+        assert np.array_equal(
+            np.isinf(ours.file_bounds), np.isinf(ref.file_bounds)
+        )
+        finite = np.isfinite(ref.file_bounds)
+        np.testing.assert_allclose(
+            ours.file_bounds[finite], ref.file_bounds[finite], rtol=1e-12
+        )
+        assert ours.mean_bound == pytest.approx(ref.mean_bound, rel=1e-12)

@@ -85,6 +85,69 @@ def test_extend_placement_validation():
         extend_placement(old, np.array([5]), 4)
     with pytest.raises(ValueError):
         extend_placement(old, np.array([1, 1]), 4)
+    two = [np.array([0]), np.array([1])]
+    with pytest.raises(ValueError, match="file 1 needs at least one"):
+        extend_placement(two, np.array([1, 0]), 4)
+    with pytest.raises(ValueError, match="file 0 needs at least one"):
+        extend_placement(two, np.array([-2, 1]), 4)
+    with pytest.raises(ValueError, match=r"file 0 .* outside \[0, 4\)"):
+        extend_placement([np.array([0, 7])], np.array([3]), 4)
+    # A negative id must not wrap around to server N-1.
+    with pytest.raises(ValueError, match=r"file 1 .* outside \[0, 4\)"):
+        extend_placement([np.array([2]), np.array([0, -1])], [1, 3], 4)
+    # Out-of-range ids are rejected on shrinking files too.
+    with pytest.raises(ValueError, match="file 0"):
+        extend_placement([np.array([4, 0])], [1], 4)
+
+
+def _extend_placement_setdiff(servers_of, new_ks, n_servers, seed):
+    """The reference growth step: free servers from ``np.setdiff1d``."""
+    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    out = []
+    for old, k in zip(servers_of, np.asarray(new_ks, dtype=np.int64)):
+        k = int(k)
+        if k <= old.size:
+            out.append(old[:k])
+            continue
+        free = np.setdiff1d(np.arange(n_servers), old, assume_unique=False)
+        extra = rng.permutation(free)[: k - old.size]
+        out.append(np.concatenate([old, extra]))
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=1, max_value=n),
+                    st.integers(min_value=1, max_value=n),
+                ),
+                min_size=1,
+                max_size=30,
+            ),
+        )
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_extend_placement_matches_setdiff_reference(case, seed):
+    """Mask-based growth returns the reference's arrays, dtype included,
+    and leaves the generator where the reference leaves it."""
+    n_servers, pairs = case
+    old_ks = np.array([a for a, _ in pairs])
+    new_ks = np.array([b for _, b in pairs])
+    old = place_partitions_random(old_ks, n_servers, seed=seed)
+    rng_ours = np.random.default_rng(seed + 1)
+    rng_ref = np.random.default_rng(seed + 1)
+    ours = extend_placement(old, new_ks, n_servers, seed=rng_ours)
+    ref = _extend_placement_setdiff(old, new_ks, n_servers, seed=rng_ref)
+    assert len(ours) == len(ref)
+    for a, b in zip(ours, ref):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert rng_ours.random() == rng_ref.random()
 
 
 def test_server_loads_accounting():

@@ -110,6 +110,20 @@ def test_validation(pop300, cluster30):
         optimal_scale_factor(pop300, cluster30, improvement_threshold=0.0)
     with pytest.raises(ValueError):
         optimal_scale_factor(pop300, cluster30, mode="magic")
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            optimal_scale_factor(pop300, cluster30, max_iterations=bad)
+    for bad in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="initial_partitions_fraction"):
+            optimal_scale_factor(
+                pop300, cluster30, initial_partitions_fraction=bad
+            )
+
+
+def test_single_iteration_search(pop300, cluster30):
+    result = optimal_scale_factor(pop300, cluster30, max_iterations=1, seed=0)
+    assert result.n_iterations == 1
+    assert (result.alpha, result.bound) == result.trajectory[0]
 
 
 def test_trajectory_alphas_form_geometric_ladder(pop300, cluster30):
