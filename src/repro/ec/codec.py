@@ -109,4 +109,4 @@ class RSFileCodec:
         start = time.perf_counter()
         data = self._rs.decode(np.asarray(shard_ids), mat)
         self.last_decode_seconds = time.perf_counter() - start
-        return data.reshape(-1).tobytes()[:orig_len]
+        return data.reshape(-1)[:orig_len].tobytes()

@@ -182,7 +182,7 @@ class StoreClient:
         for loc in sorted(meta.locations, key=lambda l: l.index):
             try:
                 parts.append(self._get_from(meta, loc))
-            except KeyError:
+            except BlockNotFound:
                 return self._recover(meta)
         return unsplit_bytes(parts)
 
@@ -199,7 +199,7 @@ class StoreClient:
             loc = meta.locations[pos]
             try:
                 shard = self._get_from(meta, loc)
-            except KeyError:
+            except BlockNotFound:
                 continue
             ids.append(loc.index)
             shards.append(shard)
@@ -219,7 +219,7 @@ class StoreClient:
             loc = group[0]
             try:
                 return self._get_from(meta, loc)
-            except KeyError:
+            except BlockNotFound:
                 continue
         return self._recover(meta)
 

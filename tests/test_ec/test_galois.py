@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec.galois import GF256
+from repro.ec.galois import MATMUL_BLOCK, GF256
+from . import rs_oracle
 
 bytes_st = st.integers(min_value=0, max_value=255)
 nonzero_st = st.integers(min_value=1, max_value=255)
@@ -102,6 +103,59 @@ def test_matmul_identity():
     m = rng.integers(0, 256, (5, 7)).astype(np.uint8)
     eye = np.eye(5, dtype=np.uint8)
     assert np.array_equal(GF256.matmul(eye, m), m)
+
+
+def _logexp_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Independent reference: every product by the log/exp path of
+    :meth:`GF256.mul`, then an XOR reduction over the inner axis."""
+    terms = GF256.mul(a[:, :, None], b[None, :, :])
+    return np.bitwise_xor.reduce(terms, axis=1, dtype=np.uint8)
+
+
+#: Shard widths on and around the column-block edges.
+matmul_widths = st.sampled_from(
+    [0, 1, MATMUL_BLOCK - 1, MATMUL_BLOCK, MATMUL_BLOCK + 1]
+) | st.integers(min_value=0, max_value=MATMUL_BLOCK // 2).map(
+    lambda h: 2 * MATMUL_BLOCK + 2 * h + 1
+)
+#: Coefficients that hit the skip (0) and plain-XOR (1) paths often.
+coefficients = st.sampled_from([0, 1]) | bytes_st
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    matmul_widths,
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_matmul_matches_oracle_and_logexp(m, k, width, data):
+    a = np.array(
+        data.draw(
+            st.lists(
+                st.lists(coefficients, min_size=k, max_size=k),
+                min_size=m,
+                max_size=m,
+            )
+        ),
+        dtype=np.uint8,
+    )
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    b = np.random.default_rng(seed).integers(0, 256, (k, width), dtype=np.uint8)
+    out = GF256.matmul(a, b)
+    assert out.dtype == np.uint8 and out.shape == (m, width)
+    assert np.array_equal(out, rs_oracle.matmul(a, b))
+    assert np.array_equal(out, _logexp_matmul(a, b))
+
+
+def test_matmul_reads_strided_input():
+    """Column slices and transposes reach the kernel as non-contiguous
+    views; the block walk must read them like contiguous rows."""
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 256, (6, 3), dtype=np.uint8)[::2]
+    b = rng.integers(0, 256, (MATMUL_BLOCK + 7, 6), dtype=np.uint8)[:, ::2].T
+    assert not b.flags.c_contiguous
+    assert np.array_equal(GF256.matmul(a, b), rs_oracle.matmul(a, b))
 
 
 def test_matmul_shape_mismatch():

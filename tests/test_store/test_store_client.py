@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store import (
+    BlockNotFound,
     FileMeta,
     Master,
     MissingReplicasError,
@@ -172,3 +173,29 @@ def test_write_placement_strategies():
     assert 0 not in [loc.worker_id for loc in meta.locations]
     with pytest.raises(ValueError):
         client.write(2, b"z", k=1, placement="bogus")
+
+
+@pytest.mark.parametrize("scheme", ["partitioned", "ec", "replicated"])
+def test_plain_key_error_from_worker_propagates(scheme):
+    """Only :class:`BlockNotFound` means "block lost, recover"; any other
+    ``KeyError`` out of a worker is a fault and must surface, even for a
+    checkpointed file that recovery would silently serve."""
+    client = make_store()
+    data = random_bytes(600, seed=8)
+    if scheme == "partitioned":
+        client.write(1, data, k=4)
+    elif scheme == "ec":
+        client.write_ec(1, data, k=4, n=6)
+    else:
+        client.write_replicated(1, data, replicas=2)
+    client.checkpoint(1)
+
+    def broken_get_block(file_id, index):
+        raise KeyError("not a missing block")
+
+    for w in client.workers:
+        w.get_block = broken_get_block
+    with pytest.raises(KeyError, match="not a missing block") as info:
+        client.read(1)
+    assert not isinstance(info.value, BlockNotFound)
+    assert client.recoveries == 0
