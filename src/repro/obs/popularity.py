@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, log
+from math import exp, log, sqrt
+from operator import itemgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -274,7 +275,10 @@ class SpaceSavingTopK:
 
     def top(self, k: int | None = None) -> list[tuple[int, float, float]]:
         """``(key, count, error)`` triples, heaviest first."""
-        items = sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        # By key, then stably by count: heaviest first, ties by key.
+        items = sorted(
+            sorted(self._counts.items()), key=itemgetter(1), reverse=True
+        )
         if k is not None:
             items = items[:k]
         return [(key, count, self._errors[key]) for key, count in items]
@@ -360,8 +364,8 @@ class PopularityConfig:
 
 # -- the monitor -----------------------------------------------------------
 
-#: Closed windows a monitor holds before folding them into its sketch and
-#: summary (bounds the unfolded tallies' memory).
+#: Closed windows a monitor holds before adding them to its sketch table
+#: (bounds the held tallies' memory).
 _FOLD_WINDOWS = 16
 
 
@@ -372,9 +376,10 @@ class PopularityMonitor(Observer):
     and a reference to the fork-join's server/size arrays);
     :meth:`observe_batch` takes a whole batch at once.  The per-server
     byte fold, drift comparison, and alerting happen once per window in
-    :meth:`_roll`; the window tallies reach the sketch and the summary a
-    few windows at a time (:meth:`_fold`, also run before either is
-    read).  Memory is bounded by the sketch table, the Space-Saving
+    :meth:`_roll`, which also folds the window into the summary and the
+    sketch's total; the window tallies reach the sketch table a few
+    windows at a time (:meth:`_fold_table`, also run before the sketch
+    is read).  Memory is bounded by the sketch table, the Space-Saving
     capacity, one pending window of file ids, ``_FOLD_WINDOWS`` window
     tallies, and ``max_windows`` retained window rows (rolls past the cap
     are folded into the counters but their rows dropped, counted in the
@@ -404,10 +409,10 @@ class PopularityMonitor(Observer):
         self.tracer = tracer if tracer is not None else get_tracer()
         self._sketch = CountMinSketch(config.width, config.depth, config.seed)
         self._summary = SpaceSavingTopK(config.capacity)
-        # Closed windows' ranked (keys, counts) not yet folded into the
-        # sketch and the summary: folding a few windows at once is one
-        # sketch update instead of one per window.
-        self._unfolded: list[tuple[np.ndarray, np.ndarray]] = []
+        # Closed windows' ranked (keys, counts) not yet in the sketch
+        # table: adding a few windows at once is one table update instead
+        # of one per window.
+        self._untabled: list[tuple[np.ndarray, np.ndarray]] = []
         self.n_servers = int(n_servers)
         self._win_loads = np.zeros(self.n_servers)
         self.n_observed = 0
@@ -524,33 +529,32 @@ class PopularityMonitor(Observer):
     @property
     def sketch(self) -> CountMinSketch:
         """The Count-Min sketch over every closed window."""
-        self._fold()
+        self._fold_table()
         return self._sketch
 
     @property
     def summary(self) -> SpaceSavingTopK:
         """The Space-Saving summary over every closed window."""
-        self._fold()
         return self._summary
 
-    def _fold(self) -> None:
-        """Fold the unfolded windows, in order, into sketch and summary.
+    def _fold_table(self) -> None:
+        """Add the closed windows' keys to the sketch table (their counts
+        are already in its total).
 
-        One sketch update over the windows' concatenated keys adds to
-        each cell in the same order as one update per window.
+        One update over the windows' concatenated keys adds to each cell
+        in the same order as one update per window.  A finalized section
+        reports the total, never the table, so the table waits until it
+        is read or the windows pile up.
         """
-        if not self._unfolded:
+        if not self._untabled:
             return
-        windows, self._unfolded = self._unfolded, []
+        windows, self._untabled = self._untabled, []
         sketch = self._sketch
-        total = sketch.total
+        total = sketch.total  # update() would count the windows again
         sketch.update(
             np.concatenate([keys for keys, _c in windows]),
             np.concatenate([counts for _k, counts in windows]),
         )
-        for keys, counts in windows:
-            total += float(counts.sum())
-            self._summary._update_ranked(keys.tolist(), counts.tolist())
         sketch.total = total
 
     def attach_cumulative_loads(self, server_bytes: np.ndarray) -> None:
@@ -593,9 +597,11 @@ class PopularityMonitor(Observer):
         ranked_keys = keys[order]
         ranked_counts = counts[order]
         ranked = ranked_keys.tolist()
-        self._unfolded.append((ranked_keys, ranked_counts))
-        if len(self._unfolded) >= _FOLD_WINDOWS:
-            self._fold()
+        self._summary._update_ranked(ranked, ranked_counts.tolist())
+        self._sketch.total += total
+        self._untabled.append((ranked_keys, ranked_counts))
+        if len(self._untabled) >= _FOLD_WINDOWS:
+            self._fold_table()
         shares = counts / total if total else counts
         key_set = set(dict.fromkeys(ranked))
         top_keys = ranked[: cfg.top_k]
@@ -635,10 +641,15 @@ class PopularityMonitor(Observer):
 
         cv = max_mean = None
         # Loads are non-negative, so a positive mean means some load.
-        mean = float(loads.mean()) if loads.size else 0.0
+        n = loads.size
+        mean = float(loads.sum()) / n if n else 0.0
         if mean > 0.0:
-            cv = float(loads.std() / mean)
-            max_mean = float(loads.max() / mean)
+            # np.std's own steps (squared deviations, pairwise sum,
+            # divide, sqrt) without its per-call overhead: the same float.
+            dev = loads - mean
+            dev *= dev
+            cv = sqrt(float(dev.sum()) / n) / mean
+            max_mean = float(loads.max()) / mean
             a = cfg.ewma_alpha
             self.ewma_cv = (
                 cv if self.ewma_cv is None else a * cv + (1 - a) * self.ewma_cv
@@ -771,8 +782,9 @@ class PopularityMonitor(Observer):
         """Fold any pending observations and build one JSON-able section."""
         if self._pend or not self.windows:
             self._roll()
-        total = max(self.sketch.total, 1.0)
-        heavy = self.summary.top(self.config.top_k)
+        sketch = self._sketch
+        total = max(sketch.total, 1.0)
+        heavy = self._summary.top(self.config.top_k)
         top = [
             {
                 "file_id": key,
@@ -789,12 +801,12 @@ class PopularityMonitor(Observer):
             "requests": int(self.n_observed),
             "n_servers": int(self.n_servers),
             "sketch": {
-                "width": self.sketch.width,
-                "depth": self.sketch.depth,
-                "epsilon": self.sketch.epsilon,
-                "delta": self.sketch.delta,
-                "memory_bytes": self.sketch.memory_bytes,
-                "capacity": self.summary.capacity,
+                "width": sketch.width,
+                "depth": sketch.depth,
+                "epsilon": sketch.epsilon,
+                "delta": sketch.delta,
+                "memory_bytes": sketch.memory_bytes,
+                "capacity": self._summary.capacity,
             },
             "alpha_est": zipf_alpha_from_counts([c for _k, c, _e in heavy]),
             "top": top,

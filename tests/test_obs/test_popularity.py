@@ -194,6 +194,31 @@ def test_count_windows_roll_and_finalize_shape():
     assert section["sketch"]["capacity"] == 8
 
 
+@pytest.mark.parametrize("window_s", [None, 0.5])
+def test_uneven_batches_equal_per_request_observation(window_s):
+    """observe_batch over uneven batches (windows spanning several calls)
+    builds the section that observe() builds per request, and the sketch
+    read after finalize holds every request."""
+    fids, _exact = _zipf_stream(n_files=40, n_requests=3000, seed=6)
+    times = np.arange(fids.size) * 0.01
+    config = PopularityConfig(
+        window_requests=256, window_s=window_s, capacity=16, top_k=4
+    )
+    single = PopularityMonitor(config, n_servers=3)
+    for t, fid in zip(times, fids):
+        single.observe(int(fid), t=float(t))
+    batched = PopularityMonitor(config, n_servers=3)
+    batched.attach_cumulative_loads(np.zeros(3))
+    cuts = [0, 1, 100, 357, 358, 1200, 2999, 3000]
+    for lo, hi in zip(cuts, cuts[1:]):
+        batched.observe_batch(times[lo:hi], fids[lo:hi], lambda a, b: None)
+    assert batched.finalize() == single.finalize()
+    reference = CountMinSketch(config.width, config.depth, config.seed)
+    reference.update(fids)
+    assert batched.sketch.total == fids.size
+    np.testing.assert_array_equal(batched.sketch.table, reference.table)
+
+
 def test_time_windows_roll_on_sim_seconds():
     config = PopularityConfig(window_s=1.0, window_requests=10**9)
     monitor = PopularityMonitor(config)
