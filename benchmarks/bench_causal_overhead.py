@@ -11,9 +11,8 @@ numbers in ``bench_obs_overhead``):
   and nothing per request;
 * ``on`` — a :class:`~repro.obs.CausalConfig` attached: the engine
   appends the raw partition/request/join records to the run's partition
-  log; edge classification, the conservation check,
-  and the top-K chain extraction all happen in one vectorized
-  finalize pass;
+  log; the critical-path split, the conservation check and the edge
+  totals all happen in one vectorized finalize pass;
 * ``on + spans`` — collection plus span-tree emission into an
   in-memory ring buffer (the ``repro trace --causal`` path): one
   ``cspan`` event per request, fetch, and join.

@@ -31,11 +31,11 @@ Subcommands
 ``tail``
     Render a manifest's tail-latency attribution — p99 split into
     queueing/straggling/transfer/join — plus the slowest-request
-    exemplars with their per-partition breakdowns.
+    exemplars and their trace ids.
 ``critical``
     Render causal critical paths: per-edge (queue/service/transfer/
-    join) aggregates and the slowest per-request chains, from a
-    run manifest's ``causal`` sections or a JSONL trace's
+    join) aggregates from a run manifest's ``causal`` sections, or
+    those plus the slowest requests rebuilt from a JSONL trace's
     ``cspan`` span trees.  ``--check`` gates on the conservation
     invariant (and full DAG reconstruction for traces); ``--chrome``
     exports span trees with parent->child flow arrows.
@@ -99,7 +99,6 @@ from repro.obs import (
     HeadSamplingSink,
     Tracer,
     causal_from_trace,
-    critical_chain_rows,
     critical_edge_rows,
     dash_from_manifest,
     event_counts,
@@ -120,6 +119,7 @@ from repro.obs import (
     snapshots_to_openmetrics,
     sparkline,
     tail_attribution_rows,
+    tail_exemplar_rows,
     timeline_series_rows,
     trace_summary,
     unknown_events,
@@ -769,29 +769,7 @@ def _cmd_tail(args) -> int:
             f"p99 {attribution['p99_s']:.4g}s"
         )
         print(format_table(tail_attribution_rows(section), title=title))
-        exemplar_rows = [
-            {
-                "req": e["req"],
-                "file": e["file_id"],
-                "latency_s": e["latency_s"],
-                "queue_s": e["components"]["queueing_s"],
-                "straggle_s": e["components"]["straggling_s"],
-                "transfer_s": e["components"]["transfer_s"],
-                "join_s": e["components"]["join_s"],
-                "k": e["parallelism"],
-                "last_server": e["last_server"],
-                "flags": "".join(
-                    flag
-                    for flag, on in (
-                        ("S", e["straggled"]),
-                        ("M", e["missed"]),
-                    )
-                    if on
-                )
-                or "-",
-            }
-            for e in tail["exemplars"][: args.top]
-        ]
+        exemplar_rows = tail_exemplar_rows(tail["exemplars"], args.top)
         if exemplar_rows:
             print()
             print(
@@ -881,13 +859,15 @@ def _cmd_critical(args) -> int:
                 critical_edge_rows(section), title=_causal_title(section, i)
             )
         )
-        chain_rows = critical_chain_rows(section, top=args.top)
-        if chain_rows:
+        exemplar_rows = tail_exemplar_rows(
+            section.get("exemplars") or [], args.top
+        )
+        if exemplar_rows:
             print()
             print(
                 format_table(
-                    chain_rows,
-                    title=f"slowest {len(chain_rows)} critical paths",
+                    exemplar_rows,
+                    title=f"slowest {len(exemplar_rows)} critical paths",
                 )
             )
         print()

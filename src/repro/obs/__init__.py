@@ -21,7 +21,8 @@ Cooperating pieces (each documented in its module, schema tables in
 :mod:`repro.obs.timeline`
     Sim-time windowed timelines and tail-latency attribution: per-server
     busy/queue/bytes series keyed to simulated seconds, plus a bounded
-    reservoir of slowest-request exemplars with per-partition breakdowns.
+    reservoir of slowest-request exemplars with per-partition breakdowns
+    and trace ids — the one per-request record of the tail.
     Disabled by default; every discipline records through the shared
     :class:`~repro.cluster.engine.lifecycle.RequestLifecycle`.
 :mod:`repro.obs.popularity`
@@ -50,7 +51,7 @@ Cooperating pieces (each documented in its module, schema tables in
 :mod:`repro.obs.causal`
     Causal request tracing: contextvar-propagated trace contexts with
     W3C-traceparent serialization, per-request fork-join span trees,
-    and critical-path analysis with a conservation invariant
+    and critical-path edge totals with a conservation invariant
     (``python -m repro critical``); sections land in run manifests.
 :mod:`repro.obs.membership`
     The channel for cluster-membership sections: churn experiments
@@ -79,7 +80,6 @@ from repro.obs.causal import (
     causal_from_trace,
     causal_span,
     collect_causal,
-    critical_chain_rows,
     critical_edge_rows,
     current_context,
     get_causal_config,
@@ -196,6 +196,7 @@ from repro.obs.timeline import (
     publish_timeline,
     sparkline,
     tail_attribution_rows,
+    tail_exemplar_rows,
     timeline_series_rows,
     use_timeline,
 )
@@ -263,7 +264,6 @@ __all__ = [
     "collect_spans",
     "collect_timelines",
     "config_hash",
-    "critical_chain_rows",
     "critical_edge_rows",
     "current_context",
     "current_span_id",
@@ -314,6 +314,7 @@ __all__ = [
     "span_wrap",
     "sparkline",
     "tail_attribution_rows",
+    "tail_exemplar_rows",
     "timeline_rates",
     "timeline_series_rows",
     "total_requests_from_metrics",

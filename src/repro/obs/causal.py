@@ -22,10 +22,10 @@ check — free, like every other hook in :mod:`repro.obs`.
 shares with :class:`~repro.obs.timeline.TimelineCollector`, so every
 discipline (``fifo``/``ps``/``limited``) feeds it for free, at any
 batch size.  Span identity is *deterministic*: the trace id is a
-hash of ``(scheme, engine, request)`` and span ids hash the role within
-the tree, so two runs of the same workload — an engine and its
-per-request oracle, or two batch sizes — produce byte-identical causal
-DAGs (the parity property
+hash of ``(scheme, engine, run key, request)`` and span ids hash the
+role within the tree, so two runs of the same workload — an engine and
+its per-request oracle, or two batch sizes — produce byte-identical
+causal DAGs (the parity property
 ``tests/test_cluster/test_causal_parity.py`` pins down).  When tracing
 is enabled, :meth:`CausalCollector.emit_spans` emits the full span tree
 of every request — one ``request`` root, ``k`` ``fetch`` children, one
@@ -42,20 +42,23 @@ max-latency chain across its ``k`` partition fetches: the fetch whose
 * ``join``     — the residual: post-join decode plus any miss penalty
   (``latency - queue - service - transfer``).
 
-A timeline tail exemplar splits the same chain under other names:
-its ``queueing``, ``transfer`` and ``straggling`` are ``queue``,
-``service`` and ``transfer`` here, and ``join`` is ``join``.
+The per-request record of the slowest requests is the timeline tail:
+each exemplar carries its ``trace_id`` and splits the same chain under
+other names — its ``queueing``, ``transfer`` and ``straggling`` are
+``queue``, ``service`` and ``transfer`` here, and ``join`` is ``join``.
+The causal section holds what is its own: the per-edge totals over the
+steady-state requests (``edges``) and the conservation check.
 
 Because ``join`` is defined as the residual, the **conservation
 invariant** — critical-path segment sum equals the end-to-end latency —
 holds by construction; :meth:`CausalCollector.finalize` re-adds the
 segments and records the worst relative error (float re-addition noise,
-orders of magnitude under the 1e-9 tolerance), and
+orders of magnitude under :data:`CONSERVATION_TOLERANCE`), and
 :func:`causal_from_trace` re-verifies the invariant from the JSON floats
-of a replayed trace.  Sections land in run manifests, render
-through ``repro critical``, feed the ``repro dash`` edge-type panel,
-and export as Chrome/Perfetto span trees with parent/child flow events
-(:func:`causal_chrome_events`).
+of a replayed trace, rebuilding the slowest requests as tail exemplars.
+Sections land in run manifests, render through ``repro critical``, feed
+the ``repro dash`` edge-type panel, and export as Chrome/Perfetto span
+trees with parent/child flow events (:func:`causal_chrome_events`).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.obs import events as ev
-from repro.obs.replay import load_events
+from repro.obs.replay import _forest
 from repro.obs.sections import Channel, Observer, RunEnd
 from repro.obs.tracing import Tracer, get_tracer
 
@@ -85,7 +88,6 @@ __all__ = [
     "causal_from_trace",
     "causal_span",
     "collect_causal",
-    "critical_chain_rows",
     "critical_edge_rows",
     "current_context",
     "get_causal_config",
@@ -102,10 +104,16 @@ __all__ = [
 
 #: Version of the causal *section* layout (independent of the manifest
 #: schema version, which gates the envelope).
-CAUSAL_SCHEMA_VERSION = 1
+CAUSAL_SCHEMA_VERSION = 2
 
 #: The four critical-path edge types, in chain order.
 EDGE_TYPES = ("queue", "service", "transfer", "join")
+
+#: The tail exemplar component each edge type is, in the same order.
+EDGE_COMPONENTS = ("queueing_s", "transfer_s", "straggling_s", "join_s")
+
+#: The relative error the conservation check accepts.
+CONSERVATION_TOLERANCE = 1e-9
 
 #: ``cspan`` record fields owned by the span machinery; caller attrs with
 #: these names are namespaced to ``attr_<key>`` rather than raising.
@@ -217,7 +225,8 @@ def request_trace_id(
     A hash of ``(scheme, engine, run key, request index)``, so identical
     seeded runs — whatever their batch size — produce identical causal
     DAG identities.  The
-    ``run_key`` is the collector's workload fingerprint (arrivals, file
+    ``run_key`` is the run's workload fingerprint
+    (:attr:`~repro.obs.timeline.PartitionLog.run_key`: arrivals, file
     ids, latencies): it keeps ids distinct when one process simulates
     the same scheme several times (e.g. a load sweep), which would
     otherwise collide trees in the trace.
@@ -318,33 +327,20 @@ def causal_span(
 
 @dataclass(frozen=True)
 class CausalConfig:
-    """Knobs of one run's causal collection.
-
-    ``top_k`` bounds the slowest-request chains embedded in the
-    finalized section; ``tolerance`` is the relative error the
-    conservation check accepts (the acceptance gate re-asserts the
-    default 1e-9).
-    """
-
-    top_k: int = 64
-    tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+    """Turns one run's causal collection on; it has no knobs (the
+    slowest requests are the timeline tail's, sized by
+    :attr:`~repro.obs.timeline.TimelineConfig.tail_k`)."""
 
 
 # -- the collector ---------------------------------------------------------
 
 
 class CausalCollector(Observer):
-    """Critical chains from the run's partition log
+    """Critical-path edges from the run's partition log
     (:class:`~repro.obs.timeline.PartitionLog`).
 
     The log is the one :class:`~repro.obs.timeline.TimelineCollector`
-    reads, and its critical-path split is this collector's chain edges.
+    reads, and its critical-path split is this collector's edges.
     :meth:`finalize` verifies the conservation invariant and returns a
     JSON-able section; :meth:`emit_spans` (call after finalize, only
     when tracing) emits the full per-request span trees as ``cspan``
@@ -353,9 +349,6 @@ class CausalCollector(Observer):
 
     records = True
     run_fields = ("n_servers", "scheme", "engine", "tracer")
-    #: Workload fingerprint, set by finalize; discriminates repeated
-    #: same-scheme runs in one process so trace ids never collide.
-    run_key = ""
 
     def __init__(
         self,
@@ -381,96 +374,41 @@ class CausalCollector(Observer):
         return section
 
     def finalize(self, end: RunEnd) -> dict[str, Any]:
-        """Critical chains + conservation check, as one JSON-able section.
+        """Edge totals + conservation check, as one JSON-able section.
 
         Deterministic by construction: the log is lexsorted by
         ``(request, partition)`` before any arithmetic, so frames recorded
         in any order and grouping produce identical sections.
         """
-        cfg = self.config
-        times = np.asarray(end.times, dtype=np.float64)
         latencies = np.asarray(end.latencies, dtype=np.float64)
-        file_ids = np.asarray(end.file_ids, dtype=np.int64)
         n_req = int(latencies.size)
-
-        # Workload fingerprint for the deterministic trace ids: two
-        # passes of one workload see byte-identical arrays here, while a
-        # load sweep's repeated same-scheme runs do not — without it
-        # their span ids would collide in a shared trace.
-        fp = blake2b(digest_size=8)
-        fp.update(times.tobytes())
-        fp.update(file_ids.tobytes())
-        fp.update(latencies.tobytes())
-        self.run_key = fp.hexdigest()
-
-        log = end.log.split(times, latencies)
+        log = end.log.split(end.times, end.file_ids, latencies)
         self._end = end
-        queue, service, transfer, join = (
-            log.queue, log.service, log.transfer, log.join
-        )
+        segments = (log.queue, log.service, log.transfer, log.join)
 
         # Conservation: re-add the segments and compare against the
         # end-to-end latency.  ``join`` is the residual, so the only
         # error is float re-addition noise (a few ulp).
-        total = queue + service + transfer + join
+        total = log.queue + log.service + log.transfer + log.join
         denom = np.maximum(np.abs(latencies), 1e-300)
         rel = np.abs(total - latencies) / denom
         max_rel = float(rel.max()) if n_req else 0.0
-        conservation = {
-            "checked": n_req,
-            "max_rel_err": max_rel,
-            "tolerance": float(cfg.tolerance),
-            "ok": bool(max_rel <= cfg.tolerance),
-        }
 
         skip = int(n_req * end.warmup_fraction)
         edges = {
-            "queue_s": float(queue[skip:].sum()),
-            "service_s": float(service[skip:].sum()),
-            "transfer_s": float(transfer[skip:].sum()),
-            "join_s": float(join[skip:].sum()),
-            "requests": int(n_req - skip),
+            f"{edge}_s": float(seg[skip:].sum())
+            for edge, seg in zip(EDGE_TYPES, segments)
         }
-
-        chains: list[dict[str, Any]] = []
-        steady = latencies[skip:]
-        if steady.size:
-            k_top = min(cfg.top_k, int(steady.size))
-            slowest = np.argsort(-steady, kind="stable")[:k_top] + skip
-            for r in slowest.tolist():
-                chains.append(
-                    {
-                        "req": r,
-                        "trace_id": request_trace_id(
-                            self.scheme, self.engine, r, self.run_key
-                        ),
-                        "file_id": int(file_ids[r]),
-                        "arrival_s": float(times[r]),
-                        "latency_s": float(latencies[r]),
-                        "k": int(log.blk_hi[r] - log.blk_lo[r]),
-                        "crit": int(log.crit_pos[r]),
-                        "server": int(log.crit_server[r]),
-                        "bytes": float(log.crit_bytes[r]),
-                        "queue_s": float(queue[r]),
-                        "service_s": float(service[r]),
-                        "transfer_s": float(transfer[r]),
-                        "join_s": float(join[r]),
-                        "missed": bool(log.missed[r]),
-                        "straggled": bool(log.straggled[r]),
-                    }
-                )
-
         return {
             "schema_version": CAUSAL_SCHEMA_VERSION,
             "scheme": self.scheme,
             "engine": self.engine,
-            "run_key": self.run_key,
+            "run_key": log.run_key,
             "n_requests": n_req,
             "n_servers": self.n_servers,
             "warmup_skipped": skip,
-            "conservation": conservation,
-            "edges": edges,
-            "chains": chains,
+            "conservation": _conservation(n_req, max_rel),
+            "edges": {**edges, "requests": int(n_req - skip)},
         }
 
     def emit_spans(self, tracer: Tracer) -> int:
@@ -491,7 +429,7 @@ class CausalCollector(Observer):
         event = tracer.event
         n = 0
         for r in range(int(end.latencies.size)):
-            tid = request_trace_id(self.scheme, self.engine, r, self.run_key)
+            tid = request_trace_id(self.scheme, self.engine, r, log.run_key)
             root = request_span_id(tid, "request")
             arrival = float(end.times[r])
             latency = float(end.latencies[r])
@@ -566,6 +504,15 @@ publish_causal = CAUSAL.publish
 # -- DAG reconstruction from traces ---------------------------------------
 
 
+def _conservation(checked: int, max_rel: float) -> dict[str, Any]:
+    return {
+        "checked": checked,
+        "max_rel_err": max_rel,
+        "tolerance": CONSERVATION_TOLERANCE,
+        "ok": bool(max_rel <= CONSERVATION_TOLERANCE),
+    }
+
+
 def span_forest(source) -> list[dict[str, Any]]:
     """Rebuild causal span trees from ``cspan`` events.
 
@@ -574,27 +521,52 @@ def span_forest(source) -> list[dict[str, Any]]:
     promoted to a root (a trace started mid-run), matching the tolerant
     behaviour of :func:`repro.obs.replay.span_tree`.
     """
-    nodes: dict[str, dict[str, Any]] = {}
-    order: list[dict[str, Any]] = []
-    for record in load_events(source):
-        if record.get("event") != ev.CSPAN or "span_id" not in record:
-            continue
-        node = {**record, "children": []}
-        nodes[str(record["span_id"])] = node
-        order.append(node)
-    roots: list[dict[str, Any]] = []
-    for node in order:
-        parent = node.get("parent_id")
-        if parent is not None and str(parent) in nodes:
-            nodes[str(parent)]["children"].append(node)
-        else:
-            roots.append(node)
-    return roots
+    return _forest(source, ev.CSPAN, "parent_id", str)
 
 
-def causal_from_trace(
-    source, tolerance: float = 1e-9
-) -> list[dict[str, Any]]:
+def _trace_exemplar(root: dict[str, Any]) -> tuple[dict[str, Any], bool]:
+    """One ``request`` tree as a tail exemplar (its scalar fields: the
+    trace carries no goodput), and whether the tree came back whole
+    (all ``k`` fetches, the join, and a critical fetch).  Raises
+    ``TypeError``/``ValueError``/``KeyError`` on a field that does not
+    parse."""
+    k = int(root["k"])
+    latency = float(root["latency_s"])
+    fetches = [c for c in root["children"] if c.get("name") == "fetch"]
+    joins = [c for c in root["children"] if c.get("name") == "join"]
+    crit = next((c for c in fetches if c.get("critical")), None)
+    queue = service = transfer = 0.0
+    server = -1
+    if crit is not None:
+        queue = float(crit.get("queue_s", 0.0))
+        service = float(crit.get("service_s", 0.0))
+        transfer = float(crit.get("transfer_s", 0.0))
+        server = int(crit.get("server", -1))
+    join = float(joins[0]["join_s"]) if joins else 0.0
+    complete = (
+        len(fetches) == k and len(joins) == 1 and (crit is not None or k == 0)
+    )
+    exemplar = {
+        "req": int(root.get("req", -1)),
+        "trace_id": str(root.get("trace_id", "?")),
+        "file_id": int(root.get("file_id", -1)),
+        "arrival_s": float(root.get("ts", 0.0)),
+        "latency_s": latency,
+        "parallelism": k,
+        "missed": bool(root.get("missed", False)),
+        "straggled": bool(root.get("straggled", False)),
+        "last_server": server,
+        "components": {
+            "queueing_s": queue,
+            "straggling_s": transfer,
+            "transfer_s": service,
+            "join_s": join,
+        },
+    }
+    return exemplar, complete
+
+
+def causal_from_trace(source) -> list[dict[str, Any]]:
     """Reconstruct per-request causal DAGs from a JSONL trace.
 
     Groups engine ``cspan`` trees (``request`` roots with ``fetch`` /
@@ -602,108 +574,57 @@ def causal_from_trace(
     chain from the *replayed JSON floats*, and re-verifies the
     conservation invariant.  Returns one section per scheme, shaped
     like :meth:`CausalCollector.finalize` output plus reconstruction
-    accounting: ``reconstructed`` counts requests whose full span tree
-    (root, all ``k`` fetches, join, and a critical fetch) came back.
+    accounting — ``reconstructed`` counts requests whose full span tree
+    (root, all ``k`` fetches, join, and a critical fetch) came back —
+    and every request as a tail exemplar (``exemplars``, slowest first;
+    see :func:`~repro.obs.timeline.tail_exemplar_rows`).
 
     Replay is tolerant: unknown event kinds are ignored (they are not
-    ``cspan``), and malformed ``cspan`` records (missing ids or fields)
-    count under ``dropped`` instead of raising.
+    ``cspan``), and a ``request`` tree whose fields are missing or do
+    not parse counts under ``dropped`` instead of raising.
     """
-    roots = span_forest(source)
-    per_scheme: dict[str, list[dict[str, Any]]] = {}
+    per_scheme: dict[str, list[tuple[dict[str, Any], bool]]] = {}
+    engines: dict[str, str] = {}
     dropped = 0
-    for root in roots:
+    for root in span_forest(source):
         if root.get("name") != "request":
             continue  # store-plane / foreign trees have their own roots
-        if "latency_s" not in root or "k" not in root:
+        try:
+            parsed = _trace_exemplar(root)
+        except (TypeError, ValueError, KeyError):
             dropped += 1
             continue
-        per_scheme.setdefault(str(root.get("scheme", "?")), []).append(root)
+        scheme = str(root.get("scheme", "?"))
+        per_scheme.setdefault(scheme, []).append(parsed)
+        engines.setdefault(scheme, str(root.get("engine", "?")))
 
     sections: list[dict[str, Any]] = []
     for scheme in sorted(per_scheme):
         reqs = per_scheme[scheme]
         n_req = len(reqs)
-        reconstructed = 0
         max_rel = 0.0
-        edges = {
-            "queue_s": 0.0,
-            "service_s": 0.0,
-            "transfer_s": 0.0,
-            "join_s": 0.0,
-            "requests": n_req,
-        }
-        chains: list[dict[str, Any]] = []
-        for root in reqs:
-            k = int(root["k"])
-            latency = float(root["latency_s"])
-            fetches = [
-                c for c in root["children"] if c.get("name") == "fetch"
-            ]
-            joins = [c for c in root["children"] if c.get("name") == "join"]
-            crit_fetch = next(
-                (c for c in fetches if c.get("critical")), None
-            )
-            complete = (
-                len(fetches) == k and len(joins) == 1
-                and (crit_fetch is not None or k == 0)
-            )
-            if complete:
-                reconstructed += 1
-            queue = service = transfer = 0.0
-            server = -1
-            if crit_fetch is not None:
-                queue = float(crit_fetch.get("queue_s", 0.0))
-                service = float(crit_fetch.get("service_s", 0.0))
-                transfer = float(crit_fetch.get("transfer_s", 0.0))
-                server = int(crit_fetch.get("server", -1))
-            join_s = float(joins[0]["join_s"]) if joins else 0.0
-            total = queue + service + transfer + join_s
-            rel = abs(total - latency) / max(abs(latency), 1e-300)
+        sums = [0.0] * len(EDGE_TYPES)
+        for exemplar, _ in reqs:
+            segments = [exemplar["components"][c] for c in EDGE_COMPONENTS]
+            latency = exemplar["latency_s"]
+            rel = abs(sum(segments) - latency) / max(abs(latency), 1e-300)
             max_rel = max(max_rel, rel)
-            edges["queue_s"] += queue
-            edges["service_s"] += service
-            edges["transfer_s"] += transfer
-            edges["join_s"] += join_s
-            chains.append(
-                {
-                    "req": int(root.get("req", -1)),
-                    "trace_id": str(root.get("trace_id", "?")),
-                    "file_id": int(root.get("file_id", -1)),
-                    "arrival_s": float(root.get("ts", 0.0)),
-                    "latency_s": latency,
-                    "k": k,
-                    "crit": int(root.get("crit", -1)),
-                    "server": server,
-                    "bytes": float(
-                        crit_fetch.get("bytes", 0.0) if crit_fetch else 0.0
-                    ),
-                    "queue_s": queue,
-                    "service_s": service,
-                    "transfer_s": transfer,
-                    "join_s": join_s,
-                    "missed": bool(root.get("missed", False)),
-                    "straggled": bool(root.get("straggled", False)),
-                }
-            )
-        chains.sort(key=lambda c: -c["latency_s"])
+            sums = [a + b for a, b in zip(sums, segments)]
+        edges = {f"{e}_s": v for e, v in zip(EDGE_TYPES, sums)}
+        exemplars = [exemplar for exemplar, _ in reqs]
+        exemplars.sort(key=lambda e: -e["latency_s"])
         sections.append(
             {
                 "schema_version": CAUSAL_SCHEMA_VERSION,
                 "scheme": scheme,
-                "engine": str(reqs[0].get("engine", "?")),
+                "engine": engines[scheme],
                 "n_requests": n_req,
                 "warmup_skipped": 0,
-                "reconstructed": reconstructed,
+                "reconstructed": sum(complete for _, complete in reqs),
                 "dropped": dropped,
-                "conservation": {
-                    "checked": n_req,
-                    "max_rel_err": max_rel,
-                    "tolerance": float(tolerance),
-                    "ok": bool(max_rel <= tolerance),
-                },
-                "edges": edges,
-                "chains": chains,
+                "conservation": _conservation(n_req, max_rel),
+                "edges": {**edges, "requests": n_req},
+                "exemplars": exemplars,
             }
         )
     return sections
@@ -712,53 +633,29 @@ def causal_from_trace(
 # -- rendering helpers -----------------------------------------------------
 
 
+def _share_rows(
+    key: str, seconds: dict[str, float], total: float | None = None
+) -> list[dict[str, Any]]:
+    """``key``/seconds/share_pct rows of named seconds, each a share of
+    ``total`` (default: their sum)."""
+    if total is None:
+        total = sum(seconds.values())
+    return [
+        {
+            key: name,
+            "seconds": value,
+            "share_pct": 100.0 * value / total if total else 0.0,
+        }
+        for name, value in seconds.items()
+    ]
+
+
 def critical_edge_rows(section: dict[str, Any]) -> list[dict[str, Any]]:
     """Edge-type/seconds/share rows of one section's aggregation."""
     edges = section.get("edges") or {}
-    total = sum(float(edges.get(f"{e}_s", 0.0)) for e in EDGE_TYPES)
-    rows = []
-    for edge in EDGE_TYPES:
-        seconds = float(edges.get(f"{edge}_s", 0.0))
-        rows.append(
-            {
-                "edge": edge,
-                "seconds": seconds,
-                "share_pct": 100.0 * seconds / total if total else 0.0,
-            }
-        )
-    return rows
-
-
-def critical_chain_rows(
-    section: dict[str, Any], top: int = 10
-) -> list[dict[str, Any]]:
-    """Slowest-request chain rows for one section (CLI table form)."""
-    rows = []
-    for chain in (section.get("chains") or [])[:top]:
-        rows.append(
-            {
-                "req": chain["req"],
-                "file": chain["file_id"],
-                "latency_s": chain["latency_s"],
-                "queue_s": chain["queue_s"],
-                "service_s": chain["service_s"],
-                "transfer_s": chain["transfer_s"],
-                "join_s": chain["join_s"],
-                "k": chain["k"],
-                "server": chain["server"],
-                "flags": "".join(
-                    flag
-                    for flag, on in (
-                        ("S", chain.get("straggled")),
-                        ("M", chain.get("missed")),
-                    )
-                    if on
-                )
-                or "-",
-                "trace": str(chain.get("trace_id", "?"))[:12],
-            }
-        )
-    return rows
+    return _share_rows(
+        "edge", {e: float(edges.get(f"{e}_s", 0.0)) for e in EDGE_TYPES}
+    )
 
 
 # -- Chrome trace export with flow events ----------------------------------

@@ -246,18 +246,26 @@ def span_tree(source) -> list[dict[str, Any]]:
     ``children`` list.  A node whose ``parent`` id never appears in the
     trace (e.g. the trace started mid-run) is promoted to a root.
     """
-    nodes: dict[int, dict[str, Any]] = {}
+    return _forest(source, ev.SPAN, "parent", lambda span_id: span_id)
+
+
+def _forest(source, event: str, parent_key: str, key) -> list[dict[str, Any]]:
+    """The roots of the ``event`` records' forest: each node is a record
+    with a ``span_id`` plus its ``children``, linked by ``parent_key``
+    (ids compared as ``key(id)``); a node whose parent never appears is
+    a root."""
+    nodes: dict[Any, dict[str, Any]] = {}
     order: list[dict[str, Any]] = []
     for record in load_events(source):
-        if record.get("event") == ev.SPAN and "span_id" in record:
+        if record.get("event") == event and "span_id" in record:
             node = {**record, "children": []}
-            nodes[record["span_id"]] = node
+            nodes[key(record["span_id"])] = node
             order.append(node)
     roots: list[dict[str, Any]] = []
     for node in order:
-        parent = node.get("parent")
-        if parent is not None and parent in nodes:
-            nodes[parent]["children"].append(node)
+        parent = node.get(parent_key)
+        if parent is not None and key(parent) in nodes:
+            nodes[key(parent)]["children"].append(node)
         else:
             roots.append(node)
     return roots

@@ -11,7 +11,11 @@ server discipline (``fifo``/``ps``/``limited``) feeds it for free:
   :class:`~repro.obs.metrics.Histogram`;
 * **tail exemplars** — the slowest-K steady-state requests, each with its
   full per-partition breakdown (queue wait, transfer time, straggler
-  report delay, goodput factor, last-to-finish server);
+  report delay, goodput factor, last-to-finish server) and the
+  deterministic ``trace_id`` of its span tree
+  (:func:`~repro.obs.causal.request_trace_id`).  The tail is the one
+  per-request record of the slowest requests: the causal section keeps
+  only edge totals and its conservation check;
 * a **tail-attribution report** splitting each exemplar's latency into
   ``queueing + straggling + transfer + join`` components that sum to the
   latency *exactly*: the critical partition is the one whose reported
@@ -32,17 +36,21 @@ always do.
 Sections are plain JSON-able dicts; they serialize into run manifests
 (:mod:`repro.obs.runinfo`), export as Chrome-trace
 counter events (:func:`chrome_counter_events`), and render through the
-``repro timeline`` / ``repro tail`` CLI subcommands.
+``repro timeline`` / ``repro tail`` CLI subcommands
+(:func:`tail_exemplar_rows`, which ``repro critical`` shares for the
+exemplars it rebuilds from a trace).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import Any
 
 import numpy as np
 
 from repro.obs import events as ev
+from repro.obs.causal import _share_rows, request_trace_id
 from repro.obs.metrics import Histogram
 from repro.obs.sections import Channel, Observer, RunEnd
 from repro.obs.tracing import Tracer
@@ -59,13 +67,14 @@ __all__ = [
     "publish_timeline",
     "sparkline",
     "tail_attribution_rows",
+    "tail_exemplar_rows",
     "timeline_series_rows",
     "use_timeline",
 ]
 
 #: Version of the timeline *section* layout (independent of the manifest
 #: schema version, which gates the envelope).
-TIMELINE_SCHEMA_VERSION = 1
+TIMELINE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -128,9 +137,11 @@ class PartitionLog:
         #: ``server``, ``size``, ``start``, ``end``, ``extra``,
         #: ``gfactor`` sorted by ``(request, partition)``; request ``r``'s
         #: rows ``blk_lo[r]:blk_hi[r]``; its critical partition's
-        #: ``crit_server``/``crit_bytes`` (``-1``/``0`` without one); and
-        #: its latency split ``queue + service + transfer + join``.
+        #: ``crit_server``/``crit_bytes`` (``-1``/``0`` without one); its
+        #: latency split ``queue + service + transfer + join``; and the
+        #: workload fingerprint ``run_key``.
         self.req: np.ndarray | None = None
+        self.run_key = ""
 
     # -- hot-path hooks (buffer only, no arithmetic) ------------------
 
@@ -169,10 +180,16 @@ class PartitionLog:
 
     # -- the critical-path split ----------------------------------------
 
-    def split(self, times: np.ndarray, latencies: np.ndarray) -> PartitionLog:
-        """Sort the records and split each request's latency (float64
-        arrival times and latencies); returns the log.  Runs once: later
-        calls (the run's other collectors) reuse the result.
+    def split(self, times, file_ids, latencies) -> PartitionLog:
+        """Sort the records, fingerprint the workload and split each
+        request's latency; returns the log.  Runs once: later calls (the
+        run's other collectors) reuse the result.
+
+        ``run_key`` hashes the arrival times, file ids and latencies: two
+        passes of one workload see byte-identical arrays, while a load
+        sweep's repeated same-scheme runs do not, so the deterministic
+        trace ids (:func:`~repro.obs.causal.request_trace_id`) never
+        collide in a shared trace.
 
         Records are lexsorted by ``(request, partition)`` before any
         arithmetic, and each pair is recorded at most once, so the order
@@ -187,6 +204,13 @@ class PartitionLog:
         """
         if self.req is not None:
             return self
+        times = np.asarray(times, dtype=np.float64)
+        latencies = np.asarray(latencies, dtype=np.float64)
+        fp = blake2b(digest_size=8)
+        fp.update(times.tobytes())
+        fp.update(np.asarray(file_ids, dtype=np.int64).tobytes())
+        fp.update(latencies.tobytes())
+        self.run_key = fp.hexdigest()
         if self._frames:
             cols = [np.concatenate(col) for col in zip(*self._frames)]
             order = np.lexsort((cols[1], cols[0]))
@@ -277,7 +301,7 @@ class TimelineCollector(Observer):
         times = np.asarray(end.times, dtype=np.float64)
         latencies = np.asarray(end.latencies, dtype=np.float64)
         n_req = int(latencies.size)
-        log = end.log.split(times, latencies)
+        log = end.log.split(times, end.file_ids, latencies)
         req, server, size = log.req, log.server, log.size
         start, end_s, extra = log.start, log.end, log.extra
 
@@ -419,6 +443,9 @@ class TimelineCollector(Observer):
             exemplars.append(
                 {
                     "req": r,
+                    "trace_id": request_trace_id(
+                        self.scheme, self.engine, r, log.run_key
+                    ),
                     "file_id": int(file_ids[r]),
                     "arrival_s": arrival,
                     "latency_s": float(latencies[r]),
@@ -558,15 +585,38 @@ def timeline_series_rows(section: dict[str, Any]) -> list[dict[str, Any]]:
 def tail_attribution_rows(section: dict[str, Any]) -> list[dict[str, Any]]:
     """Component/seconds/share rows of one section's tail attribution."""
     attribution = section["tail"]["attribution"]
-    total = attribution["mean_tail_latency_s"]
+    return _share_rows(
+        "component",
+        {
+            c: attribution[f"{c}_s"]
+            for c in ("queueing", "straggling", "transfer", "join")
+        },
+        attribution["mean_tail_latency_s"],
+    )
+
+
+def tail_exemplar_rows(
+    exemplars: list[dict[str, Any]], top: int = 10
+) -> list[dict[str, Any]]:
+    """Table rows of the ``top`` first exemplars (a tail's, or a trace's
+    as :func:`~repro.obs.causal.causal_from_trace` rebuilds them)."""
     rows = []
-    for component in ("queueing", "straggling", "transfer", "join"):
-        seconds = attribution[f"{component}_s"]
+    for e in exemplars[:top]:
+        components = e["components"]
+        flags = ("S" if e["straggled"] else "") + ("M" if e["missed"] else "")
         rows.append(
             {
-                "component": component,
-                "seconds": seconds,
-                "share_pct": 100.0 * seconds / total if total else 0.0,
+                "req": e["req"],
+                "file": e["file_id"],
+                "latency_s": e["latency_s"],
+                "queue_s": components["queueing_s"],
+                "straggle_s": components["straggling_s"],
+                "transfer_s": components["transfer_s"],
+                "join_s": components["join_s"],
+                "k": e["parallelism"],
+                "last_server": e["last_server"],
+                "flags": flags or "-",
+                "trace": str(e.get("trace_id", "-"))[:12],
             }
         )
     return rows

@@ -822,7 +822,7 @@ def test_critical_check_flags_violations(tmp_path, capsys):
     bad.write_text(json.dumps([{
         "scheme": "sp-cache",
         "conservation": {"ok": False, "max_rel_err": 0.5},
-        "edges": {}, "chains": [],
+        "edges": {},
     }]))
     assert main(["critical", str(bad), "--check"]) == 1
     assert "conservation violated" in capsys.readouterr().err
@@ -837,6 +837,24 @@ def test_critical_bad_inputs_fail_cleanly(tmp_path, capsys):
     capsys.readouterr()
     assert main(["critical", str(plain)]) == 2
     capsys.readouterr()
+    # request trees whose fields do not parse are dropped, not fatal
+    trace = _causal_trace(tmp_path)
+    root = {"event": "cspan", "name": "request", "ts": 0.0, "scheme": "sp"}
+    with trace.open("a") as fh:
+        for i, bad in enumerate(({"k": None}, {"latency_s": "slow"})):
+            record = {
+                **root, "span_id": f"{i + 1:016x}", "latency_s": 1.0,
+                "k": 0, **bad,
+            }
+            fh.write(json.dumps(record) + "\n")
+        fh.write(json.dumps({**root, "span_id": "a" * 16, "latency_s": 1.0,
+                             "k": 0}) + "\n")
+        fh.write(json.dumps({"event": "cspan", "name": "join", "ts": 1.0,
+                             "span_id": "b" * 16,
+                             "parent_id": "a" * 16}) + "\n")
+    capsys.readouterr()
+    assert main(["critical", str(trace), "--top", "3"]) == 0
+    assert "300 DAG(s) rebuilt, 3 dropped" in capsys.readouterr().out
 
 
 def test_simulate_causal_table_and_compare_column(capsys):

@@ -11,8 +11,9 @@ reconstruct 100 % of the request DAGs.
 
 The timeline and causal collectors read one partition log per run, so
 each section must come out the same whether the other collector ran or
-not, and a timeline tail exemplar must be its causal chain, edge for
-edge, under the name map :data:`EXEMPLAR_CHAIN_NAMES`.
+not.  The timeline tail is the one per-request record of the slowest
+requests: rebuilt from the emitted ``cspan`` JSON, the slowest requests
+must be the tail's exemplars field for field, trace id included.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.cluster import SimulationConfig, StragglerInjector, simulate_reads
 from repro.common import ClusterSpec
 from repro.obs import (
     CausalConfig,
+    FileSink,
     RingBufferSink,
     TimelineConfig,
     Tracer,
@@ -32,6 +34,7 @@ from repro.obs import (
     span_forest,
     use_tracer,
 )
+from repro.obs.causal import request_trace_id
 from repro.policies import SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
 from repro.workloads.bing import BingStragglerProfile
@@ -39,15 +42,6 @@ from repro.workloads.bing import BingStragglerProfile
 from .heap_oracle import simulate_oracle
 
 DISCIPLINES = ("fifo", "ps", "limited(3)")
-
-#: A timeline tail component and the causal chain edge it equals.
-EXEMPLAR_CHAIN_NAMES = (
-    ("queueing_s", "queue_s"),
-    ("transfer_s", "service_s"),
-    ("straggling_s", "transfer_s"),
-    ("join_s", "join_s"),
-)
-
 
 def _shared_scenario():
     """Same shape as ``test_timeline_parity._shared_scenario`` (a
@@ -155,17 +149,12 @@ def test_limited_inf_causal_is_exactly_ps():
     def canonical(section):
         data = dict(section)
         data.pop("engine")
-        # chain trace ids hash the engine label; compare the physics
-        data["chains"] = [
-            {k: v for k, v in c.items() if k != "trace_id"}
-            for c in data["chains"]
-        ]
         return json.dumps(data, sort_keys=True)
 
     assert canonical(inf) == canonical(ps)
 
 
-def _shared_log_run(discipline, observers):
+def _shared_log_run(discipline, observers, **overrides):
     """Jitter, stragglers and cache misses on: every edge is non-zero
     somewhere."""
     return _run(
@@ -174,6 +163,7 @@ def _shared_log_run(discipline, observers):
         stragglers=StragglerInjector(BingStragglerProfile(probability=0.3)),
         cache_budget=2e8,
         observers=observers,
+        **overrides,
     )
 
 
@@ -191,21 +181,34 @@ def test_each_section_is_independent_of_the_other_collector(discipline):
         ), name
 
 
+def _hexed(value):
+    """``value`` with every float replaced by its ``float.hex``."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    return value
+
+
 @pytest.mark.parametrize("discipline", ("fifo", "ps", "limited(2)"))
-def test_tail_exemplars_are_the_causal_chains(discipline):
-    sections = _shared_log_run(
-        discipline, (TimelineConfig(), CausalConfig())
-    ).sections
-    exemplars = sections["timeline"]["tail"]["exemplars"]
-    chains = sections["causal"]["chains"]
-    assert len(exemplars) == len(chains) == 64
-    for exemplar, chain in zip(exemplars, chains):
-        assert exemplar["req"] == chain["req"]
-        assert exemplar["last_server"] == chain["server"]
-        components = exemplar["components"]
-        for timeline_name, causal_name in EXEMPLAR_CHAIN_NAMES:
-            assert float.hex(components[timeline_name]) == float.hex(
-                chain[causal_name]
-            ), (exemplar["req"], timeline_name)
-    assert any(c["transfer_s"] > 0 for c in chains)  # stragglers
-    assert any(c["missed"] for c in chains)
+def test_trace_rebuilt_exemplars_are_the_tail_exemplars(discipline, tmp_path):
+    path = tmp_path / "run.jsonl"
+    with FileSink(path) as sink, use_tracer(Tracer(sink)):
+        sections = _shared_log_run(
+            discipline,
+            (TimelineConfig(), CausalConfig()),
+            warmup_fraction=0.0,
+        ).sections
+    tail = sections["timeline"]["tail"]["exemplars"]
+    causal = sections["causal"]
+    (rebuilt,) = causal_from_trace(path)
+    assert len(tail) == 64
+    for exemplar, replayed in zip(tail, rebuilt["exemplars"][:64]):
+        scalars = {k: v for k, v in exemplar.items() if k != "partitions"}
+        assert _hexed(replayed) == _hexed(scalars), exemplar["req"]
+        assert exemplar["trace_id"] == request_trace_id(
+            causal["scheme"], causal["engine"], exemplar["req"],
+            causal["run_key"],
+        )
+    assert any(e["components"]["straggling_s"] > 0 for e in tail)
+    assert any(e["missed"] for e in tail)

@@ -301,10 +301,11 @@ def test_file_over_the_cache_budget_is_an_uncached_miss(capacity):
 
     result, uncached = run(2.5e7), run(None)
     assert (result.hits, result.misses) == (2, 4)
-    chains = sorted(
-        result.sections["causal"]["chains"], key=lambda c: c["req"]
+    exemplars = sorted(
+        result.sections["timeline"]["tail"]["exemplars"],
+        key=lambda e: e["req"],
     )
-    missed = [c["missed"] for c in chains]
+    missed = [e["missed"] for e in exemplars]
     assert missed == [True, True, True, False, True, False]
     miss = next(
         o for o in result.sections["slo"]["objectives"] if o["kind"] == "miss"

@@ -4,8 +4,9 @@ The discipline-endpoint guarantees (``limited(1)`` collapses to ``fifo``,
 ``limited(inf)`` *is* ``ps``) must extend to the observability layer:
 identical physics must produce identical timeline sections, regardless
 of which engine — the vectorized per-request loop or the event heap —
-recorded them.  Sections are compared with the ``engine`` label removed,
-since that (by design) names the discipline that ran.
+recorded them.  Sections are compared with the ``engine`` label and the
+exemplars' trace ids (which hash it) removed, since that (by design)
+names the discipline that ran; the ids are checked on their own.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.cluster import SimulationConfig, StragglerInjector, simulate_reads
 from repro.cluster.network import GoodputModel
 from repro.common import ClusterSpec
 from repro.obs import TimelineConfig
+from repro.obs.causal import request_trace_id
+from repro.obs.timeline import PartitionLog
 from repro.policies import SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
 from repro.workloads.bing import BingStragglerProfile
@@ -51,14 +54,35 @@ def _run(discipline, **overrides):
 def _canonical(section):
     data = dict(section)
     data.pop("engine")
+    data["tail"] = dict(data["tail"])
+    data["tail"]["exemplars"] = [
+        {k: v for k, v in e.items() if k != "trace_id"}
+        for e in data["tail"]["exemplars"]
+    ]
     return json.dumps(data, sort_keys=True)
+
+
+def _assert_trace_ids(result):
+    """Each exemplar's trace id hashes its scheme, engine, request and
+    the run's workload fingerprint."""
+    section = result.sections["timeline"]
+    run_key = PartitionLog(result.n_requests).split(
+        result.arrival_times, result.file_ids, result.latencies
+    ).run_key
+    for e in section["tail"]["exemplars"]:
+        assert e["trace_id"] == request_trace_id(
+            section["scheme"], section["engine"], e["req"], run_key
+        )
 
 
 def test_limited_inf_timeline_is_exactly_ps():
     """The two heap configurations must agree byte for byte."""
-    ps = _run("ps").sections["timeline"]
-    inf = _run("limited(inf)").sections["timeline"]
+    ps_run, inf_run = _run("ps"), _run("limited(inf)")
+    ps = ps_run.sections["timeline"]
+    inf = inf_run.sections["timeline"]
     assert _canonical(inf) == _canonical(ps)
+    _assert_trace_ids(ps_run)
+    _assert_trace_ids(inf_run)
 
 
 def test_limited_inf_timeline_matches_ps_with_stragglers_and_jitter():

@@ -10,6 +10,7 @@ to ``tests/test_store/test_store_causal.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,17 +21,18 @@ from repro.common import ClusterSpec
 from repro.obs import (
     CausalConfig,
     RingBufferSink,
+    TimelineConfig,
     Tracer,
     TraceContext,
     causal_chrome_events,
     causal_from_trace,
     causal_span,
     collect_causal,
-    critical_chain_rows,
     critical_edge_rows,
     current_context,
     get_causal_config,
     span_forest,
+    tail_exemplar_rows,
     use_causal,
     use_context,
     use_tracer,
@@ -178,15 +180,16 @@ def test_deterministic_request_ids():
 
 
 def test_causal_config_validation():
-    with pytest.raises(ValueError):
-        CausalConfig(top_k=0)
-    with pytest.raises(ValueError):
-        CausalConfig(tolerance=0.0)
+    # The config only switches collection on: the slowest requests are
+    # the timeline tail's, and the conservation tolerance is fixed.
+    assert dataclasses.fields(CausalConfig) == ()
+    with pytest.raises(TypeError):
+        CausalConfig(64)
 
 
 def test_ambient_config_and_collection():
     assert get_causal_config() is None
-    cfg = CausalConfig(top_k=5)
+    cfg = CausalConfig()
     sections: list = []
     with use_causal(cfg):
         assert get_causal_config() is cfg
@@ -194,7 +197,6 @@ def test_ambient_config_and_collection():
             result = _simulate(causal=None)  # picks up the ambient config
     assert get_causal_config() is None
     assert "causal" in result.sections
-    assert len(result.sections["causal"]["chains"]) <= 5
     assert sections == [result.sections["causal"]]
 
 
@@ -243,20 +245,29 @@ def test_section_shape_and_conservation():
     assert json.loads(json.dumps(section)) == section  # JSON-able
 
 
-def test_chains_are_slowest_first_and_conserve():
-    section = _simulate().sections["causal"]
-    chains = section["chains"]
-    assert chains
-    latencies = [c["latency_s"] for c in chains]
+def test_tail_exemplars_carry_trace_ids_and_conserve():
+    trace, policy, cluster = _workload()
+    config = SimulationConfig(
+        discipline="fifo",
+        jitter="deterministic",
+        seed=23,
+        observers=(TimelineConfig(), CausalConfig()),
+    )
+    sections = simulate_reads(trace, policy, cluster, config).sections
+    section = sections["causal"]
+    assert set(section) == {
+        "schema_version", "scheme", "engine", "run_key", "n_requests",
+        "n_servers", "warmup_skipped", "conservation", "edges",
+    }
+    exemplars = sections["timeline"]["tail"]["exemplars"]
+    assert exemplars
+    latencies = [e["latency_s"] for e in exemplars]
     assert latencies == sorted(latencies, reverse=True)
-    for chain in chains:
-        segments = (
-            chain["queue_s"] + chain["service_s"]
-            + chain["transfer_s"] + chain["join_s"]
-        )
-        assert segments == pytest.approx(chain["latency_s"], rel=1e-9)
-        assert chain["trace_id"] == request_trace_id(
-            section["scheme"], section["engine"], chain["req"],
+    for exemplar in exemplars:
+        segments = sum(exemplar["components"].values())
+        assert segments == pytest.approx(exemplar["latency_s"], rel=1e-9)
+        assert exemplar["trace_id"] == request_trace_id(
+            section["scheme"], section["engine"], exemplar["req"],
             section["run_key"],
         )
 
@@ -347,9 +358,28 @@ def test_causal_from_trace_drops_malformed_roots():
             "span_id": "c" * 16, "parent_id": None, "trace_id": "d" * 32,
             "scheme": "s", "latency_s": 1.0, "k": 0, "req": 0,
         },
+        {
+            "event": "cspan", "name": "request", "ts": 0.0,
+            "span_id": "e" * 16, "parent_id": None, "trace_id": "e" * 32,
+            "scheme": "s", "latency_s": 1.0, "k": None,  # k: not an int
+        },
+        {
+            "event": "cspan", "name": "request", "ts": 0.0,
+            "span_id": "1" * 16, "parent_id": None, "trace_id": "1" * 32,
+            "scheme": "s", "latency_s": "slow", "k": 0,  # not a float
+        },
+        {
+            "event": "cspan", "name": "request", "ts": 0.0,
+            "span_id": "2" * 16, "parent_id": None, "trace_id": "2" * 32,
+            "scheme": "s", "latency_s": 1.0, "k": 0,
+        },
+        {
+            "event": "cspan", "name": "join", "ts": 1.0,  # no join_s
+            "span_id": "3" * 16, "parent_id": "2" * 16, "trace_id": "2" * 32,
+        },
     ]
     (section,) = causal_from_trace(records)
-    assert section["dropped"] == 1
+    assert section["dropped"] == 4
     assert section["n_requests"] == 1
     assert section["reconstructed"] == 0  # k=0 but the join is missing
 
@@ -368,12 +398,16 @@ def test_edge_and_chain_rows():
         "queue", "service", "transfer", "join"
     ]
     assert sum(r["share_pct"] for r in rows) == pytest.approx(100.0)
-    chain_rows = critical_chain_rows(section, top=3)
-    assert len(chain_rows) == 3
-    assert set(chain_rows[0]) >= {
-        "req", "file", "latency_s", "queue_s", "service_s",
-        "transfer_s", "join_s", "k", "server", "flags", "trace",
+    _result, records = _traced_run()
+    (rebuilt,) = causal_from_trace(records)
+    exemplar_rows = tail_exemplar_rows(rebuilt["exemplars"], top=3)
+    assert len(exemplar_rows) == 3
+    assert set(exemplar_rows[0]) == {
+        "req", "file", "latency_s", "queue_s", "straggle_s",
+        "transfer_s", "join_s", "k", "last_server", "flags", "trace",
     }
+    slowest = rebuilt["exemplars"][0]
+    assert exemplar_rows[0]["trace"] == slowest["trace_id"][:12]
 
 
 def test_chrome_export_has_flow_pairs(tmp_path):
