@@ -846,8 +846,11 @@ def _cmd_critical(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        n = write_causal_chrome_trace(args.source, args.chrome)
-        print(f"chrome trace: {n} span events -> {args.chrome}")
+        n, dropped = write_causal_chrome_trace(args.source, args.chrome)
+        print(
+            f"chrome trace: {n} span events -> {args.chrome}, "
+            f"{dropped} malformed tree(s) dropped"
+        )
     if args.check:
         return _causal_check(sections, from_trace)
     if args.json:

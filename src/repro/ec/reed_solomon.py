@@ -17,6 +17,13 @@ that lost ``p`` data shards pays ``p * k`` GF(256) terms instead of
 ``k * k``, and one that got all ``k`` data shards pays none.  Rebuilding one
 lost shard is the single ``k``-term row ``generator[missing] @ inv``.
 
+The inverse depends only on which shards survived, not on the order they
+arrived in, so it is inverted once per ``(k, n, sorted ids)`` and cached
+read-only, like the generator (a (10, 14) code has 1001 survivor sets).
+Shards in another order take the cached inverse with its columns
+permuted to match: ``inv(P @ G) = inv(G) @ P.T``, ``k x k`` bytes moved
+instead of ``k`` shards.
+
 This mirrors what EC-Cache gets from ISA-L, minus SIMD: encoding cost is
 ``O((n-k) * k)`` vectorized GF multiplications over the shard width.
 """
@@ -39,6 +46,14 @@ def _generator(k: int, n: int) -> np.ndarray:
     generator = GF256.matmul(vand, GF256.mat_inv(vand[:k]))
     generator.flags.writeable = False
     return generator
+
+
+@lru_cache(maxsize=4096)
+def _survivor_inverse(k: int, n: int, sorted_ids: tuple[int, ...]) -> np.ndarray:
+    """The read-only inverse of the generator rows ``sorted_ids``."""
+    inv = GF256.mat_inv(_generator(k, n)[list(sorted_ids)])
+    inv.flags.writeable = False
+    return inv
 
 
 class ReedSolomon:
@@ -106,6 +121,13 @@ class ReedSolomon:
             raise ValueError("shard ids out of range")
         return shard_ids[: self.k], shards[: self.k]
 
+    def _inverse(self, use_ids: np.ndarray) -> np.ndarray:
+        """``inv(generator[use_ids])`` from the cached inverse of the same
+        set in sorted order, its columns permuted to ``use_ids``' order."""
+        order = np.argsort(use_ids)
+        inv = _survivor_inverse(self.k, self.n, tuple(use_ids[order].tolist()))
+        return inv[:, np.argsort(order)]
+
     def decode(
         self, shard_ids: np.ndarray | list[int], shards: np.ndarray
     ) -> np.ndarray:
@@ -130,7 +152,7 @@ class ReedSolomon:
                 missing[shard_id] = False
         if not missing.any():
             return out
-        inv = GF256.mat_inv(self.generator[use_ids])
+        inv = self._inverse(use_ids)
         out[missing] = GF256.matmul(inv[missing], use_shards)
         return out
 
@@ -150,6 +172,6 @@ class ReedSolomon:
         if not 0 <= missing_id < self.n:
             raise ValueError("missing_id out of range")
         use_ids, use_shards = self._first_k(shard_ids, shards)
-        inv = GF256.mat_inv(self.generator[use_ids])
+        inv = self._inverse(use_ids)
         row = GF256.matmul(self.generator[missing_id : missing_id + 1], inv)
         return GF256.matmul(row, use_shards)[0]

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from contextvars import ContextVar, Token
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -276,10 +276,25 @@ def use_context(ctx: TraceContext) -> Iterator[TraceContext]:
         _ctx.reset(token)
 
 
-@contextmanager
+class _NoSpan:
+    """What :func:`causal_span` returns while tracing is off: enters to
+    ``None`` and does nothing else."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+
+_NO_SPAN = _NoSpan()
+
+
 def causal_span(
     name: str, /, *, tracer: Tracer | None = None, **attrs: Any
-) -> Iterator[TraceContext | None]:
+) -> AbstractContextManager[TraceContext | None]:
     """One causal span: opens a child context, emits a ``cspan`` on exit.
 
     With no ambient context a fresh trace is rooted; nested spans chain
@@ -289,12 +304,19 @@ def causal_span(
     emitted record carries ``trace_id``/``span_id``/``parent_id``,
     ``wall_s``, and the caller's ``attrs`` (reserved names are renamed
     to ``attr_<key>``).  Disabled tracing skips everything — one
-    ``enabled`` check, no context mutation.
+    ``enabled`` check returns one shared no-op context manager, with no
+    context mutation.
     """
     t = tracer if tracer is not None else get_tracer()
     if not t.enabled:
-        yield None
-        return
+        return _NO_SPAN
+    return _causal_span(t, name, attrs)
+
+
+@contextmanager
+def _causal_span(
+    t: Tracer, name: str, attrs: dict[str, Any]
+) -> Iterator[TraceContext]:
     parent = _ctx.get()
     if parent is None:
         ctx = TraceContext(new_trace_id(), new_span_id(), None)
@@ -678,6 +700,87 @@ def _span_duration(node: dict[str, Any]) -> float:
     return float(node.get("wall_s", 0.0))
 
 
+def _tree_events(root: dict[str, Any], pid: int, tid: int) -> list[dict[str, Any]]:
+    """The "X" events and flow pairs of one span tree.  Raises
+    ``TypeError``/``ValueError`` on a time field that does not parse."""
+    events: list[dict[str, Any]] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        ts_us = float(node.get("ts", 0.0)) * 1e6
+        dur_us = max(_span_duration(node), 0.0) * 1e6
+        args = {
+            k: v
+            for k, v in node.items()
+            if k not in ("children", "event", "ts") and v is not None
+        }
+        events.append(
+            {
+                "ph": "X",
+                "pid": pid,
+                "tid": tid,
+                "name": str(node.get("name", "?")),
+                "cat": "causal",
+                "ts": ts_us,
+                "dur": dur_us,
+                "args": args,
+            }
+        )
+        for child in node["children"]:
+            fid = _flow_id(str(child.get("span_id", "0")))
+            child_ts = float(child.get("ts", 0.0)) * 1e6
+            events.append(
+                {
+                    "ph": "s",
+                    "pid": pid,
+                    "tid": tid,
+                    "name": "causes",
+                    "cat": "causal",
+                    "id": fid,
+                    "ts": ts_us,
+                }
+            )
+            events.append(
+                {
+                    "ph": "f",
+                    "pid": pid,
+                    "tid": tid,
+                    "name": "causes",
+                    "cat": "causal",
+                    "id": fid,
+                    "bp": "e",
+                    "ts": child_ts,
+                }
+            )
+            stack.append(child)
+    return events
+
+
+def _chrome_events(
+    source, pid: int, max_tracks: int
+) -> tuple[list[dict[str, Any]], int]:
+    """:func:`causal_chrome_events` plus the number of trees it dropped."""
+    events: list[dict[str, Any]] = [
+        {
+            "ph": "M",
+            "pid": pid,
+            "tid": 1,
+            "name": "process_name",
+            "args": {"name": "repro.causal"},
+        }
+    ]
+    rendered = dropped = 0
+    for root in span_forest(source):
+        try:
+            tree = _tree_events(root, pid, (rendered % max_tracks) + 1)
+        except (TypeError, ValueError):
+            dropped += 1
+            continue
+        events.extend(tree)
+        rendered += 1
+    return events, dropped
+
+
 def causal_chrome_events(
     source, pid: int = 3, max_tracks: int = 32
 ) -> list[dict[str, Any]]:
@@ -688,77 +791,19 @@ def causal_chrome_events(
     spans — scaled to microseconds), and every parent→child edge
     becomes an "s"/"f" flow pair so Perfetto draws the causal arrows.
     Trees round-robin over ``max_tracks`` thread lanes to stay legible.
+    A tree with a time field that does not parse is left out whole, as
+    :func:`causal_from_trace` drops it from the text view.
     """
-    roots = span_forest(source)
-    events: list[dict[str, Any]] = [
-        {
-            "ph": "M",
-            "pid": pid,
-            "tid": 1,
-            "name": "process_name",
-            "args": {"name": "repro.causal"},
-        }
-    ]
-    for i, root in enumerate(roots):
-        tid = (i % max_tracks) + 1
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            ts_us = float(node.get("ts", 0.0)) * 1e6
-            dur_us = max(_span_duration(node), 0.0) * 1e6
-            args = {
-                k: v
-                for k, v in node.items()
-                if k not in ("children", "event", "ts") and v is not None
-            }
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid,
-                    "name": str(node.get("name", "?")),
-                    "cat": "causal",
-                    "ts": ts_us,
-                    "dur": dur_us,
-                    "args": args,
-                }
-            )
-            for child in node["children"]:
-                fid = _flow_id(str(child.get("span_id", "0")))
-                child_ts = float(child.get("ts", 0.0)) * 1e6
-                events.append(
-                    {
-                        "ph": "s",
-                        "pid": pid,
-                        "tid": tid,
-                        "name": "causes",
-                        "cat": "causal",
-                        "id": fid,
-                        "ts": ts_us,
-                    }
-                )
-                events.append(
-                    {
-                        "ph": "f",
-                        "pid": pid,
-                        "tid": tid,
-                        "name": "causes",
-                        "cat": "causal",
-                        "id": fid,
-                        "bp": "e",
-                        "ts": child_ts,
-                    }
-                )
-                stack.append(child)
-    return events
+    return _chrome_events(source, pid, max_tracks)[0]
 
 
-def write_causal_chrome_trace(source, path) -> int:
-    """Write causal span trees as a Chrome trace file; returns span count."""
+def write_causal_chrome_trace(source, path) -> tuple[int, int]:
+    """Write causal span trees as a Chrome trace file; returns the span
+    count and the number of trees left out because a field did not parse."""
     import json
     from pathlib import Path
 
-    events = causal_chrome_events(source)
+    events, dropped = _chrome_events(source, pid=3, max_tracks=32)
     doc = {"traceEvents": events, "displayTimeUnit": "ms"}
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
-    return sum(1 for e in events if e["ph"] == "X")
+    return sum(1 for e in events if e["ph"] == "X"), dropped

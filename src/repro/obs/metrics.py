@@ -14,9 +14,21 @@ with a seeded PRNG, so snapshots are deterministic) for p50/p95/p99.  For
 samples no larger than the reservoir the percentiles are *exact* — they
 reduce to ``np.percentile`` over every observation.
 
-Hot loops that produce a whole latency vector at once should use
-:meth:`Histogram.observe_many`, which updates the bucket counts and the
-reservoir with vectorized NumPy work instead of a Python-level loop.
+Once the reservoir is full, every observation draws a replacement slot
+from the histogram's own generator; the slots are drawn in blocks of
+:data:`SLOT_BLOCK` by one ``Generator.integers`` call.  The bound of each
+slot depends only on the running count, so a slot drawn ahead is the slot
+a per-value draw would have produced: samples and snapshots are the same
+as drawing one at a time, and :meth:`Histogram.observe_many` uses up the
+slots already drawn before it draws more.  Hot loops that produce a whole
+latency vector at once should use :meth:`Histogram.observe_many`, which
+updates the bucket counts and the reservoir with vectorized NumPy work
+instead of a Python-level loop.
+
+Hot call sites (the byte store's per-block counters) build their keys
+once with :func:`metric_key` and resolve them per call with
+:meth:`MetricsRegistry.counter_at` / :meth:`MetricsRegistry.histogram_at`
+against whichever registry is live, skipping the label sort.
 
 Test isolation: :func:`reset_registry` drops every metric; suites that
 assert on counts call it in a fixture so modules instrumented with the
@@ -37,7 +49,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_SECONDS_BUCKETS",
+    "SLOT_BLOCK",
     "get_registry",
+    "metric_key",
     "parse_snapshot_key",
     "render_snapshot_key",
     "reset_registry",
@@ -50,10 +64,16 @@ DEFAULT_SECONDS_BUCKETS: tuple[float, ...] = tuple(
     1e-4 * (10.0 ** (i / 3.0)) for i in range(19)
 )
 
+#: Replacement slots a full reservoir draws per generator call.
+SLOT_BLOCK = 256
+
 LabelKey = tuple[str, tuple[tuple[str, Any], ...]]
 
 
-def _label_key(name: str, labels: dict[str, Any]) -> LabelKey:
+def metric_key(name: str, **labels: Any) -> LabelKey:
+    """The registry key of metric ``name`` with ``labels``: build it once,
+    resolve it per call with :meth:`MetricsRegistry.counter_at` or
+    :meth:`MetricsRegistry.histogram_at`."""
     return name, tuple(sorted(labels.items()))
 
 
@@ -202,7 +222,10 @@ class Histogram:
     the last bound land in an implicit overflow bucket.  The reservoir keeps
     a uniform sample of at most ``reservoir_size`` observations (Algorithm
     R), so :meth:`percentile` is exact until the sample outgrows the
-    reservoir and an unbiased estimate after.
+    reservoir and an unbiased estimate after.  Replacement slots come from
+    the histogram's own generator, :data:`SLOT_BLOCK` per draw; ``_slots``
+    holds the ones drawn for the observations at ``count`` onwards, from
+    ``_slot_pos``.
     """
 
     __slots__ = (
@@ -214,6 +237,8 @@ class Histogram:
         "sum",
         "_reservoir",
         "_rng",
+        "_slots",
+        "_slot_pos",
     )
 
     def __init__(
@@ -236,18 +261,31 @@ class Histogram:
         self.sum = 0.0
         self._reservoir: list[float] = [0.0] * reservoir_size
         self._rng = np.random.default_rng(seed)
+        self._slots: list[int] = []
+        self._slot_pos = 0
+
+    def _draw_slots(self, first: int, n: int) -> np.ndarray:
+        """Algorithm R's slots for the ``n`` observations at global
+        positions ``first`` onwards: ``randint(0, position)`` each."""
+        return self._rng.integers(0, np.arange(first, first + n) + 1)
 
     def observe(self, value: float) -> None:
         value = float(value)
         self.bucket_counts[bisect_right(self.buckets, value)] += 1
-        cap = len(self._reservoir)
-        if self.count < cap:
-            self._reservoir[self.count] = value
+        count = self.count
+        reservoir = self._reservoir
+        if count < len(reservoir):
+            reservoir[count] = value
         else:
-            j = int(self._rng.integers(0, self.count + 1))
-            if j < cap:
-                self._reservoir[j] = value
-        self.count += 1
+            pos = self._slot_pos
+            if pos == len(self._slots):
+                self._slots = self._draw_slots(count, SLOT_BLOCK).tolist()
+                pos = 0
+            j = self._slots[pos]
+            self._slot_pos = pos + 1
+            if j < len(reservoir):
+                reservoir[j] = value
+        self.count = count + 1
         self.sum += value
 
     def observe_many(self, values: np.ndarray) -> None:
@@ -272,10 +310,15 @@ class Histogram:
             # Algorithm R, vectorized: item at global position n replaces a
             # reservoir slot iff randint(0, n) < cap.  Replacements are
             # applied in stream order so later items overwrite earlier.
-            start = max(self.count, cap)
-            slots = self._rng.integers(
-                0, np.arange(start, start + rest.size) + 1
-            )
+            # The slots already drawn come first; the rest are drawn now.
+            pos = self._slot_pos
+            held = self._slots[pos : pos + rest.size]
+            self._slot_pos = pos + len(held)
+            slots = np.asarray(held, dtype=np.int64)
+            if len(held) < rest.size:
+                start = max(self.count, cap) + len(held)
+                fresh = self._draw_slots(start, rest.size - len(held))
+                slots = np.concatenate((slots, fresh))
             for i in np.nonzero(slots < cap)[0]:
                 self._reservoir[int(slots[i])] = float(rest[i])
         self.count += arr.size
@@ -321,27 +364,33 @@ class MetricsRegistry:
         self._metrics: dict[LabelKey, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
 
-    def _get_or_create(self, cls, name: str, labels: dict[str, Any], **kw):
-        key = _label_key(name, labels)
+    def _get_or_create(self, cls, key: LabelKey, **kw):
         metric = self._metrics.get(key)
         if metric is None:
             with self._lock:
                 metric = self._metrics.get(key)
                 if metric is None:
-                    metric = cls(name, labels, **kw)
+                    metric = cls(key[0], dict(key[1]), **kw)
                     self._metrics[key] = metric
         if not isinstance(metric, cls):
             raise TypeError(
-                f"metric {name!r} already registered as "
+                f"metric {key[0]!r} already registered as "
                 f"{type(metric).__name__}, not {cls.__name__}"
             )
         return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get_or_create(Counter, name, labels)
+        return self._get_or_create(Counter, metric_key(name, **labels))
+
+    def counter_at(self, key: LabelKey) -> Counter:
+        """:meth:`counter` under a key built by :func:`metric_key`."""
+        metric = self._metrics.get(key)
+        if type(metric) is Counter:  # the hot path: one dict lookup
+            return metric
+        return self._get_or_create(Counter, key)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
+        return self._get_or_create(Gauge, metric_key(name, **labels))
 
     def histogram(
         self,
@@ -349,7 +398,16 @@ class MetricsRegistry:
         buckets: Iterable[float] | None = None,
         **labels: Any,
     ) -> Histogram:
-        return self._get_or_create(Histogram, name, labels, buckets=buckets)
+        return self.histogram_at(metric_key(name, **labels), buckets)
+
+    def histogram_at(
+        self, key: LabelKey, buckets: Iterable[float] | None = None
+    ) -> Histogram:
+        """:meth:`histogram` under a key built by :func:`metric_key`."""
+        metric = self._metrics.get(key)
+        if type(metric) is Histogram:  # the hot path: one dict lookup
+            return metric
+        return self._get_or_create(Histogram, key, buckets=buckets)
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -21,10 +21,13 @@ from repro.obs import events as ev
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs.popularity import PopularityMonitor
 from repro.obs.causal import causal_span
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, metric_key
 from repro.obs.tracing import get_tracer
 
 __all__ = ["PartitionLocation", "FileMeta", "Master"]
+
+#: Key of the per-read access counter, built once (see :func:`metric_key`).
+_READS_KEY = metric_key("master.reads")
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ class Master:
     def record_access(self, file_id: int) -> None:
         """Bump the access counter (done on every read, Sec. 6.1)."""
         self._files[file_id].access_count += 1
-        get_registry().counter("master.reads").inc()
+        get_registry().counter_at(_READS_KEY).inc()
         if self.popularity is not None:
             self.popularity.observe(file_id)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.obs import events as ev
 from repro.obs.causal import causal_span
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, metric_key
 from repro.obs.tracing import get_tracer
 from repro.store.lru import LRUCache
 
@@ -63,6 +63,16 @@ class Worker:
         self.capacity = capacity
         self.bytes_served = 0
         self.evicted_blocks: list[BlockKey] = []
+        # Keys of the per-block metrics, resolved per call against the
+        # live registry (which tests and benchmarks swap and reset).
+        self._served_key = metric_key("store.bytes_served", worker_id=worker_id)
+        self._stored_key = metric_key("store.bytes_stored", worker_id=worker_id)
+        self._get_bytes_key = metric_key(
+            "store.block_bytes", op="get", worker_id=worker_id
+        )
+        self._put_bytes_key = metric_key(
+            "store.block_bytes", op="put", worker_id=worker_id
+        )
 
     def _drop(self, key: BlockKey, _size: float) -> None:
         with causal_span(
@@ -127,18 +137,13 @@ class Worker:
         key = (file_id, index)
         self._blocks[key] = bytes(data)
         reg = get_registry()
-        reg.counter("store.bytes_stored", worker_id=self.worker_id).inc(
-            len(data)
-        )
+        reg.counter_at(self._stored_key).inc(len(data))
         # Block-size distribution per op (deterministic byte sizes, so
         # identical seeded runs diff clean) — the write-path scrape
         # surface for the OpenMetrics export.
-        reg.histogram(
-            "store.block_bytes",
-            buckets=BLOCK_BYTES_BUCKETS,
-            op="put",
-            worker_id=self.worker_id,
-        ).observe(len(data))
+        reg.histogram_at(self._put_bytes_key, BLOCK_BYTES_BUCKETS).observe(
+            len(data)
+        )
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -174,15 +179,10 @@ class Worker:
             self._lru.touch(key)
         self.bytes_served += len(data)
         reg = get_registry()
-        reg.counter("store.bytes_served", worker_id=self.worker_id).inc(
+        reg.counter_at(self._served_key).inc(len(data))
+        reg.histogram_at(self._get_bytes_key, BLOCK_BYTES_BUCKETS).observe(
             len(data)
         )
-        reg.histogram(
-            "store.block_bytes",
-            buckets=BLOCK_BYTES_BUCKETS,
-            op="get",
-            worker_id=self.worker_id,
-        ).observe(len(data))
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(

@@ -855,6 +855,18 @@ def test_critical_bad_inputs_fail_cleanly(tmp_path, capsys):
     capsys.readouterr()
     assert main(["critical", str(trace), "--top", "3"]) == 0
     assert "300 DAG(s) rebuilt, 3 dropped" in capsys.readouterr().out
+    # the Chrome export leaves out the tree whose latency does not parse
+    chrome = tmp_path / "bad.causal.json"
+    assert main(["critical", str(trace), "--chrome", str(chrome)]) == 0
+    printed = capsys.readouterr().out
+    assert "1 malformed tree(s) dropped" in printed
+    assert "300 DAG(s) rebuilt, 3 dropped" in printed
+    spans = [
+        e for e in json.loads(chrome.read_text())["traceEvents"]
+        if e["ph"] == "X"
+    ]
+    assert spans and all(isinstance(e["dur"], float) for e in spans)
+    assert not any(e["args"].get("latency_s") == "slow" for e in spans)
 
 
 def test_simulate_causal_table_and_compare_column(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec.galois import GF256
+from repro.ec import reed_solomon
 from repro.ec.reed_solomon import ReedSolomon
 
 from . import rs_oracle
@@ -193,6 +194,61 @@ def test_reconstruct_shard_is_one_k_term_row(counted_matmul):
     assert np.array_equal(rs.reconstruct_shard(3, survivors, coded[survivors]), coded[3])
     # The coefficient row (1 x k times k x k), then the one shard-wide row.
     assert counted_matmul.calls == [((1, 5), (5, 5)), ((1, 5), (5, 400))]
+
+
+def test_cached_inverse_matches_oracle_in_any_order():
+    """One survivor set arriving in many orders: the cached inverse,
+    permuted to each order, decodes and rebuilds byte for byte as the
+    oracle's fresh inversion does."""
+    rs = ReedSolomon(10, 14)
+    rows = np.random.default_rng(12).integers(0, 256, (14, 257), dtype=np.uint8)
+    rng = np.random.default_rng(13)
+    for survivors in ([13, 0, 9, 2, 3, 11, 4, 5, 6, 7], list(range(4, 14))):
+        for _ in range(8):
+            ids = [int(i) for i in rng.permutation(survivors)]
+            _pinned_decode(rs, ids, rows[ids])
+            block = rs_oracle.decode(rs, ids, rows[ids])
+            expected = rs_oracle.matmul(rs.generator[1:2], block)[0]
+            assert np.array_equal(rs.reconstruct_shard(1, ids, rows[ids]), expected)
+
+
+class _CountingInverse:
+    """Stands in for :meth:`GF256.mat_inv` and records each inverted matrix."""
+
+    def __init__(self) -> None:
+        self.calls: list[bytes] = []
+        self._mat_inv = GF256.mat_inv
+
+    def __call__(self, a):
+        self.calls.append(np.asarray(a).tobytes())
+        return self._mat_inv(a)
+
+
+def test_one_inversion_per_survivor_set(monkeypatch):
+    """Every 10-of-14 survivor set, each read twice in fresh random orders
+    through decode and reconstruct_shard: 1000 inversions (the set of all
+    data shards needs none), one per set."""
+    from itertools import combinations
+
+    rs = ReedSolomon(10, 14)
+    counter = _CountingInverse()
+    monkeypatch.setattr(GF256, "mat_inv", counter)
+    reed_solomon._survivor_inverse.cache_clear()
+    rows = np.random.default_rng(14).integers(0, 256, (14, 3), dtype=np.uint8)
+    rng = np.random.default_rng(15)
+    sets = list(combinations(range(14), 10))
+    assert len(sets) == 1001
+    for _ in range(2):
+        for survivors in sets:
+            ids = [int(i) for i in rng.permutation(survivors)]
+            rs.decode(ids, rows[ids])
+            if survivors != tuple(range(10)):
+                rs.reconstruct_shard(survivors[0], ids, rows[ids])
+    assert len(counter.calls) == 1000
+    assert len(set(counter.calls)) == 1000
+    cached = reed_solomon._survivor_inverse(10, 14, tuple(range(4, 14)))
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] ^= 1
 
 
 def test_reconstruct_shard_validates_inputs():

@@ -426,6 +426,6 @@ def test_chrome_export_has_flow_pairs(tmp_path):
     )
     assert len(starts) == n_children
     out = tmp_path / "causal.json"
-    assert write_causal_chrome_trace(records, out) == n_cspans
+    assert write_causal_chrome_trace(records, out) == (n_cspans, 0)
     doc = json.loads(out.read_text())
     assert doc["traceEvents"]

@@ -21,6 +21,9 @@ from repro.obs import (
     reset_registry,
     set_registry,
 )
+from repro.obs.metrics import SLOT_BLOCK, metric_key
+
+from . import hist_oracle
 
 
 class TestCounterGauge:
@@ -95,6 +98,99 @@ class TestRegistry:
             assert get_registry() is fresh
         finally:
             assert set_registry(previous) is fresh
+
+
+class TestMetricKeys:
+    def test_key_resolves_against_the_live_registry(self):
+        key = metric_key("k.count", worker_id=3, op="get")
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_registry(first)
+        try:
+            get_registry().counter_at(key).inc(2)
+            set_registry(second)
+            get_registry().counter_at(key).inc(5)
+            assert first.counter("k.count", op="get", worker_id=3).value == 2
+            assert second.snapshot() == {"k.count{op=get,worker_id=3}": 5.0}
+            hist = get_registry().histogram_at(metric_key("k.size"), (1.0, 2.0))
+            assert hist is second.histogram("k.size")
+            assert hist.buckets == (1.0, 2.0)
+        finally:
+            set_registry(previous)
+
+    def test_key_type_conflict_raises(self):
+        reg = MetricsRegistry()
+        reg.gauge("g")
+        with pytest.raises(TypeError, match="already registered as Gauge"):
+            reg.counter_at(metric_key("g"))
+        with pytest.raises(TypeError, match="already registered as Gauge"):
+            reg.histogram_at(metric_key("g"))
+
+
+def _chunk(seed: int, n: int) -> np.ndarray:
+    return np.random.default_rng(seed).lognormal(size=n)
+
+
+@st.composite
+def _feeds(draw):
+    """A reservoir size, a starting count and a mix of per-value and bulk
+    observations large enough to draw several slot blocks."""
+    size = draw(st.sampled_from([1, 16, 4096]))
+    start = draw(st.sampled_from([0, 0, 2**32 - 700]))
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 3 * SLOT_BLOCK if size < 4096 else 3000),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return size, start, ops
+
+
+class TestHistogramOracle:
+    """Block-drawn slots against the per-value histogram they replaced."""
+
+    @given(_feeds())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_feeds_match_oracle_exactly(self, feed):
+        size, start, ops = feed
+        new = Histogram("h", {}, reservoir_size=size, seed=7)
+        old = hist_oracle.Histogram("h", {}, reservoir_size=size, seed=7)
+        # A count past 2**32 on an empty reservoir: the slot bounds
+        # cross into 64-bit draws.
+        new.count = old.count = start
+        for bulk, n, seed in ops:
+            values = _chunk(seed, n)
+            for h in (new, old):
+                if bulk:
+                    h.observe_many(values)
+                else:
+                    for v in values:
+                        h.observe(v)
+            assert new.count == old.count
+        assert new.snapshot() == old.snapshot()
+        assert np.array_equal(new.sample(), old.sample())
+        assert new.bucket_counts == old.bucket_counts
+        assert new.sum == old.sum
+
+    @pytest.mark.parametrize("size", [1, 16, 4096])
+    def test_per_value_tail_after_bulk_matches(self, size):
+        """observe_many first uses up the slots observe drew ahead: bulk
+        calls that start mid-block, then single values again."""
+        new = Histogram("h", {}, reservoir_size=size, seed=3)
+        old = hist_oracle.Histogram("h", {}, reservoir_size=size, seed=3)
+        for h in (new, old):
+            for v in _chunk(1, size + 40):
+                h.observe(v)
+            h.observe_many(_chunk(2, 10))
+            h.observe_many(_chunk(3, 2 * SLOT_BLOCK))
+            for v in _chunk(4, 300):
+                h.observe(v)
+        assert np.array_equal(new.sample(), old.sample())
+        assert new.snapshot() == old.snapshot()
 
 
 class TestHistogram:
