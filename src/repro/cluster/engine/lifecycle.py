@@ -464,14 +464,17 @@ class RequestLifecycle:
         ``parallelism`` (all 1.0 when goodput loss is disabled)."""
         row = self._goodput_rows.get(parallelism)
         if row is None:
-            row = self._goodput_rows[parallelism] = np.array(
-                [
-                    1.0
-                    if self.goodput is None
-                    else self.goodput.factor(parallelism, float(b))
-                    for b in self.bandwidths
-                ]
-            )
+            if self.goodput is None:
+                row = np.ones(len(self.bandwidths))
+            else:
+                # One curve lookup per distinct bandwidth, not per server.
+                distinct, server_bw = np.unique(
+                    self.bandwidths, return_inverse=True
+                )
+                row = np.array(
+                    [self.goodput.factor(parallelism, float(b)) for b in distinct]
+                )[server_bw]
+            self._goodput_rows[parallelism] = row
         return row
 
     # -- cache admission ----------------------------------------------

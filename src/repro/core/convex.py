@@ -19,10 +19,16 @@ at every candidate alpha).
 Files of different fan-out widths share one solve: row ``i`` of a padded
 ``(batch, max m)`` matrix holds file ``i``'s ``m_i`` queues in its first
 ``m_i`` columns, and a ``(batch, max m)`` column mask drops the padding
-from the derivative, the objective, the bracket (min, max, spread) and the
-finiteness test.  Each row's root is its own file's; only the stop rule is
-shared (the bisection runs until every row has converged).  On equal-width
-input the mask is all-true and the arithmetic is that of an unpadded solve.
+from the objective, the bracket (min, max, spread) and the finiteness
+test.  Each row's root is its own file's; only the stop rule is shared
+(the bisection runs until every row has converged).
+
+The derivative never touches the padding.  Each bisection step evaluates
+the real cells as flat row-major arrays (repeat ``z`` per row, subtract,
+square, add, sqrt, divide) and sums them per row in a zero-padded matrix,
+so every row sum adds the same floats in the same order as a masked sum
+over the full width.  The zero-variance kink fix-up runs only when a real
+zero-variance queue exists.
 
 Special case ``m = 1``: ``f'(z) -> 0^+`` as ``z -> -inf`` and the infimum is
 the limit value ``E_1`` — the bound degenerates to the single queue's mean
@@ -49,25 +55,6 @@ def _objective(
         + 0.5 * np.where(mask, diff, 0.0).sum(axis=-1)
         + 0.5 * np.where(mask, np.sqrt(diff**2 + variances), 0.0).sum(axis=-1)
     )
-
-
-def _derivative(
-    z: np.ndarray,
-    means: np.ndarray,
-    variances: np.ndarray,
-    mask: np.ndarray,
-    widths: np.ndarray,
-) -> np.ndarray:
-    diff = z - means
-    # diff == 0 with zero variance is the kink of |z - E|; its
-    # subgradient midpoint 0 keeps the bisection consistent.
-    with np.errstate(invalid="ignore"):
-        terms = np.where(
-            mask & ~((diff == 0) & (variances == 0)),
-            diff / np.sqrt(diff**2 + variances),
-            0.0,
-        )
-    return 1.0 - 0.5 * widths + 0.5 * terms.sum(axis=-1)
 
 
 def fork_join_upper_bound_batch(
@@ -127,40 +114,68 @@ def fork_join_upper_bound_batch(
         return out
     keep = mask[solve]
     # Zeroed padding stays finite through every masked-out float op.
-    mu = np.where(keep, means[solve], 0.0)
-    var = np.where(keep, variances[solve], 0.0)
+    mu_rows = np.where(keep, means[solve], 0.0)
+    var_rows = np.where(keep, variances[solve], 0.0)
     w = widths[solve]
 
     # Bracket the root of the increasing derivative.  f'(z) < 0 for
     # z <= min E_s - spread and f'(z) > 0 for z >= max E_s + spread once the
     # sqrt terms saturate; widen exponentially until both signs are secured.
-    mu_min = np.where(keep, mu, np.inf).min(axis=1)
-    mu_max = np.where(keep, mu, -np.inf).max(axis=1)
-    spread = np.sqrt(var.max(axis=1)) + (mu_max - mu_min) + 1.0
+    mu_min = np.where(keep, mu_rows, np.inf).min(axis=1)
+    mu_max = np.where(keep, mu_rows, -np.inf).max(axis=1)
+    spread = np.sqrt(var_rows.max(axis=1)) + (mu_max - mu_min) + 1.0
     lo = mu_min - spread
     hi = mu_max + spread
-    for _ in range(80):
-        bad = _derivative(lo[:, None], mu, var, keep, w) > 0
-        if not bad.any():
-            break
-        lo[bad] -= spread[bad]
-        spread[bad] *= 2
-    for _ in range(80):
-        bad = _derivative(hi[:, None], mu, var, keep, w) < 0
-        if not bad.any():
-            break
-        hi[bad] += spread[bad]
-        spread[bad] *= 2
 
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        pos = _derivative(mid[:, None], mu, var, keep, w) > 0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-        if np.max(hi - lo) < _TOL * (1.0 + np.max(np.abs(mid))):
-            break
+    # The derivative evaluates the real cells only, as flat row-major
+    # arrays.  Its terms are summed per row in a zero-padded matrix, so each
+    # row sum adds the same floats in the same order as a masked sum over
+    # the full width.
+    half_slope = 1.0 - 0.5 * w
+    mu = mu_rows[keep]
+    var = var_rows[keep]
+    kinks = var == 0
+    if not kinks.any():
+        kinks = None
+    rows = np.zeros(keep.shape)
+
+    def derivative(z: np.ndarray) -> np.ndarray:
+        diff = z.repeat(w)
+        diff -= mu
+        terms = diff * diff
+        terms += var
+        np.sqrt(terms, out=terms)
+        np.divide(diff, terms, out=terms)
+        if kinks is not None:
+            # diff == 0 with zero variance is the kink of |z - E|; its
+            # subgradient midpoint 0 keeps the bisection consistent.
+            terms[kinks & (diff == 0)] = 0.0
+        rows[keep] = terms
+        return half_slope + 0.5 * rows.sum(axis=-1)
+
+    with np.errstate(invalid="ignore"):  # 0 / 0 at a kink, zeroed above
+        for _ in range(80):
+            bad = derivative(lo) > 0
+            if not bad.any():
+                break
+            lo[bad] -= spread[bad]
+            spread[bad] *= 2
+        for _ in range(80):
+            bad = derivative(hi) < 0
+            if not bad.any():
+                break
+            hi[bad] += spread[bad]
+            spread[bad] *= 2
+
+        for _ in range(_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            pos = derivative(mid) > 0
+            np.copyto(hi, mid, where=pos)
+            np.copyto(lo, mid, where=~pos)
+            if (hi - lo).max() < _TOL * (1.0 + np.abs(mid).max()):
+                break
     z_star = 0.5 * (lo + hi)
-    out[solve] = _objective(z_star[:, None], mu, var, keep)
+    out[solve] = _objective(z_star[:, None], mu_rows, var_rows, keep)
     return out
 
 

@@ -115,7 +115,7 @@ class ForkJoinModel:
         x_part = pop.sizes / ks  # partition bytes per file
 
         # Flatten the (file, server) incidence once.
-        counts = np.array([s.size for s in servers_of], dtype=np.int64)
+        counts = np.fromiter(map(len, servers_of), np.int64, len(servers_of))
         if np.any(counts != ks):
             raise ValueError("servers_of entry lengths must equal ks")
         file_idx = np.repeat(np.arange(pop.n_files), counts)
@@ -199,15 +199,14 @@ class ForkJoinModel:
         q_var = t_var + wait_var[server_idx]
 
         # One Eq. (9) solve for every file: row i of the padded matrices
-        # holds file i's k_i sojourn moments, scattered from the incidence
-        # (file_idx is sorted, so a row's columns follow servers_of[i]).
-        offsets = np.cumsum(counts) - counts
-        col = np.arange(file_idx.size) - offsets[file_idx]
-        width = int(counts.max())
-        rows_mean = np.zeros((pop.n_files, width))
-        rows_var = np.zeros((pop.n_files, width))
-        rows_mean[file_idx, col] = q_mean
-        rows_var[file_idx, col] = q_var
+        # holds file i's k_i sojourn moments in its first k_i cells.  The
+        # incidence is file-major, so a row-major mask scatter lands them in
+        # servers_of[i]'s order.
+        cells = np.arange(int(counts.max())) < counts[:, None]
+        rows_mean = np.zeros(cells.shape)
+        rows_var = np.zeros(cells.shape)
+        rows_mean[cells] = q_mean
+        rows_var[cells] = q_var
         file_bounds = fork_join_upper_bound_batch(rows_mean, rows_var, counts)
 
         mean_bound = float(np.dot(pop.popularities, file_bounds))

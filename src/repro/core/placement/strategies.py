@@ -98,26 +98,49 @@ def extend_placement(
     if short.size:
         raise ValueError(f"file {short[0]} needs at least one partition")
     ids = np.concatenate(servers_of) if servers_of else np.empty(0, np.int64)
+    sizes = np.fromiter(map(len, servers_of), np.int64, len(servers_of))
     stray = np.flatnonzero((ids < 0) | (ids >= n_servers))
     if stray.size:
-        ends = np.cumsum([old.size for old in servers_of])
-        i = int(np.searchsorted(ends, stray[0], side="right"))
+        i = int(np.searchsorted(np.cumsum(sizes), stray[0], side="right"))
         raise ValueError(
             f"file {i} holds a server id outside [0, {n_servers})"
         )
     rng = make_rng(seed)
-    servers = np.arange(n_servers)
-    out: list[np.ndarray] = []
-    for old, k in zip(servers_of, new_ks):
-        k = int(k)
-        if k <= old.size:
-            out.append(old[:k])
-            continue
-        # The free servers, sorted: what setdiff1d(servers, old) returns.
-        free = np.ones(n_servers, dtype=bool)
-        free[old] = False
-        extra = rng.permutation(servers[free])[: k - old.size]
-        out.append(np.concatenate([old, extra]))
+    out = list(servers_of)  # a file whose count holds keeps its array
+    for i in np.flatnonzero(new_ks < sizes).tolist():
+        out[i] = servers_of[i][: new_ks[i]]
+    growing = new_ks > sizes
+    grow = np.flatnonzero(growing)
+    if not grow.size:
+        return out
+    # Every growing file's free servers at once: one scatter clears its
+    # held servers from a row of a (growing files, N) mask, and the mask's
+    # nonzero columns are each row's free servers in ascending order (what
+    # setdiff1d(arange(N), old) returns).
+    held = ids[np.repeat(growing, sizes)]
+    held_n = sizes[grow]
+    free = np.ones((grow.size, n_servers), dtype=bool)
+    free[np.repeat(np.arange(grow.size), held_n), held] = False
+    free_n = np.count_nonzero(free, axis=1)
+    # One buffer holds each growing file's segment: its held servers, then
+    # its free servers, of which a shuffled prefix is the new partitions.
+    seg = held_n + free_n
+    starts = np.cumsum(seg) - seg
+    in_seg = np.arange(seg.sum()) - np.repeat(starts, seg)
+    old_slot = in_seg < np.repeat(held_n, seg)
+    flat = np.empty(seg.sum(), dtype=np.result_type(ids, np.intp))
+    flat[old_slot] = held
+    flat[~old_slot] = np.nonzero(free)[1]
+    for i, a, b, end in zip(
+        grow.tolist(),
+        starts.tolist(),
+        (starts + held_n).tolist(),
+        (starts + seg).tolist(),
+    ):
+        # Generator.permutation(x) is a copy of x plus shuffle: shuffling
+        # the free servers in place draws the same stream, same order.
+        rng.shuffle(flat[b:end])
+        out[i] = flat[a : a + int(new_ks[i])]
     return out
 
 

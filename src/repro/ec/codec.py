@@ -90,9 +90,11 @@ class RSFileCodec:
         """Return ``n`` shards plus the original length."""
         shards, orig_len = pad_to_shards(data, self.k)
         start = time.perf_counter()
-        coded = self._rs.encode(shards)
+        parity = self._rs.parity(shards)
         self.last_encode_seconds = time.perf_counter() - start
-        return [row.tobytes() for row in coded], orig_len
+        # The data shards are the padded rows themselves (systematic code).
+        coded = [row.tobytes() for rows in (shards, parity) for row in rows]
+        return coded, orig_len
 
     def decode_file(
         self, shard_ids: list[int], shards: list[bytes], orig_len: int
@@ -103,10 +105,12 @@ class RSFileCodec:
         widths = {len(s) for s in shards}
         if len(widths) != 1:
             raise ValueError("shards must be equal-length")
-        mat = np.frombuffer(b"".join(shards), dtype=np.uint8).reshape(
-            len(shards), widths.pop()
-        )
+        width = widths.pop()
         start = time.perf_counter()
-        data = self._rs.decode(np.asarray(shard_ids), mat)
+        rows = self._rs.data_rows(shard_ids, shards)
         self.last_decode_seconds = time.perf_counter() - start
-        return data.reshape(-1)[:orig_len].tobytes()
+        # One join copies each byte once and leaves out the zero padding.
+        return b"".join(
+            memoryview(row)[: max(orig_len - i * width, 0)]
+            for i, row in enumerate(rows)
+        )

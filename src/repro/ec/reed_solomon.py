@@ -11,11 +11,13 @@ shared read-only by every codec.
 
 Decoding is systematic too: a data shard among the survivors *is* its data
 row (the inverse of the survivors' generator rows maps it through
-unchanged), so it is copied, in whatever order it arrived, and only the
-missing data rows are computed, as ``inv[missing] @ survivors``.  A read
-that lost ``p`` data shards pays ``p * k`` GF(256) terms instead of
-``k * k``, and one that got all ``k`` data shards pays none.  Rebuilding one
-lost shard is the single ``k``-term row ``generator[missing] @ inv``.
+unchanged), so it is taken as is, in whatever order it arrived, and only
+the missing data rows are computed, as ``inv[missing] @ survivors``
+(:meth:`ReedSolomon.data_rows`; the file codec joins those rows straight
+into the file's bytes).  A read that lost ``p`` data shards pays
+``p * k`` GF(256) terms instead of ``k * k``, and one that got all ``k``
+data shards pays none.  Rebuilding one lost shard is the single
+``k``-term row ``generator[missing] @ inv``.
 
 The inverse depends only on which shards survived, not on the order they
 arrived in, so it is inverted once per ``(k, n, sorted ids)`` and cached
@@ -87,6 +89,15 @@ class ReedSolomon:
         """Memory overhead ``(n - k) / k`` (Sec. 3.2)."""
         return (self.n - self.k) / self.k
 
+    def parity(self, data_shards: np.ndarray) -> np.ndarray:
+        """The ``(n - k, width)`` parity rows of ``(k, width)`` data shards."""
+        data_shards = np.asarray(data_shards, dtype=np.uint8)
+        if data_shards.ndim != 2 or data_shards.shape[0] != self.k:
+            raise ValueError(
+                f"expected (k={self.k}, width) data shards, got {data_shards.shape}"
+            )
+        return GF256.matmul(self.generator[self.k :], data_shards)
+
     def encode(self, data_shards: np.ndarray) -> np.ndarray:
         """Encode ``(k, width)`` data shards into ``(n, width)`` total shards.
 
@@ -94,22 +105,16 @@ class ReedSolomon:
         are parity.
         """
         data_shards = np.asarray(data_shards, dtype=np.uint8)
-        if data_shards.ndim != 2 or data_shards.shape[0] != self.k:
-            raise ValueError(
-                f"expected (k={self.k}, width) data shards, got {data_shards.shape}"
-            )
-        parity = GF256.matmul(self.generator[self.k :], data_shards)
-        return np.concatenate([data_shards, parity], axis=0)
+        return np.concatenate([data_shards, self.parity(data_shards)], axis=0)
 
-    def _first_k(
-        self, shard_ids: np.ndarray | list[int], shards: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Validate a survivor set and keep its first ``k`` ids and rows."""
+    def _first_k(self, shard_ids: np.ndarray | list[int], shards) -> np.ndarray:
+        """Validate a survivor set and keep its first ``k`` ids."""
         shard_ids = np.asarray(shard_ids, dtype=np.int64)
-        shards = np.asarray(shards, dtype=np.uint8)
-        if shard_ids.ndim != 1 or shards.ndim != 2:
-            raise ValueError("shard_ids must be 1-D and shards 2-D")
-        if shard_ids.size != shards.shape[0]:
+        if shard_ids.ndim != 1:
+            raise ValueError("shard_ids must be 1-D")
+        if isinstance(shards, np.ndarray) and shards.ndim != 2:
+            raise ValueError("shards must be 2-D")
+        if shard_ids.size != len(shards):
             raise ValueError("one id per shard row required")
         if shard_ids.size < self.k:
             raise ValueError(
@@ -119,7 +124,7 @@ class ReedSolomon:
             raise ValueError("duplicate shard ids")
         if np.any(shard_ids < 0) or np.any(shard_ids >= self.n):
             raise ValueError("shard ids out of range")
-        return shard_ids[: self.k], shards[: self.k]
+        return shard_ids[: self.k]
 
     def _inverse(self, use_ids: np.ndarray) -> np.ndarray:
         """``inv(generator[use_ids])`` from the cached inverse of the same
@@ -127,6 +132,33 @@ class ReedSolomon:
         order = np.argsort(use_ids)
         inv = _survivor_inverse(self.k, self.n, tuple(use_ids[order].tolist()))
         return inv[:, np.argsort(order)]
+
+    def data_rows(self, shard_ids: np.ndarray | list[int], shards) -> list:
+        """The ``k`` data rows, in id order, from any ``k`` or more shards.
+
+        ``shards`` is a ``(len(shard_ids), width)`` array or a sequence of
+        equal-length byte strings; only the first ``k`` are used.  A data
+        shard among them is returned as given, not copied, and only the
+        missing data rows are computed (as arrays), so a caller that joins
+        the rows copies each byte once.
+        """
+        use_ids = self._first_k(shard_ids, shards)
+        rows: list = [None] * self.k
+        for shard, shard_id in zip(shards, use_ids.tolist()):
+            if shard_id < self.k:
+                rows[shard_id] = shard
+        missing = [i for i, row in enumerate(rows) if row is None]
+        if missing:
+            if isinstance(shards, np.ndarray):
+                survivors = shards[: self.k]
+            else:
+                survivors = np.stack(
+                    [np.frombuffer(s, dtype=np.uint8) for s in shards[: self.k]]
+                )
+            inv = self._inverse(use_ids)
+            for i, row in zip(missing, GF256.matmul(inv[missing], survivors)):
+                rows[i] = row
+        return rows
 
     def decode(
         self, shard_ids: np.ndarray | list[int], shards: np.ndarray
@@ -143,18 +175,8 @@ class ReedSolomon:
         shards:
             Array of shape ``(len(shard_ids), width)`` with the shard bytes.
         """
-        use_ids, use_shards = self._first_k(shard_ids, shards)
-        out = np.empty((self.k, use_shards.shape[1]), dtype=np.uint8)
-        missing = np.ones(self.k, dtype=bool)
-        for row, shard_id in enumerate(use_ids.tolist()):
-            if shard_id < self.k:
-                out[shard_id] = use_shards[row]
-                missing[shard_id] = False
-        if not missing.any():
-            return out
-        inv = self._inverse(use_ids)
-        out[missing] = GF256.matmul(inv[missing], use_shards)
-        return out
+        shards = np.asarray(shards, dtype=np.uint8)
+        return np.stack(self.data_rows(shard_ids, shards))
 
     def reconstruct_shard(
         self,
@@ -171,7 +193,8 @@ class ReedSolomon:
         """
         if not 0 <= missing_id < self.n:
             raise ValueError("missing_id out of range")
-        use_ids, use_shards = self._first_k(shard_ids, shards)
+        shards = np.asarray(shards, dtype=np.uint8)
+        use_ids = self._first_k(shard_ids, shards)
         inv = self._inverse(use_ids)
         row = GF256.matmul(self.generator[missing_id : missing_id + 1], inv)
-        return GF256.matmul(row, use_shards)[0]
+        return GF256.matmul(row, shards[: self.k])[0]

@@ -303,13 +303,19 @@ def validate_manifest(manifest: Any) -> dict[str, Any]:
 
 
 def write_manifest(manifest: dict[str, Any], path: str | Path) -> Path:
-    """Validate and write one manifest as pretty-printed JSON."""
+    """Validate and write one manifest as JSON, one top-level key per line.
+
+    Each value is written compactly by json's C encoder; ``indent`` would
+    force the pure-Python encoder, which on a fig13 manifest is about
+    three times slower and writes nearly twice the bytes.  The line per
+    key keeps the file greppable, and ``json.load`` reads back what it
+    would read from an indented file.
+    """
     validate_manifest(manifest)
+    encode = json.JSONEncoder(default=str, separators=(",", ":")).encode
+    lines = ",\n".join(f"{encode(k)}:{encode(v)}" for k, v in manifest.items())
     path = Path(path)
-    path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=False, default=str) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
     return path
 
 

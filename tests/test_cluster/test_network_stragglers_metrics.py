@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import SimulationConfig
 from repro.cluster.client import ReadOp, WriteOp, write_latency
+from repro.cluster.engine import RequestLifecycle
 from repro.cluster.metrics import (
     coefficient_of_variation,
     imbalance_factor,
@@ -14,7 +16,9 @@ from repro.cluster.metrics import (
 )
 from repro.cluster.network import GoodputModel, transfer_time
 from repro.cluster.stragglers import StragglerInjector
-from repro.common import Gbps, Mbps
+from repro.common import ClusterSpec, Gbps, Mbps
+from repro.policies import SelectiveReplicationPolicy
+from repro.workloads import paper_fileset, poisson_trace
 from repro.workloads.bing import BingStragglerProfile
 
 
@@ -49,6 +53,33 @@ class TestGoodputModel:
     def test_transfer_time(self):
         assert transfer_time(100.0, 10.0) == pytest.approx(10.0)
         assert transfer_time(100.0, 10.0, 0.5) == pytest.approx(20.0)
+
+    @pytest.mark.parametrize(
+        "bandwidth",
+        [Gbps, np.array([Gbps, 500 * Mbps, Gbps, 700 * Mbps, 500 * Mbps])],
+    )
+    @pytest.mark.parametrize("goodput", [GoodputModel(), None])
+    def test_lifecycle_goodput_row_matches_scalar_calls(self, bandwidth, goodput):
+        """The memoized per-server row is the scalar ``factor`` per server,
+        bit for bit, whether or not servers share a bandwidth."""
+        cluster = ClusterSpec(n_servers=5, bandwidth=bandwidth)
+        pop = paper_fileset(4, size_mb=1)
+        lc = RequestLifecycle(
+            poisson_trace(pop, n_requests=4, seed=0),
+            SelectiveReplicationPolicy(pop, cluster, seed=0),
+            cluster,
+            SimulationConfig(goodput=goodput),
+            "fifo",
+        )
+        for k in (1, 2, 5, 7, 30, 100):
+            row = lc.goodput_row(k)
+            want = [
+                1.0 if goodput is None else goodput.factor(k, float(b))
+                for b in cluster.bandwidths
+            ]
+            assert row.dtype == np.float64
+            assert [x.hex() for x in row.tolist()] == [x.hex() for x in want]
+            assert lc.goodput_row(k) is row
 
 
 class TestStragglerInjector:

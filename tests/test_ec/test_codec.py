@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec.codec import RSFileCodec, pad_to_shards, split_bytes, unsplit_bytes
+from repro.ec.reed_solomon import ReedSolomon
+
+from . import rs_oracle
 
 
 @given(st.binary(max_size=2000), st.integers(min_value=1, max_value=40))
@@ -55,6 +58,28 @@ def test_rs_file_codec_roundtrip(data):
     assert len(shards) == 7
     out = codec.decode_file([6, 1, 3, 0], [shards[i] for i in (6, 1, 3, 0)], orig_len)
     assert out == data
+
+
+@given(
+    st.binary(max_size=3000),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_rs_file_codec_matches_block_oracle(data, k, n_parity, rnd):
+    """The shards are the block code's rows, and any survivor set in any
+    order decodes to the oracle's block with the padding stripped."""
+    n = k + n_parity
+    codec = RSFileCodec(k=k, n=n)
+    shards, orig_len = codec.encode_file(data)
+    coded = ReedSolomon(k, n).encode(pad_to_shards(data, k)[0])
+    assert shards == [row.tobytes() for row in coded]
+    ids = rnd.sample(range(n), rnd.randint(k, n))
+    out = codec.decode_file(ids, [shards[i] for i in ids], orig_len)
+    block = rs_oracle.decode(ReedSolomon(k, n), ids, coded[ids])
+    assert type(out) is bytes
+    assert out == block.reshape(-1)[:orig_len].tobytes() == data
 
 
 def test_rs_file_codec_records_timings():

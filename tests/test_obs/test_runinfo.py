@@ -100,6 +100,39 @@ def test_write_and_load_roundtrip(tmp_path):
     assert loaded == json.loads(json.dumps(m, default=str))
 
 
+def test_written_manifest_reads_back_as_the_indented_encoding(tmp_path):
+    """One top-level key per line, compact values: ``json.load`` gives what
+    an ``indent=2`` file of the same manifest gives, and the manifest
+    readers (``load_manifest_dir``, the CLI's section loader) take it."""
+    from pathlib import PurePosixPath
+
+    from repro.cli import _load_sections
+    from repro.obs.dash import parse_json_lines
+    from repro.obs.sections import TIMELINES
+
+    section = {"scheme": "sp-cache", "engine": "ps", "n_windows": 2,
+               "tail": [{"latency_s": float("inf"), "note": "é\nx"}],
+               "ratio": float("nan"), "where": PurePosixPath("/x/y")}
+    m = _manifest(timelines=[section], rows=[{"k": 1, "v": -0.0, "s": "a,b"}])
+    path = write_manifest(m, tmp_path / "figX.json")
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert [line.split(":", 1)[0] for line in lines[1:-1]] == [
+        json.dumps(key) for key in m
+    ]
+    indented = json.loads(json.dumps(m, indent=2, default=str))
+    loaded = json.loads(text)
+    # NaN != NaN, so compare the re-encodings.
+    assert json.dumps(loaded) == json.dumps(indented)
+    assert json.dumps(load_manifest(path)) == json.dumps(indented)
+    assert list(load_manifest_dir(tmp_path)[0]) == ["figX"]
+    sections, traced = _load_sections(str(path), TIMELINES)
+    assert not traced and sections[0]["scheme"] == "sp-cache"
+    # `repro dash -` reads JSON lines: no line of a manifest is a record.
+    assert list(parse_json_lines(text.splitlines())) == []
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
