@@ -70,6 +70,7 @@ __all__ = [
     "tail_exemplar_rows",
     "timeline_series_rows",
     "use_timeline",
+    "window_width",
 ]
 
 #: Version of the timeline *section* layout (independent of the manifest
@@ -77,36 +78,34 @@ __all__ = [
 TIMELINE_SCHEMA_VERSION = 2
 
 
+#: Sim-time windows a run's span is cut into (:func:`window_width`).
+TARGET_WINDOWS = 24
+
+#: Hard cap on a section's windows: samples past it fold into the last
+#: window (counted in the timeline section's ``clipped_*`` fields), so
+#: memory stays bounded whatever the width.
+MAX_WINDOWS = 240
+
+#: Slowest steady-state requests kept as tail exemplars.
+_TAIL_K = 64
+
+#: Per-window latency reservoir handed to
+#: :class:`~repro.obs.metrics.Histogram`.
+_RESERVOIR_SIZE = 512
+
+
+def window_width(span_s: float) -> float:
+    """Width in simulated seconds of the windows over a run that spans
+    ``[0, span_s]``: the span over :data:`TARGET_WINDOWS`, or 1 s for an
+    empty span.  The timeline and the SLO evaluator both window by it."""
+    return span_s / TARGET_WINDOWS if span_s > 0.0 else 1.0
+
+
 @dataclass(frozen=True)
 class TimelineConfig:
-    """Knobs of one run's sim-time timeline collection.
-
-    ``window_s=None`` picks the width automatically so the run spans
-    ``target_windows`` windows; an explicit width wins.  ``max_windows``
-    hard-caps retention — samples past the cap fold into the last window
-    (counted in the section's ``clipped_*`` fields) so a mis-sized window
-    can never make memory unbounded.  ``tail_k`` bounds the exemplar
-    reservoir; ``reservoir_size`` is the per-window latency reservoir
-    handed to :class:`~repro.obs.metrics.Histogram`.
-    """
-
-    window_s: float | None = None
-    target_windows: int = 24
-    max_windows: int = 240
-    tail_k: int = 64
-    reservoir_size: int = 512
-
-    def __post_init__(self) -> None:
-        if self.window_s is not None and not self.window_s > 0:
-            raise ValueError("window_s must be positive (or None for auto)")
-        if self.target_windows < 1:
-            raise ValueError("target_windows must be >= 1")
-        if self.max_windows < 1:
-            raise ValueError("max_windows must be >= 1")
-        if self.tail_k < 1:
-            raise ValueError("tail_k must be >= 1")
-        if self.reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1")
+    """Turns one run's sim-time timeline collection on; it has no knobs
+    (the window width is :func:`window_width`'s, the tail keeps
+    ``_TAIL_K`` exemplars)."""
 
 
 # -- the partition log ----------------------------------------------------
@@ -297,7 +296,6 @@ class TimelineCollector(Observer):
         only on the simulated quantities — never on event ordering or the
         wall clock.
         """
-        cfg = self.config
         times = np.asarray(end.times, dtype=np.float64)
         latencies = np.asarray(end.latencies, dtype=np.float64)
         n_req = int(latencies.size)
@@ -310,14 +308,9 @@ class TimelineCollector(Observer):
             span_end = float((end_s + extra).max())
         if n_req:
             span_end = max(span_end, float(times.max()))
-        if cfg.window_s is not None:
-            window_s = float(cfg.window_s)
-        elif span_end > 0.0:
-            window_s = span_end / cfg.target_windows
-        else:
-            window_s = 1.0
+        window_s = window_width(span_end)
         n_windows = (
-            min(int(np.floor(span_end / window_s)) + 1, cfg.max_windows)
+            min(int(np.floor(span_end / window_s)) + 1, MAX_WINDOWS)
             if n_req
             else 0
         )
@@ -354,7 +347,7 @@ class TimelineCollector(Observer):
                     hist = Histogram(
                         "timeline.window_latency",
                         {},
-                        reservoir_size=cfg.reservoir_size,
+                        reservoir_size=_RESERVOIR_SIZE,
                     )
                     hist.observe_many(sample)
                     snap = hist.snapshot()
@@ -386,7 +379,6 @@ class TimelineCollector(Observer):
     def _finalize_tail(
         self, times, file_ids, latencies, warmup_fraction, log: PartitionLog
     ) -> dict[str, Any]:
-        cfg = self.config
         n_req = int(latencies.size)
         skip = int(n_req * warmup_fraction)
         steady = latencies[skip:]
@@ -407,7 +399,7 @@ class TimelineCollector(Observer):
         if not steady.size:
             return tail
 
-        k = min(cfg.tail_k, int(steady.size))
+        k = min(_TAIL_K, int(steady.size))
         slowest = np.argsort(-steady, kind="stable")[:k] + skip
         # Queueing, straggling, transfer, join: the log's queue,
         # transfer, service and join edges (one row per exemplar).

@@ -211,25 +211,9 @@ def _scenarios(draw):
         observers=(
             TimelineConfig(),
             CausalConfig(),
-            # Small windows, so the monitor reads the byte ledger mid-run;
-            # request-count and sim-time windows fold differently.
-            draw(
-                st.sampled_from(
-                    [
-                        PopularityConfig(
-                            window_requests=4,
-                            top_k=2,
-                            capacity=4,
-                            min_window_count=1,
-                        ),
-                        PopularityConfig(
-                            window_s=0.02,
-                            top_k=2,
-                            capacity=4,
-                            min_window_count=1,
-                        ),
-                    ]
-                )
+            # Small windows, so the monitor reads the byte ledger mid-run.
+            PopularityConfig(
+                window_requests=draw(st.sampled_from([1, 4])), top_k=2
             ),
             default_slo_config(),
         )

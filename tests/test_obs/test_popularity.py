@@ -8,11 +8,14 @@ this file covers the primitives and the wiring.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cluster import SimulationConfig, simulate_reads
 from repro.common import ClusterSpec, Gbps
+from repro.obs import popularity as popularity_module
 from repro.obs import (
     POPULARITY_SCHEMA_VERSION,
     CountMinSketch,
@@ -152,13 +155,17 @@ def test_zipf_alpha_needs_three_positive_counts():
 # -- config validation --------------------------------------------------
 
 
+# Out-of-range values of a field are a ValueError.  The knobs that are
+# module constants now are no fields: setting one is a TypeError, so a
+# caller still passing, say, ``window_s`` fails instead of silently
+# getting request-count windows.
 @pytest.mark.parametrize(
     "overrides",
     [
         {"width": 1},
         {"depth": 0},
         {"top_k": 0},
-        {"capacity": 4, "top_k": 8},
+        {"top_k": 129},  # more than the Space-Saving capacity
         {"window_requests": 0},
         {"window_s": 0.0},
         {"max_windows": 0},
@@ -171,7 +178,8 @@ def test_zipf_alpha_needs_three_positive_counts():
     ],
 )
 def test_config_rejects_bad_values(overrides):
-    with pytest.raises(ValueError):
+    fields = {f.name for f in dataclasses.fields(PopularityConfig)}
+    with pytest.raises(ValueError if set(overrides) <= fields else TypeError):
         PopularityConfig(**overrides)
 
 
@@ -179,7 +187,7 @@ def test_config_rejects_bad_values(overrides):
 
 
 def test_count_windows_roll_and_finalize_shape():
-    config = PopularityConfig(window_requests=100, top_k=4, capacity=8)
+    config = PopularityConfig(window_requests=100, top_k=4)
     monitor = PopularityMonitor(config, scheme="sp-cache", engine="fifo")
     fids, _ = _zipf_stream(n_files=20, n_requests=350, seed=3)
     for fid in fids:
@@ -191,19 +199,17 @@ def test_count_windows_roll_and_finalize_shape():
     assert section["n_windows"] == 4  # 3 full rolls + the 50-request tail
     assert [w["count"] for w in section["windows"]] == [100, 100, 100, 50]
     assert len(section["top"]) <= 4
-    assert section["sketch"]["capacity"] == 8
+    assert section["sketch"]["capacity"] == 128
 
 
-@pytest.mark.parametrize("window_s", [None, 0.5])
-def test_uneven_batches_equal_per_request_observation(window_s):
+@pytest.mark.parametrize("window_requests", [7, 256])
+def test_uneven_batches_equal_per_request_observation(window_requests):
     """observe_batch over uneven batches (windows spanning several calls)
     builds the section that observe() builds per request, and the sketch
     read after finalize holds every request."""
     fids, _exact = _zipf_stream(n_files=40, n_requests=3000, seed=6)
     times = np.arange(fids.size) * 0.01
-    config = PopularityConfig(
-        window_requests=256, window_s=window_s, capacity=16, top_k=4
-    )
+    config = PopularityConfig(window_requests=window_requests, top_k=4)
     single = PopularityMonitor(config, n_servers=3)
     for t, fid in zip(times, fids):
         single.observe(int(fid), t=float(t))
@@ -213,28 +219,28 @@ def test_uneven_batches_equal_per_request_observation(window_s):
     for lo, hi in zip(cuts, cuts[1:]):
         batched.observe_batch(times[lo:hi], fids[lo:hi], lambda a, b: None)
     assert batched.finalize() == single.finalize()
-    reference = CountMinSketch(config.width, config.depth, config.seed)
+    reference = CountMinSketch()
     reference.update(fids)
     assert batched.sketch.total == fids.size
     np.testing.assert_array_equal(batched.sketch.table, reference.table)
 
 
-def test_time_windows_roll_on_sim_seconds():
-    config = PopularityConfig(window_s=1.0, window_requests=10**9)
-    monitor = PopularityMonitor(config)
+def test_windows_count_requests_and_span_their_sim_seconds():
+    monitor = PopularityMonitor(PopularityConfig(window_requests=10))
     for i in range(40):
         monitor.observe(i % 5, t=i * 0.1)  # 4 sim-seconds of traffic
     section = monitor.finalize()
     assert section["n_windows"] == 4
     starts = [w["t_start"] for w in section["windows"]]
+    ends = [w["t_end"] for w in section["windows"]]
     assert starts == pytest.approx([0.0, 1.0, 2.0, 3.0])
+    assert ends == pytest.approx([0.9, 1.9, 2.9, 3.9])
 
 
 def test_drift_alert_fires_on_distribution_shift():
-    config = PopularityConfig(
-        window_requests=200, min_window_count=50, drift_threshold=0.6
+    monitor = PopularityMonitor(
+        PopularityConfig(window_requests=200), scheme="x"
     )
-    monitor = PopularityMonitor(config, scheme="x")
     for _ in range(200):
         monitor.observe(0)
     for _ in range(200):
@@ -247,8 +253,8 @@ def test_drift_alert_fires_on_distribution_shift():
 
 
 def test_sparse_windows_cannot_trip_drift():
-    config = PopularityConfig(window_requests=10, min_window_count=50)
-    monitor = PopularityMonitor(config)
+    # Ten-request windows hold fewer than the alerts' minimum evidence.
+    monitor = PopularityMonitor(PopularityConfig(window_requests=10))
     for _ in range(10):
         monitor.observe(0)
     for _ in range(10):
@@ -258,10 +264,7 @@ def test_sparse_windows_cannot_trip_drift():
 
 
 def test_hotspot_alert_on_dominant_file():
-    config = PopularityConfig(
-        window_requests=100, min_window_count=50, hotspot_share=0.5
-    )
-    monitor = PopularityMonitor(config)
+    monitor = PopularityMonitor(PopularityConfig(window_requests=100))
     for i in range(100):
         monitor.observe(7 if i % 4 else i)  # file 7 takes ~75 %
     section = monitor.finalize()
@@ -270,9 +273,9 @@ def test_hotspot_alert_on_dominant_file():
     assert hot[0]["share"] >= 0.5
 
 
-def test_max_windows_clips_rows_but_keeps_counts():
-    config = PopularityConfig(window_requests=10, max_windows=2)
-    monitor = PopularityMonitor(config)
+def test_max_windows_clips_rows_but_keeps_counts(monkeypatch):
+    monkeypatch.setattr(popularity_module, "_MAX_WINDOWS", 2)
+    monitor = PopularityMonitor(PopularityConfig(window_requests=10))
     for i in range(50):
         monitor.observe(i % 3)
     section = monitor.finalize()
@@ -283,8 +286,7 @@ def test_max_windows_clips_rows_but_keeps_counts():
 
 
 def test_server_loads_feed_imbalance_ewma():
-    config = PopularityConfig(window_requests=4, min_window_count=1)
-    monitor = PopularityMonitor(config, n_servers=4)
+    monitor = PopularityMonitor(PopularityConfig(window_requests=4), n_servers=4)
     servers = np.array([0, 1])
     for _ in range(8):
         monitor.observe(0, servers=servers, sizes=np.array([10.0, 10.0]))
@@ -324,10 +326,9 @@ def test_estimated_popularities_uniform_before_data():
 
 def test_monitor_emits_window_and_alert_trace_events():
     sink = RingBufferSink()
-    config = PopularityConfig(
-        window_requests=100, min_window_count=50, hotspot_share=0.9
+    monitor = PopularityMonitor(
+        PopularityConfig(window_requests=100), scheme="sp", tracer=Tracer(sink)
     )
-    monitor = PopularityMonitor(config, scheme="sp", tracer=Tracer(sink))
     for _ in range(200):
         monitor.observe(3)
     monitor.finalize()

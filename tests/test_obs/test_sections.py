@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import SimulationConfig, simulate_reads
 from repro.common import ClusterSpec, Gbps
-from repro.obs import CHANNELS, TimelineConfig, use_timeline
+from repro.obs import CHANNELS, PopularityConfig, use_popularity
 from repro.obs.sections import FINISH_ORDER
 from repro.policies import SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
@@ -96,14 +96,14 @@ def test_finish_order_and_manifest_order():
 def test_observers_reject_a_non_config():
     with pytest.raises(TypeError, match="got dict"):
         SimulationConfig(observers=({"window_s": 1.0},))
-    with pytest.raises(TypeError, match="got TimelineConfig"):
-        SimulationConfig(observers=TimelineConfig())
+    with pytest.raises(TypeError, match="got PopularityConfig"):
+        SimulationConfig(observers=PopularityConfig())
 
 
 def test_observers_reject_two_configs_for_one_channel():
-    with pytest.raises(ValueError, match="two TimelineConfigs"):
+    with pytest.raises(ValueError, match="two PopularityConfigs"):
         SimulationConfig(
-            observers=(TimelineConfig(), TimelineConfig(tail_k=3))
+            observers=(PopularityConfig(), PopularityConfig(top_k=3))
         )
 
 
@@ -128,8 +128,8 @@ def test_sections_hold_exactly_the_enabled_channels(enabled, ambient):
 
 
 def test_explicit_config_wins_over_ambient():
-    with use_timeline(TimelineConfig(tail_k=3)):
-        result = _run((TimelineConfig(tail_k=5),))
+    with use_popularity(PopularityConfig(top_k=3)):
+        result = _run((PopularityConfig(top_k=5),))
         ambient = _run()
-    assert result.sections["timeline"]["tail"]["k"] == 5
-    assert ambient.sections["timeline"]["tail"]["k"] == 3
+    assert len(result.sections["popularity"]["top"]) == 5
+    assert len(ambient.sections["popularity"]["top"]) == 3

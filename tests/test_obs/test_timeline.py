@@ -16,8 +16,10 @@ import pytest
 
 from repro.cluster import SimulationConfig, StragglerInjector, simulate_reads
 from repro.common import ClusterSpec, Gbps
+from repro.obs import timeline as timeline_module
 from repro.obs import (
     TIMELINE_SCHEMA_VERSION,
+    TIMELINES,
     TimelineConfig,
     chrome_counter_events,
     collect_timelines,
@@ -70,17 +72,20 @@ def test_explicit_config_enables_collection():
 
 
 def test_ambient_config_enables_collection():
-    with use_timeline(TimelineConfig(tail_k=5)):
+    with use_timeline(TimelineConfig()):
         result = _simulate(timeline=None)
     assert "timeline" in result.sections
-    assert result.sections["timeline"]["tail"]["k"] == 5
+    assert result.sections["timeline"]["tail"]["k"] == 64
     assert get_timeline_config() is None  # restored on exit
 
 
 def test_explicit_config_wins_over_ambient():
-    with use_timeline(TimelineConfig(tail_k=5)):
-        result = _simulate(timeline=TimelineConfig(tail_k=3))
-    assert result.sections["timeline"]["tail"]["k"] == 3
+    explicit = TimelineConfig()
+    with use_timeline(TimelineConfig()) as ambient:
+        assert TIMELINES.resolve(explicit) is explicit
+        assert TIMELINES.resolve(None) is ambient
+        result = _simulate(timeline=explicit)
+    assert result.sections["timeline"]["tail"]["k"] == 64
 
 
 def test_collect_timelines_receives_published_sections():
@@ -109,6 +114,8 @@ def test_simulation_config_rejects_bad_timeline():
         SimulationConfig(observers=({"window_s": 1.0},))
 
 
+# The timeline's knobs are module constants: its config takes none, so a
+# caller still passing one fails instead of silently getting the default.
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -121,7 +128,7 @@ def test_simulation_config_rejects_bad_timeline():
     ],
 )
 def test_timeline_config_validates(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         TimelineConfig(**kwargs)
 
 
@@ -155,15 +162,13 @@ def test_windowed_latency_percentiles_present():
         assert row["t_start"] < row["t_end"]
 
 
-def test_explicit_window_width_and_max_windows_clipping():
-    # A microscopic window with a tiny cap: everything past the cap must
-    # fold into the last window and be counted, never dropped.
-    result = _simulate(
-        timeline=TimelineConfig(window_s=0.01, max_windows=4)
-    )
+def test_max_windows_clipping_folds_into_last_window(monkeypatch):
+    # A cap under the auto width's 25 windows: everything past the cap
+    # must fold into the last window and be counted, never dropped.
+    monkeypatch.setattr(timeline_module, "MAX_WINDOWS", 4)
+    result = _simulate()
     section = result.sections["timeline"]
     assert section["n_windows"] == 4
-    assert section["window_s"] == 0.01
     assert section["clipped_partitions"] > 0
     assert section["clipped_requests"] > 0
     assert np.isclose(
