@@ -18,18 +18,12 @@ BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 BENCH = BENCH_DIR / "bench_obs_overhead.py"
 
 
-def _load_module(name):
-    spec = importlib.util.spec_from_file_location(
-        name, BENCH_DIR / f"{name}.py"
-    )
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench_obs_overhead", BENCH)
     module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault(name, module)
+    sys.modules.setdefault("bench_obs_overhead", module)
     spec.loader.exec_module(module)
     return module
-
-
-def _load_bench():
-    return _load_module("bench_obs_overhead")
 
 
 def test_noop_sink_overhead_under_10_percent():
@@ -64,13 +58,12 @@ def test_enabled_popularity_overhead_under_5_percent():
     window-boundary check, and server loads come from snapshot-diffing
     the engine's own byte vector (the bench records ~1.02x; retries
     absorb scheduler noise on loaded CI boxes)."""
-    _load_bench()  # bench_popularity_overhead imports from it
-    bench = _load_module("bench_popularity_overhead")
+    bench = _load_bench()
     # Scheduler noise only ever *inflates* the measured ratio, so the
     # best of a few attempts is the honest estimate of the real overhead.
     ratio = float("inf")
     for attempt in range(4):
-        rows = bench.run_popularity_overhead(n_requests=5000, repeats=5)
+        rows = bench.run_observer_overhead("popularity", n_requests=5000, repeats=5)
         ratio = min(ratio, rows[1]["vs_off"])
         if ratio < 1.05:
             break
@@ -87,11 +80,10 @@ def test_enabled_slo_overhead_under_5_percent():
     request; window bucketing and burn-rate sums are a single vectorized
     finalize pass (the bench records ~1.01x; best-of retries absorb
     scheduler noise on loaded CI boxes)."""
-    _load_bench()  # bench_slo_overhead imports from it
-    bench = _load_module("bench_slo_overhead")
+    bench = _load_bench()
     ratio = float("inf")
     for attempt in range(4):
-        rows = bench.run_slo_overhead(n_requests=5000, repeats=5)
+        rows = bench.run_observer_overhead("slo", n_requests=5000, repeats=5)
         ratio = min(ratio, rows[1]["vs_off"])
         if ratio < 1.05:
             break
@@ -108,11 +100,10 @@ def test_enabled_causal_overhead_under_5_percent():
     collector reads; edge classification and the conservation check are
     one vectorized finalize pass (best-of retries absorb scheduler
     noise on loaded CI boxes)."""
-    _load_bench()  # bench_causal_overhead imports from it
-    bench = _load_module("bench_causal_overhead")
+    bench = _load_bench()
     ratio = float("inf")
     for attempt in range(4):
-        rows = bench.run_causal_overhead(n_requests=5000, repeats=5)
+        rows = bench.run_observer_overhead("causal", n_requests=5000, repeats=5)
         ratio = min(ratio, rows[1]["vs_off"])
         if ratio < 1.05:
             break
@@ -129,7 +120,7 @@ def test_enabled_timeline_overhead_under_budget():
     records ~1.02x; the bound is generous to absorb CI noise)."""
     bench = _load_bench()
     for attempt in range(2):
-        rows = bench.run_timeline_overhead(n_requests=2000, repeats=3)
+        rows = bench.run_observer_overhead("timeline", n_requests=2000, repeats=3)
         ratio = rows[-1]["vs_off"]
         if ratio < 1.25:
             break
