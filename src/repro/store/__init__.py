@@ -7,7 +7,12 @@ and lost partitions are recovered from the under-store via lineage
 (Sec. 8's fault-tolerance story).
 """
 
-from repro.store.lineage import LineageGraph, LineageRecord, ServerRemovedError
+from repro.store.lineage import (
+    FileLostError,
+    LineageGraph,
+    LineageRecord,
+    ServerRemovedError,
+)
 from repro.store.lru import LRUCache
 from repro.store.master import FileMeta, Master, PartitionLocation
 from repro.store.store_client import MissingReplicasError, StoreClient
@@ -16,6 +21,7 @@ from repro.store.worker import BlockNotFound, Worker
 
 __all__ = [
     "BlockNotFound",
+    "FileLostError",
     "FileMeta",
     "LRUCache",
     "LineageGraph",

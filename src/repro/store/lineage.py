@@ -15,23 +15,38 @@ from typing import Callable
 from repro.obs.causal import causal_span
 from repro.obs.metrics import get_registry
 
-__all__ = ["LineageRecord", "LineageGraph", "ServerRemovedError"]
+__all__ = ["FileLostError", "LineageRecord", "LineageGraph", "ServerRemovedError"]
 
 
-class ServerRemovedError(KeyError):
+class FileLostError(KeyError):
+    """File ``file_id`` is unrecoverable: its cached blocks are gone, it
+    is not persisted, and it has no lineage.
+
+    Subclasses :class:`KeyError` so callers that catch ``KeyError`` keep
+    working; recovery catches only this type, so any other ``KeyError``
+    is a fault that surfaces.
+    """
+
+    def __init__(self, file_id: int) -> None:
+        super().__init__(file_id)
+        self.file_id = file_id
+
+    def __str__(self) -> str:
+        return f"file {self.file_id} is lost: not persisted and has no lineage"
+
+
+class ServerRemovedError(FileLostError):
     """A file is unrecoverable because its hosting server left the cluster.
 
-    Raised instead of a bare ``KeyError`` when recovery can tell that the
-    blocks were not merely evicted but lived on a worker a membership
-    epoch removed — the actionable difference between "re-read later" and
-    "this data needs a checkpoint or lineage to ever come back".
-    Subclasses :class:`KeyError` so pre-membership recovery paths that
-    catch ``KeyError`` keep working.
+    Raised instead of a plain :class:`FileLostError` when recovery can
+    tell that the blocks were not merely evicted but lived on a worker a
+    membership epoch removed — the actionable difference between
+    "re-read later" and "this data needs a checkpoint or lineage to ever
+    come back".
     """
 
     def __init__(self, file_id: int, server_id: int) -> None:
         super().__init__(file_id)
-        self.file_id = file_id
         self.server_id = server_id
 
     def __str__(self) -> str:
@@ -102,9 +117,9 @@ class LineageGraph:
         ``read_source(fid)`` should return the bytes of ``fid`` if they are
         available from cache or the under-store, else ``None``; unavailable
         parents are recovered recursively through their own lineage.
-        Raises ``KeyError`` when a needed file has neither source bytes nor
-        lineage — or, when ``lost_server_of(fid)`` names a departed server
-        holding the file's blocks, the sharper
+        Raises :class:`FileLostError` when a needed file has neither
+        source bytes nor lineage — or, when ``lost_server_of(fid)`` names a
+        departed server holding the file's blocks, its subclass
         :class:`ServerRemovedError` so callers can tell a membership loss
         from an eviction.
 
@@ -122,10 +137,7 @@ class LineageGraph:
                     server_id = lost_server_of(file_id)
                     if server_id is not None:
                         raise ServerRemovedError(file_id, server_id)
-                raise KeyError(
-                    f"file {file_id} is lost: not persisted and has no "
-                    "lineage"
-                )
+                raise FileLostError(file_id)
             get_registry().counter("lineage.recomputes").inc()
             parent_bytes = [
                 self.recover(p, read_source, lost_server_of)

@@ -31,7 +31,7 @@ from repro.obs.causal import causal_span
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.obs.tracing import get_tracer
-from repro.store.lineage import LineageGraph, ServerRemovedError
+from repro.store.lineage import FileLostError, LineageGraph
 from repro.store.master import FileMeta, Master, PartitionLocation
 from repro.store.under_store import UnderStore
 from repro.store.worker import BlockNotFound, Worker
@@ -241,7 +241,7 @@ class StoreClient:
             if fid != meta.file_id and fid in self.master:
                 try:
                     return self.read(fid)
-                except KeyError:
+                except FileLostError:
                     return None
             return None
 

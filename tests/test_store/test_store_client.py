@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.store import (
     BlockNotFound,
+    FileLostError,
     FileMeta,
     Master,
     MissingReplicasError,
@@ -132,6 +133,51 @@ def test_unrecoverable_loss_raises():
         w.crash()
     with pytest.raises(KeyError):
         client.read(1)
+
+
+def _derived_file(client):
+    """File 2 derived from the uncheckpointed file 1 by lineage."""
+    parent = random_bytes(300, seed=4)
+    client.write(1, parent, k=2)
+    client.write(2, bytes(b ^ 0xFF for b in parent), k=3)
+    client.lineage.register(
+        2, parents=(1,), recompute=lambda ps: bytes(b ^ 0xFF for b in ps[0])
+    )
+
+
+def test_lost_parent_falls_through_to_lineage_then_raises_file_lost():
+    """A parent whose own read finds nothing left is looked up in lineage
+    next; without a record there, the error names the parent."""
+    client = make_store()
+    _derived_file(client)
+    for w in client.workers:
+        w.crash()
+    with pytest.raises(FileLostError) as info:
+        client.read(2)
+    assert info.value.file_id == 1
+    assert str(info.value) == (
+        "file 1 is lost: not persisted and has no lineage"
+    )
+
+
+def test_plain_key_error_in_parent_read_propagates():
+    """Recovery swallows only :class:`FileLostError` from a parent read;
+    any other ``KeyError`` there is a fault and surfaces."""
+    client = make_store()
+    _derived_file(client)
+    for loc in client.master.meta(2).locations:
+        client.workers[loc.worker_id].delete_block(2, loc.index)
+
+    for w in client.workers:
+        def get_block(file_id, index, _get=w.get_block):
+            if file_id == 1:
+                raise KeyError("not a missing block")
+            return _get(file_id, index)
+
+        w.get_block = get_block
+    with pytest.raises(KeyError, match="not a missing block") as info:
+        client.read(2)
+    assert not isinstance(info.value, FileLostError)
 
 
 def test_repartition_preserves_bytes_and_relocates():
