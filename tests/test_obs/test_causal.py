@@ -315,6 +315,42 @@ def test_trace_rebuild_matches_in_process_section():
         )
 
 
+def test_trace_rebuild_keeps_runs_of_one_scheme_apart():
+    """A sweep traces one scheme at two rates: the rebuild yields one
+    section per run, each with its run's key and edges."""
+    cluster = ClusterSpec(n_servers=5, bandwidth=1e8, client_bandwidth=1e15)
+    sink = RingBufferSink()
+    live = []
+    with use_tracer(Tracer(sink)):
+        for rate in (4.0, 8.0):
+            pop = paper_fileset(
+                30, size_mb=20, zipf_exponent=1.1, total_rate=rate
+            )
+            policy = SPCachePolicy(pop, cluster, alpha=2e-7, seed=5)
+            trace = poisson_trace(pop, n_requests=120, seed=11)
+            config = SimulationConfig(
+                discipline="fifo",
+                jitter="deterministic",
+                seed=23,
+                warmup_fraction=0.0,
+                observers=(CausalConfig(),),
+            )
+            result = simulate_reads(trace, policy, cluster, config)
+            live.append(result.sections["causal"])
+    rebuilt = causal_from_trace(list(sink.records))
+    assert [s["run_key"] for s in rebuilt] == [s["run_key"] for s in live]
+    assert live[0]["run_key"] != live[1]["run_key"]
+    for section, run in zip(rebuilt, live):
+        assert (section["scheme"], section["engine"]) == (
+            run["scheme"], run["engine"]
+        )
+        assert section["reconstructed"] == section["n_requests"] == 120
+        for key in ("queue_s", "service_s", "transfer_s", "join_s"):
+            assert section["edges"][key] == pytest.approx(
+                run["edges"][key], rel=1e-9, abs=1e-12
+            )
+
+
 def test_span_forest_shapes_request_trees():
     result, records = _traced_run()
     roots = [
