@@ -25,13 +25,11 @@ Subcommands
     manifest, a JSONL trace (``--follow`` tails a live one), or JSONL
     on stdin.  ``--plain`` suppresses terminal clear codes for CI.
 ``timeline``
-    Render a manifest's sim-time timeline sections as sparkline tables
-    (bytes/window, busiest-server busy fraction, queue depth, windowed
-    p99 latency).
-``tail``
-    Render a manifest's tail-latency attribution — p99 split into
-    queueing/straggling/transfer/join — plus the slowest-request
-    exemplars and their trace ids.
+    Render a manifest's sim-time timeline sections: each one's sparkline
+    table (bytes/window, busiest-server busy fraction, queue depth,
+    windowed p99 latency), then its tail-latency attribution — the
+    slowest requests' mean split into queueing/straggling/transfer/join
+    — and the ``--top N`` slowest-request exemplars with their trace ids.
 ``critical``
     Render causal critical paths: per-edge (queue/service/transfer/
     join) aggregates from a run manifest's ``causal`` sections, or
@@ -626,7 +624,7 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_sections(path: str, channel, from_trace=None, *, quiet=False):
+def _load_sections(path: str, channel, from_trace=None):
     """One observer channel's sections from a file, as ``(sections, traced)``.
 
     Accepts a run manifest (its ``channel.key`` list), a bare JSON list of
@@ -636,12 +634,11 @@ def _load_sections(path: str, channel, from_trace=None, *, quiet=False):
     run manifest instead.  Every section list read from the file must
     pass :meth:`~repro.obs.sections.Channel.check_list`; one that does
     not is an error naming the file and the key.  Failures go to stderr
-    (unless ``quiet``) and return ``None``.
+    and return ``None``.
     """
 
     def fail(message: str) -> None:
-        if not quiet:
-            print(message, file=sys.stderr)
+        print(message, file=sys.stderr)
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -709,7 +706,8 @@ def _section_title(section: dict, i: int) -> str:
 
 
 def _cmd_timeline(args) -> int:
-    """Render the sim-time timeline series of a manifest's sections."""
+    """Render each timeline section: its sim-time series, then its tail
+    attribution and the ``--top`` slowest-request exemplars."""
     loaded = _load_sections(args.manifest, TIMELINES)
     if loaded is None:
         return 2
@@ -725,50 +723,36 @@ def _cmd_timeline(args) -> int:
                 "clipped_partitions": s.get("clipped_partitions"),
                 "clipped_requests": s.get("clipped_requests"),
                 "series": timeline_series_rows(s),
+                "tail": {
+                    "attribution": s["tail"]["attribution"],
+                    "warmup_skipped": s["tail"].get("warmup_skipped", 0),
+                    "exemplars": s["tail"]["exemplars"][: args.top],
+                },
             }
             for s in sections
         ]
         print(json.dumps(payload, indent=2))
         return 0
     for i, section in enumerate(sections):
+        title = _section_title(section, i)
         rows = timeline_series_rows(section)
         if not rows:
-            print(f"{_section_title(section, i)}: no windows")
+            print(f"{title}: no windows")
             continue
-        print(format_table(rows, title=_section_title(section, i)))
+        print(format_table(rows, title=title))
         print()
-    return 0
-
-
-def _cmd_tail(args) -> int:
-    """Render tail-latency attribution and the slowest-request exemplars."""
-    loaded = _load_sections(args.manifest, TIMELINES)
-    if loaded is None:
-        return 2
-    sections, _ = loaded
-    if args.json:
-        payload = [
-            {
-                "scheme": s["scheme"],
-                "engine": s.get("engine"),
-                "attribution": s["tail"]["attribution"],
-                "warmup_skipped": s["tail"].get("warmup_skipped", 0),
-                "exemplars": s["tail"]["exemplars"][: args.top],
-            }
-            for s in sections
-        ]
-        print(json.dumps(payload, indent=2))
-        return 0
-    for i, section in enumerate(sections):
         tail = section["tail"]
         attribution = tail["attribution"]
-        title = (
-            f"{_section_title(section, i)} — "
-            f"mean of slowest {tail.get('k', 0)}: "
-            f"{attribution['mean_tail_latency_s']:.4g}s, "
-            f"p99 {attribution['p99_s']:.4g}s"
+        print(
+            format_table(
+                tail_attribution_rows(section),
+                title=(
+                    f"{title} — mean of slowest {tail.get('k', 0)}: "
+                    f"{attribution['mean_tail_latency_s']:.4g}s, "
+                    f"p99 {attribution['p99_s']:.4g}s"
+                ),
+            )
         )
-        print(format_table(tail_attribution_rows(section), title=title))
         exemplar_rows = tail_exemplar_rows(tail["exemplars"], args.top)
         if exemplar_rows:
             print()
@@ -963,29 +947,6 @@ def _cmd_top(args) -> int:
         _render_popularity(section, i, args.k)
         print()
     return 0
-
-
-def _cmd_watch(args) -> int:
-    """Re-render ``repro top`` every ``--interval`` seconds."""
-    import time as _time
-
-    frame = 0
-    while True:
-        loaded = _load_sections(
-            args.source, POPULARITY, popularity_from_trace, quiet=True
-        )
-        if sys.stdout.isatty():
-            print("\x1b[2J\x1b[H", end="")
-        if loaded is None:
-            print(f"waiting for popularity data in {args.source} ...")
-        else:
-            for i, section in enumerate(loaded[0]):
-                _render_popularity(section, i, args.k)
-                print()
-        frame += 1
-        if args.frames and frame >= args.frames:
-            return 0 if loaded is not None else 2
-        _time.sleep(args.interval)
 
 
 def _board_from_trace(path: str) -> DashBoard:
@@ -1282,33 +1243,23 @@ def main(argv: list[str] | None = None) -> int:
 
     p_tml = sub.add_parser(
         "timeline",
-        help="render a manifest's sim-time timelines as sparklines",
+        help=(
+            "render a manifest's sim-time timelines, tail attribution and "
+            "slowest-request exemplars"
+        ),
     )
     p_tml.add_argument(
         "manifest", metavar="MANIFEST",
         help="a results/<exp>.json manifest (or extracted timeline JSON)",
+    )
+    p_tml.add_argument(
+        "--top", type=int, default=10, metavar="N",
+        help="show the N slowest exemplars per section (default %(default)s)",
     )
     p_tml.add_argument(
         "--json", action="store_true", help="machine-parseable JSON output"
     )
     p_tml.set_defaults(func=_cmd_timeline)
-
-    p_tail = sub.add_parser(
-        "tail",
-        help="render tail-latency attribution and slowest-request exemplars",
-    )
-    p_tail.add_argument(
-        "manifest", metavar="MANIFEST",
-        help="a results/<exp>.json manifest (or extracted timeline JSON)",
-    )
-    p_tail.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="show the N slowest exemplars per section (default %(default)s)",
-    )
-    p_tail.add_argument(
-        "--json", action="store_true", help="machine-parseable JSON output"
-    )
-    p_tail.set_defaults(func=_cmd_tail)
 
     p_crt = sub.add_parser(
         "critical",
@@ -1359,29 +1310,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="emit raw sections as JSON"
     )
     p_top.set_defaults(func=_cmd_top)
-
-    p_watch = sub.add_parser(
-        "watch",
-        help="re-render `repro top` periodically (live view of a trace)",
-    )
-    p_watch.add_argument(
-        "source",
-        help="run manifest JSON, popularity section(s), or JSONL trace",
-    )
-    p_watch.add_argument("--k", type=int, default=10)
-    p_watch.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between renders (default 2)",
-    )
-    p_watch.add_argument(
-        "--frames",
-        type=int,
-        default=0,
-        help="stop after N renders (default 0 = forever)",
-    )
-    p_watch.set_defaults(func=_cmd_watch)
 
     p_dash = sub.add_parser(
         "dash",

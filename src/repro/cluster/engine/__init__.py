@@ -42,11 +42,7 @@ from repro.cluster.engine.registry import (
 
 # Importing the implementation modules registers the built-ins.
 from repro.cluster.engine.fifo import FifoDiscipline
-from repro.cluster.engine.shared_heap import (
-    LimitedDiscipline,
-    PSDiscipline,
-    simulate_reads_ps,
-)
+from repro.cluster.engine.shared_heap import LimitedDiscipline, PSDiscipline
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -65,5 +61,4 @@ __all__ = [
     "record_run_metrics",
     "register_discipline",
     "resolve_discipline",
-    "simulate_reads_ps",
 ]

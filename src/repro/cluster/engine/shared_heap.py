@@ -97,7 +97,7 @@ from repro.cluster.engine.batch import _SegView
 from repro.cluster.engine.lifecycle import RequestLifecycle, SimulationResult
 from repro.cluster.engine.registry import register_discipline
 
-__all__ = ["LimitedDiscipline", "PSDiscipline", "simulate_reads_ps"]
+__all__ = ["LimitedDiscipline", "PSDiscipline"]
 
 _NONE = np.empty(0, dtype=np.int64)
 
@@ -610,21 +610,6 @@ class LimitedDiscipline:
             None if self.concurrency == math.inf else int(self.concurrency)
         )
         return _run_heap(lc, capacity=capacity)
-
-
-def simulate_reads_ps(trace, planner, cluster, config) -> SimulationResult:
-    """Back-compat entry point: run ``trace`` under pure processor sharing.
-
-    Same signature and result type as
-    :func:`repro.cluster.simulation.simulate_reads`.
-    """
-    from repro.cluster.engine.lifecycle import SimulationConfig
-
-    config = config or SimulationConfig()
-    discipline = PSDiscipline()
-    return discipline.run(
-        RequestLifecycle(trace, planner, cluster, config, discipline.name)
-    )
 
 
 register_discipline(PSDiscipline.name, PSDiscipline)

@@ -29,8 +29,7 @@ Experiments whose spec sets ``timeline`` (fig12, fig13, fig16, fig19)
 additionally run with sim-time timelines enabled
 (:mod:`repro.obs.timeline`); the recorded sections land in their
 manifests' ``timelines`` list — render with ``python -m repro timeline``
-/ ``repro tail`` — and ``--chrome-trace`` gains per-scheme counter
-tracks.
+— and ``--chrome-trace`` gains per-scheme counter tracks.
 
 ``--jobs N`` fans the pass out over a process pool: the per-experiment
 metrics registry and span collector already isolate every run, so a

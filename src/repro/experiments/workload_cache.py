@@ -37,11 +37,9 @@ from repro.obs.metrics import get_registry
 __all__ = [
     "cache_stats",
     "cached_build",
-    "cached_materialize",
     "clear_cache",
     "memoized",
     "population_fingerprint",
-    "shared_stream",
 ]
 
 T = TypeVar("T")
@@ -104,48 +102,6 @@ def population_fingerprint(population: Any) -> str:
     digest.update(np.ascontiguousarray(population.popularities).tobytes())
     digest.update(repr(float(population.total_rate)).encode())
     return digest.hexdigest()
-
-
-def shared_stream(stream: Any) -> Any:
-    """Return the canonical cached instance of a workload stream.
-
-    Streams are replayable by construction — ``chunks()`` builds fresh
-    generators from the stored seed on every pass — so two streams with
-    the same :meth:`fingerprint` are interchangeable.  This dedups them
-    to one shared object (keyed on the fingerprint alone, *not* on
-    identity) without forcing a single chunk, so a ``run_all`` pass that
-    builds the same stream spec for several figures registers cache hits
-    while the arrival draws stay lazy.
-    """
-    from repro.workloads.streams import is_stream
-
-    if not is_stream(stream):
-        raise TypeError(
-            f"shared_stream needs a WorkloadStream, "
-            f"got {type(stream).__name__}"
-        )
-    return cached_build("stream", (stream.fingerprint(),), lambda: stream)
-
-
-def cached_materialize(stream: Any) -> Any:
-    """Materialize a stream to an :class:`ArrivalTrace`, at most once.
-
-    Keyed on the stream's content fingerprint, so any equivalent stream
-    object replays the already-forced trace instead of regenerating it.
-    Callers that only iterate chunks never pay this cost; callers that
-    need random access (the heap disciplines, report diffing) share one
-    forced copy per distinct workload.
-    """
-    from repro.workloads.streams import is_stream
-
-    if not is_stream(stream):
-        raise TypeError(
-            f"cached_materialize needs a WorkloadStream, "
-            f"got {type(stream).__name__}"
-        )
-    return cached_build(
-        "stream_materialize", (stream.fingerprint(),), stream.materialize
-    )
 
 
 def clear_cache() -> None:

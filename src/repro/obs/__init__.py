@@ -11,9 +11,8 @@ Cooperating pieces (each documented in its module, schema tables in
     (default), in-memory ring buffer, or JSONL file.  Instrumented hot
     paths check ``tracer.enabled`` once, so disabled tracing is free.
 :mod:`repro.obs.spans`
-    Hierarchical wall-clock spans (parent/child ids, context manager +
-    decorator, in-memory collection) with a Chrome/Perfetto trace-event
-    exporter.  Supersedes the removed flat profiling hooks.
+    Hierarchical wall-clock spans (parent/child ids, context manager,
+    in-memory collection) with a Chrome/Perfetto trace-event exporter.  Supersedes the removed flat profiling hooks.
 :mod:`repro.obs.replay`
     Turn a JSONL trace back into per-server load vectors, load timelines,
     latency samples, metric snapshots, and span trees — what
@@ -22,14 +21,15 @@ Cooperating pieces (each documented in its module, schema tables in
     Sim-time windowed timelines and tail-latency attribution: per-server
     busy/queue/bytes series keyed to simulated seconds, plus a bounded
     reservoir of slowest-request exemplars with per-partition breakdowns
-    and trace ids — the one per-request record of the tail.
+    and trace ids — the one per-request record of the tail.  Renders
+    through ``repro timeline`` (series, attribution and exemplars).
     Disabled by default; every discipline records through the shared
     :class:`~repro.cluster.engine.lifecycle.RequestLifecycle`.
 :mod:`repro.obs.popularity`
     Streaming popularity/skew observation: Count-Min + Space-Saving
     sketches fed from the request path, online Zipf-exponent and
     imbalance estimates, and windowed drift/hot-spot alerts.  Disabled
-    by default; renders through ``repro top`` / ``repro watch``.
+    by default; renders through ``repro top`` and ``repro dash``.
 :mod:`repro.obs.runinfo`
     Schema-versioned run manifests (``results/<exp>.json``): provenance,
     structured rows, per-span wall times, final metrics snapshot, and
@@ -38,9 +38,8 @@ Cooperating pieces (each documented in its module, schema tables in
     Aggregate manifests into markdown and diff two manifest sets for
     wall-time/metric regressions (``python -m repro report``).
 :mod:`repro.obs.export`
-    OpenMetrics/Prometheus text exposition of registries, manifest
-    snapshots, and trace snapshots, plus per-window rate derivation
-    (``SnapshotDeltaSource``) — the scrape surface.
+    OpenMetrics/Prometheus text exposition of metric snapshots (a
+    manifest's, a live registry's, or a trace's) — the scrape surface.
 :mod:`repro.obs.slo`
     Declarative service-level objectives with multi-window
     multi-burn-rate alerting; sections land in run manifests and
@@ -49,10 +48,10 @@ Cooperating pieces (each documented in its module, schema tables in
     Fold trace events or manifests into a renderable cluster health
     board (``python -m repro dash``).
 :mod:`repro.obs.causal`
-    Causal request tracing: contextvar-propagated trace contexts with
-    W3C-traceparent serialization, per-request fork-join span trees,
-    and critical-path edge totals with a conservation invariant
-    (``python -m repro critical``); sections land in run manifests.
+    Causal request tracing: contextvar-propagated trace contexts,
+    per-request fork-join span trees, and critical-path edge totals
+    with a conservation invariant (``python -m repro critical``);
+    sections land in run manifests.
 :mod:`repro.obs.membership`
     The channel for cluster-membership sections: churn experiments
     publish each topology's epoch/event history and the sections land
@@ -81,12 +80,10 @@ from repro.obs.causal import (
     causal_span,
     collect_causal,
     critical_edge_rows,
-    current_context,
     get_causal_config,
     publish_causal,
     span_forest,
     use_causal,
-    use_context,
     write_causal_chrome_trace,
 )
 from repro.obs.dash import (
@@ -97,12 +94,9 @@ from repro.obs.dash import (
     render_frame,
 )
 from repro.obs.export import (
-    SnapshotDeltaSource,
     parse_openmetrics,
-    render_openmetrics,
     render_snapshot_openmetrics,
     snapshots_to_openmetrics,
-    timeline_rates,
 )
 from repro.obs.membership import (
     MEMBERSHIP,
@@ -182,7 +176,6 @@ from repro.obs.spans import (
     collect_spans,
     current_span_id,
     span,
-    span_wrap,
     write_chrome_trace,
 )
 from repro.obs.timeline import (
@@ -242,7 +235,6 @@ __all__ = [
     "SLOConfig",
     "SLObjective",
     "SLOMonitor",
-    "SnapshotDeltaSource",
     "SpaceSavingTopK",
     "SpanCollector",
     "SpanRecord",
@@ -265,7 +257,6 @@ __all__ = [
     "collect_timelines",
     "config_hash",
     "critical_edge_rows",
-    "current_context",
     "current_span_id",
     "dash_from_manifest",
     "default_slo_config",
@@ -300,7 +291,6 @@ __all__ = [
     "publish_slo",
     "publish_timeline",
     "render_frame",
-    "render_openmetrics",
     "render_snapshot_key",
     "render_snapshot_openmetrics",
     "reset_registry",
@@ -311,17 +301,14 @@ __all__ = [
     "span",
     "span_forest",
     "span_tree",
-    "span_wrap",
     "sparkline",
     "tail_attribution_rows",
     "tail_exemplar_rows",
-    "timeline_rates",
     "timeline_series_rows",
     "total_requests_from_metrics",
     "trace_summary",
     "unknown_events",
     "use_causal",
-    "use_context",
     "use_popularity",
     "use_slo",
     "use_timeline",

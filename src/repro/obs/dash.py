@@ -27,7 +27,8 @@ snapshot), so
 ``repro dash results/fig13.json`` works without a trace.
 
 Rendering has two modes: a TTY mode that clears the screen between
-frames (``repro watch`` style) and a plain frame mode for CI and logs.
+frames (the live ``repro dash --follow`` view) and a plain frame mode
+for CI and logs.
 """
 
 from __future__ import annotations

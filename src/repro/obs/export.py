@@ -1,19 +1,16 @@
-"""OpenMetrics/Prometheus text exposition for registries and snapshots.
+"""OpenMetrics/Prometheus text exposition for metric snapshots.
 
 The scrape surface of the observability layer: anything that holds
-metrics — the live process-wide :class:`~repro.obs.metrics.MetricsRegistry`,
-the flat snapshot dict a run manifest carries, or the per-scheme
-``simulation_end`` snapshots replayed out of a JSONL trace — renders to
+metrics — the flat snapshot dict a run manifest carries (or that
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` returns for a live
+registry), or the per-scheme ``simulation_end`` snapshots replayed out
+of a JSONL trace — renders to
 the `OpenMetrics text format
 <https://github.com/OpenObservability/OpenMetrics>`_ so a Prometheus-
 compatible collector (or ``promtool``) can ingest it verbatim.
 
-Three renderers, one escaping discipline:
+Two renderers, one escaping discipline:
 
-:func:`render_openmetrics`
-    A live registry: counters render as ``<name>_total`` counter
-    families, gauges as gauges, histograms as histogram families with
-    cumulative ``_bucket`` series, ``_sum`` and ``_count``.
 :func:`render_snapshot_openmetrics`
     A flat ``{"name{k=v,...}": value}`` snapshot (manifest ``metrics``
     section): scalar values render as ``unknown``-typed families (the
@@ -30,44 +27,24 @@ Metric and label *names* are mangled to the exposition charset
 :func:`parse_openmetrics` is a small validating parser used by the test
 suite as a parse-check — this repo deliberately has no ``prometheus_client``
 dependency.
-
-:class:`SnapshotDeltaSource` turns cumulative counters into per-window
-rates: feed it successive snapshots (wall-clock scrapes of a live
-registry, or sim-time checkpoints) and each :meth:`~SnapshotDeltaSource.delta`
-returns the per-second rates over the window since the previous feed.
-:func:`timeline_rates` is the sim-time twin, deriving per-window
-byte-rate rows from a finalized :mod:`repro.obs.timeline` section's
-cumulative machinery.
 """
 
 from __future__ import annotations
 
 import re
-import time
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Mapping
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_snapshot_key,
-)
+from repro.obs.metrics import parse_snapshot_key
 
 __all__ = [
-    "SnapshotDeltaSource",
     "escape_label_value",
     "mangle_label_name",
     "mangle_metric_name",
     "parse_openmetrics",
-    "render_openmetrics",
     "render_snapshot_openmetrics",
     "snapshots_to_openmetrics",
-    "timeline_rates",
 ]
 
-_NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _INVALID_NAME_CHAR = re.compile(r"[^a-zA-Z0-9_:]")
 _INVALID_LABEL_CHAR = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -123,70 +100,6 @@ def _labels_clause(labels: Mapping[str, Any]) -> str:
         for k, v in sorted(labels.items(), key=lambda kv: str(kv[0]))
     )
     return "{" + body + "}"
-
-
-def _histogram_lines(
-    name: str, labels: Mapping[str, Any], hist: Histogram
-) -> list[str]:
-    lines = []
-    cumulative = 0
-    for bound, count in zip(hist.buckets, hist.bucket_counts):
-        cumulative += count
-        le = dict(labels)
-        le["le"] = _fmt_value(bound)
-        lines.append(f"{name}_bucket{_labels_clause(le)} {cumulative}")
-    le = dict(labels)
-    le["le"] = "+Inf"
-    lines.append(f"{name}_bucket{_labels_clause(le)} {hist.count}")
-    lines.append(f"{name}_sum{_labels_clause(labels)} {_fmt_value(hist.sum)}")
-    lines.append(f"{name}_count{_labels_clause(labels)} {hist.count}")
-    return lines
-
-
-def render_openmetrics(registry: MetricsRegistry, prefix: str = "") -> str:
-    """Render a live registry as one OpenMetrics exposition.
-
-    Families group by mangled metric name (one ``# TYPE`` line each);
-    counters gain the ``_total`` suffix the spec requires.  ``prefix``
-    filters on the *internal* (un-mangled) metric name, matching
-    :meth:`MetricsRegistry.snapshot`.
-    """
-    if not isinstance(registry, MetricsRegistry):
-        raise TypeError(
-            f"registry must be a MetricsRegistry, "
-            f"got {type(registry).__name__}"
-        )
-    families: dict[str, tuple[str, list[str]]] = {}
-    for metric in sorted(
-        registry, key=lambda m: (m.name, str(sorted(m.labels.items())))
-    ):
-        if not metric.name.startswith(prefix):
-            continue
-        name = mangle_metric_name(metric.name)
-        if isinstance(metric, Counter):
-            kind, lines = families.setdefault(name, ("counter", []))
-            lines.append(
-                f"{name}_total{_labels_clause(metric.labels)} "
-                f"{_fmt_value(metric.value)}"
-            )
-        elif isinstance(metric, Histogram):
-            kind, lines = families.setdefault(name, ("histogram", []))
-            lines.extend(_histogram_lines(name, metric.labels, metric))
-        elif isinstance(metric, Gauge):
-            kind, lines = families.setdefault(name, ("gauge", []))
-            lines.append(
-                f"{name}{_labels_clause(metric.labels)} "
-                f"{_fmt_value(metric.value)}"
-            )
-        else:  # pragma: no cover - registry only holds the three kinds
-            raise TypeError(f"unknown metric type {type(metric).__name__}")
-    out: list[str] = []
-    for name in sorted(families):
-        kind, lines = families[name]
-        out.append(f"# TYPE {name} {kind}")
-        out.extend(lines)
-    out.append("# EOF")
-    return "\n".join(out) + "\n"
 
 
 def render_snapshot_openmetrics(
@@ -375,133 +288,3 @@ def parse_openmetrics(text: str) -> dict[str, dict[str, Any]]:
     if not saw_eof:
         raise ValueError("exposition is missing the # EOF terminator")
     return families
-
-
-# -- per-window rates ------------------------------------------------------
-
-
-def _scalarize(snapshot: Mapping[str, Any]) -> dict[str, float]:
-    """Flatten a snapshot to comparable scalars.
-
-    Histogram summary dicts contribute their monotone ``count``/``sum``
-    components (percentiles are not rates); plain numbers pass through.
-    """
-    out: dict[str, float] = {}
-    for key, value in snapshot.items():
-        if isinstance(value, Mapping):
-            out[f"{key}.count"] = float(value.get("count", 0))
-            out[f"{key}.sum"] = float(value.get("sum", 0.0))
-        elif isinstance(value, bool):
-            continue
-        elif isinstance(value, (int, float)):
-            out[key] = float(value)
-    return out
-
-
-class SnapshotDeltaSource:
-    """Cumulative snapshots in, per-window rates out.
-
-    Wraps a snapshot producer — by default the ambient registry's
-    :meth:`~MetricsRegistry.snapshot` on the wall clock — and differences
-    consecutive observations::
-
-        src = SnapshotDeltaSource()          # wall-time scrapes
-        ...                                  # run things
-        window = src.delta()                 # {"t", "dt", "rates"}
-
-    For sim-time windows pass explicit snapshots and timestamps::
-
-        src = SnapshotDeltaSource(clock=None)
-        src.delta(metrics_at_t0, t=0.0)      # primes the baseline
-        window = src.delta(metrics_at_t1, t=30.0)
-
-    Rates are per second over the window; keys are the snapshot's flat
-    keys (histogram dicts contribute ``.count``/``.sum`` sub-rates).
-    Decreasing values (a registry reset) report a rate of 0.0 for that
-    key rather than a negative rate.  The first call returns an empty
-    rate map (``dt`` 0.0) — it only primes the baseline.
-    """
-
-    def __init__(
-        self,
-        source: MetricsRegistry | Callable[[], Mapping[str, Any]] | None = None,
-        clock: Callable[[], float] | None = time.monotonic,
-        prefix: str = "",
-    ) -> None:
-        if source is None:
-            from repro.obs.metrics import get_registry
-
-            self._snap: Callable[[], Mapping[str, Any]] = (
-                lambda: get_registry().snapshot(prefix)
-            )
-        elif isinstance(source, MetricsRegistry):
-            self._snap = lambda: source.snapshot(prefix)
-        elif callable(source):
-            self._snap = source
-        else:
-            raise TypeError(
-                "source must be a MetricsRegistry, a callable, or None; "
-                f"got {type(source).__name__}"
-            )
-        self._clock = clock
-        self._prev: dict[str, float] | None = None
-        self._prev_t: float | None = None
-
-    def delta(
-        self,
-        snapshot: Mapping[str, Any] | None = None,
-        t: float | None = None,
-    ) -> dict[str, Any]:
-        """One window: rates since the previous :meth:`delta` call."""
-        if snapshot is None:
-            snapshot = self._snap()
-        if t is None:
-            if self._clock is None:
-                raise ValueError(
-                    "this SnapshotDeltaSource has no clock; pass t= "
-                    "explicitly (sim-time mode)"
-                )
-            t = self._clock()
-        t = float(t)
-        current = _scalarize(snapshot)
-        prev, prev_t = self._prev, self._prev_t
-        self._prev, self._prev_t = current, t
-        if prev is None or prev_t is None:
-            return {"t": t, "dt": 0.0, "rates": {}}
-        dt = t - prev_t
-        if dt <= 0:
-            raise ValueError(
-                f"non-increasing window timestamp: {prev_t} -> {t}"
-            )
-        rates = {
-            key: max(value - prev.get(key, 0.0), 0.0) / dt
-            for key, value in current.items()
-        }
-        return {"t": t, "dt": dt, "rates": rates}
-
-
-def timeline_rates(section: Mapping[str, Any]) -> list[dict[str, Any]]:
-    """Per-window byte rates out of a finalized timeline section.
-
-    The sim-time counterpart of :class:`SnapshotDeltaSource`: the
-    timeline machinery already buckets the engine's cumulative byte
-    vector into windows, so each retained window yields one row with the
-    cluster-wide ``bytes_per_s`` and the busiest server's rate/share.
-    """
-    window_s = float(section.get("window_s") or 0.0)
-    if window_s <= 0:
-        return []
-    rows = []
-    for w, served in enumerate(section.get("bytes", [])):
-        total = float(sum(served))
-        peak = max(served) if served else 0.0
-        rows.append(
-            {
-                "window": w,
-                "t_start": w * window_s,
-                "bytes_per_s": total / window_s,
-                "peak_server_bytes_per_s": float(peak) / window_s,
-                "peak_share": float(peak) / total if total else 0.0,
-            }
-        )
-    return rows

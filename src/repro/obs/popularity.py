@@ -35,7 +35,7 @@ unless its :class:`~repro.cluster.engine.lifecycle.SimulationConfig`
 carries a :class:`PopularityConfig` or one is installed ambiently with
 :func:`use_popularity`.  Finalized sections are plain JSON-able dicts;
 they serialize into run manifests and render through
-``repro top`` / ``repro watch``.
+``repro top`` and ``repro dash``.
 """
 
 from __future__ import annotations

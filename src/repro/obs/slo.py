@@ -59,7 +59,7 @@ import numpy as np
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
 from repro.obs.sections import Channel, Observer, RunEnd
-from repro.obs.timeline import MAX_WINDOWS, window_width
+from repro.obs.timeline import window_width
 from repro.obs.tracing import Tracer, get_tracer
 
 __all__ = [
@@ -473,9 +473,7 @@ class SLOMonitor(Observer):
         n_req = int(times.size)
         window_s = window_width(float(times.max()) if n_req else 0.0)
         if n_req:
-            win = np.minimum(
-                (times // window_s).astype(np.int64), MAX_WINDOWS - 1
-            )
+            win = (times // window_s).astype(np.int64)
             n_windows = int(win.max()) + 1
         else:
             win = np.zeros(0, dtype=np.int64)

@@ -35,9 +35,6 @@ Usage::
     with span("scale_search", mode="sweep"):
         ...
 
-    @span_wrap("repartition.plan")
-    def plan(...): ...
-
 Simulated-time measurements do NOT belong here — those are events with
 explicit ``ts`` stamps; spans measure real CPU seconds only.  The
 simulator's per-request hot path is intentionally *not* spanned (the
@@ -47,7 +44,6 @@ covers that loop); spans wrap control-plane sections and whole runs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import threading
@@ -55,7 +51,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Iterator
 
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
@@ -70,11 +66,8 @@ __all__ = [
     "current_span_id",
     "sanitize_labels",
     "span",
-    "span_wrap",
     "write_chrome_trace",
 ]
-
-F = TypeVar("F", bound=Callable[..., Any])
 
 #: Record fields owned by the span machinery; caller labels with these
 #: names are renamed to ``label_<key>`` rather than raising ``TypeError``.
@@ -244,22 +237,6 @@ def span(
                 wall_s=wall,
                 **clean,
             )
-
-
-def span_wrap(name: str | None = None, /, **labels: Any) -> Callable[[F], F]:
-    """Decorator form of :func:`span`; defaults to the function's name."""
-
-    def deco(fn: F) -> F:
-        span_name = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with span(span_name, **labels):
-                return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return deco
 
 
 # -- Chrome/Perfetto trace-event export ---------------------------------------

@@ -36,9 +36,9 @@ always do.
 Sections are plain JSON-able dicts; they serialize into run manifests
 (:mod:`repro.obs.runinfo`), export as Chrome-trace
 counter events (:func:`chrome_counter_events`), and render through the
-``repro timeline`` / ``repro tail`` CLI subcommands
-(:func:`tail_exemplar_rows`, which ``repro critical`` shares for the
-exemplars it rebuilds from a trace).
+``repro timeline`` CLI subcommand — series, tail attribution and
+exemplars (:func:`tail_exemplar_rows`, which ``repro critical`` shares
+for the exemplars it rebuilds from a trace).
 """
 
 from __future__ import annotations
@@ -81,11 +81,6 @@ TIMELINE_SCHEMA_VERSION = 2
 #: Sim-time windows a run's span is cut into (:func:`window_width`).
 TARGET_WINDOWS = 24
 
-#: Hard cap on a section's windows: samples past it fold into the last
-#: window (counted in the timeline section's ``clipped_*`` fields), so
-#: memory stays bounded whatever the width.
-MAX_WINDOWS = 240
-
 #: Slowest steady-state requests kept as tail exemplars.
 _TAIL_K = 64
 
@@ -97,7 +92,8 @@ _RESERVOIR_SIZE = 512
 def window_width(span_s: float) -> float:
     """Width in simulated seconds of the windows over a run that spans
     ``[0, span_s]``: the span over :data:`TARGET_WINDOWS`, or 1 s for an
-    empty span.  The timeline and the SLO evaluator both window by it."""
+    empty span.  The timeline and the SLO evaluator both window by it, so
+    a run always gets ``TARGET_WINDOWS`` or one more windows."""
     return span_s / TARGET_WINDOWS if span_s > 0.0 else 1.0
 
 
@@ -309,20 +305,13 @@ class TimelineCollector(Observer):
         if n_req:
             span_end = max(span_end, float(times.max()))
         window_s = window_width(span_end)
-        n_windows = (
-            min(int(np.floor(span_end / window_s)) + 1, MAX_WINDOWS)
-            if n_req
-            else 0
-        )
+        n_windows = int(np.floor(span_end / window_s)) + 1 if n_req else 0
 
         bytes_w = np.zeros((n_windows, self.n_servers))
         busy_w = np.zeros((n_windows, self.n_servers))
         queue_w = np.zeros((n_windows, self.n_servers))
-        clipped_partitions = 0
         if req.size and n_windows:
             wi = np.floor(start / window_s).astype(np.int64)
-            clipped_partitions = int(np.count_nonzero(wi >= n_windows))
-            wi = np.clip(wi, 0, n_windows - 1)
             np.add.at(bytes_w.ravel(), wi * self.n_servers + server, size)
             _accumulate_overlap(busy_w, start, end_s, server, window_s)
             arrival = times[req]
@@ -330,11 +319,8 @@ class TimelineCollector(Observer):
         queue_depth = queue_w / window_s if n_windows else queue_w
 
         latency_rows: list[dict[str, Any]] = []
-        clipped_requests = 0
         if n_req and n_windows:
             wi_req = np.floor(times / window_s).astype(np.int64)
-            clipped_requests = int(np.count_nonzero(wi_req >= n_windows))
-            wi_req = np.clip(wi_req, 0, n_windows - 1)
             for w in range(n_windows):
                 sample = latencies[wi_req == w]
                 row: dict[str, Any] = {
@@ -367,8 +353,11 @@ class TimelineCollector(Observer):
             "n_requests": n_req,
             "window_s": float(window_s),
             "n_windows": int(n_windows),
-            "clipped_partitions": clipped_partitions,
-            "clipped_requests": clipped_requests,
+            # No sample lies past the last window (every one is at most
+            # ``span_end``), so nothing is ever clipped; the two fields
+            # stay, always 0, until the next section schema bump.
+            "clipped_partitions": 0,
+            "clipped_requests": 0,
             "bytes": bytes_w.tolist(),
             "busy_s": busy_w.tolist(),
             "queue_depth": queue_depth.tolist(),

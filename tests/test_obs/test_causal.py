@@ -1,7 +1,7 @@
 """Causal tracing: context propagation, spans, collection, reconstruction.
 
-Covers the pieces of :mod:`repro.obs.causal` in isolation — the W3C
-traceparent round trip, ``contextvars`` parenting, the collector's
+Covers the pieces of :mod:`repro.obs.causal` in isolation — trace-context
+validation, ``contextvars`` parenting, the collector's
 conservation invariant, DAG rebuild from an emitted trace, and the
 Chrome flow export — leaving the cross-engine parity property to
 ``tests/test_cluster/test_causal_parity.py`` and the store data plane
@@ -29,17 +29,16 @@ from repro.obs import (
     causal_span,
     collect_causal,
     critical_edge_rows,
-    current_context,
     get_causal_config,
     span_forest,
     tail_exemplar_rows,
     use_causal,
-    use_context,
     use_tracer,
     write_causal_chrome_trace,
 )
 from repro.obs.causal import (
     CausalCollector,
+    _ctx,
     new_span_id,
     new_trace_id,
     request_span_id,
@@ -52,16 +51,6 @@ from repro.workloads import paper_fileset, poisson_trace
 # -- trace context ---------------------------------------------------------
 
 
-def test_traceparent_round_trip():
-    ctx = TraceContext(new_trace_id(), new_span_id())
-    header = ctx.to_traceparent()
-    assert header == f"00-{ctx.trace_id}-{ctx.span_id}-01"
-    back = TraceContext.from_traceparent(header)
-    assert back.trace_id == ctx.trace_id
-    assert back.span_id == ctx.span_id
-    assert back.parent_id is None  # wire format drops the local parent
-
-
 def test_child_context_chains_parent():
     root = TraceContext(new_trace_id(), new_span_id())
     child = root.child()
@@ -70,44 +59,15 @@ def test_child_context_chains_parent():
     assert child.span_id != root.span_id
 
 
-@pytest.mark.parametrize(
-    "header",
-    [
-        "not-a-traceparent",
-        "00-abc-def-01",  # wrong field widths
-        "ff-" + "a" * 32 + "-" + "b" * 16 + "-01",  # forbidden version
-        "0z-" + "a" * 32 + "-" + "b" * 16 + "-01",  # non-hex version
-        "00-" + "a" * 32 + "-" + "b" * 16 + "-zz",  # non-hex flags
-        "00-" + "0" * 32 + "-" + "b" * 16 + "-01",  # all-zero trace id
-    ],
-)
-def test_traceparent_rejects_malformed(header):
-    with pytest.raises(ValueError):
-        TraceContext.from_traceparent(header)
-
-
-def test_traceparent_rejects_non_string():
-    with pytest.raises(TypeError):
-        TraceContext.from_traceparent(123)
-
-
 def test_context_validates_hex_widths():
     with pytest.raises(ValueError):
         TraceContext("short", new_span_id())
     with pytest.raises(ValueError):
+        TraceContext("z" * 32, new_span_id())  # non-hex trace id
+    with pytest.raises(ValueError):
+        TraceContext("0" * 32, new_span_id())  # all-zero trace id
+    with pytest.raises(ValueError):
         TraceContext(new_trace_id(), "0" * 16)  # all-zero span id
-
-
-def test_use_context_installs_and_restores():
-    assert current_context() is None
-    ctx = TraceContext(new_trace_id(), new_span_id())
-    with use_context(ctx) as installed:
-        assert installed is ctx
-        assert current_context() is ctx
-    assert current_context() is None
-    with pytest.raises(TypeError):
-        with use_context("00-aa-bb-01"):
-            pass
 
 
 # -- causal_span -----------------------------------------------------------
@@ -116,7 +76,7 @@ def test_use_context_installs_and_restores():
 def test_causal_span_noop_without_tracer():
     with causal_span("store.read", file_id=1) as ctx:
         assert ctx is None
-        assert current_context() is None
+        assert _ctx.get() is None
 
 
 def test_causal_span_emits_and_nests():
@@ -126,8 +86,9 @@ def test_causal_span_emits_and_nests():
             with causal_span("inner") as inner:
                 assert inner.trace_id == outer.trace_id
                 assert inner.parent_id == outer.span_id
-                assert current_context() is inner
-            assert current_context() is outer
+                assert _ctx.get() is inner
+            assert _ctx.get() is outer
+        assert _ctx.get() is None
     records = list(sink.records)
     assert [r["name"] for r in records] == ["inner", "outer"]
     inner_rec, outer_rec = records
@@ -135,22 +96,6 @@ def test_causal_span_emits_and_nests():
     assert inner_rec["parent_id"] == outer_rec["span_id"]
     assert outer_rec["file_id"] == 7
     assert outer_rec["wall_s"] >= 0.0
-
-
-def test_causal_span_parents_under_remote_context():
-    """A deserialized traceparent becomes the parent of local spans."""
-    remote = TraceContext.from_traceparent(
-        "00-" + "a" * 32 + "-" + "b" * 16 + "-01"
-    )
-    sink = RingBufferSink()
-    with use_tracer(Tracer(sink)):
-        with use_context(remote):
-            with causal_span("local") as ctx:
-                assert ctx.trace_id == "a" * 32
-                assert ctx.parent_id == "b" * 16
-    (record,) = sink.records
-    assert record["trace_id"] == "a" * 32
-    assert record["parent_id"] == "b" * 16
 
 
 def test_causal_span_namespaces_reserved_attrs():

@@ -1,4 +1,4 @@
-"""OpenMetrics exposition: rendering, parse-checking, and rate derivation."""
+"""OpenMetrics exposition: rendering and parse-checking."""
 
 from __future__ import annotations
 
@@ -6,12 +6,9 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    SnapshotDeltaSource,
     parse_openmetrics,
-    render_openmetrics,
     render_snapshot_openmetrics,
     snapshots_to_openmetrics,
-    timeline_rates,
 )
 from repro.obs.export import (
     escape_label_value,
@@ -48,38 +45,33 @@ class TestMangling:
 
 
 class TestRenderOpenmetrics:
+    """A live registry renders through its snapshot."""
+
     def test_exposition_is_parse_clean(self):
-        text = render_openmetrics(_registry())
+        text = render_snapshot_openmetrics(_registry().snapshot())
         families = parse_openmetrics(text)
-        assert families["sim_requests"]["type"] == "counter"
-        assert families["slo_budget_remaining"]["type"] == "gauge"
-        assert families["read_latency"]["type"] == "histogram"
+        assert families["sim_requests"]["type"] == "unknown"
+        assert families["slo_budget_remaining"]["type"] == "unknown"
+        assert families["read_latency"]["type"] == "summary"
 
     def test_counter_values_and_labels(self):
-        text = render_openmetrics(_registry())
-        assert 'sim_requests_total{scheme="sp-cache"} 10' in text
-        assert 'sim_requests_total{scheme="ec-cache"} 4' in text
+        text = render_snapshot_openmetrics(_registry().snapshot())
+        assert 'sim_requests{scheme="sp-cache"} 10' in text
+        assert 'sim_requests{scheme="ec-cache"} 4' in text
+        assert "read_latency_count 4" in text
         assert text.endswith("# EOF\n")
 
-    def test_histogram_buckets_cumulative(self):
-        text = render_openmetrics(_registry())
-        assert 'read_latency_bucket{le="0.1"} 1' in text
-        assert 'read_latency_bucket{le="1"} 2' in text
-        assert 'read_latency_bucket{le="10"} 3' in text
-        assert 'read_latency_bucket{le="+Inf"} 4' in text
-        assert "read_latency_count 4" in text
-
     def test_prefix_filter(self):
-        text = render_openmetrics(_registry(), prefix="sim.")
-        assert "sim_requests_total" in text
+        text = render_snapshot_openmetrics(_registry().snapshot("sim."))
+        assert "sim_requests" in text
         assert "read_latency" not in text
 
     def test_weird_label_values_round_trip(self):
         reg = MetricsRegistry()
         weird = 'sp,cache="we\nird"\\'
         reg.counter("c", scheme=weird).inc(3)
-        families = parse_openmetrics(render_openmetrics(reg))
-        (sample,) = families["c"]["samples"]
+        text = render_snapshot_openmetrics(reg.snapshot())
+        (sample,) = parse_openmetrics(text)["c"]["samples"]
         _name, labels, value = sample
         assert labels["scheme"] == weird
         assert value == 3.0
@@ -150,63 +142,3 @@ class TestParseOpenmetrics:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="type"):
             parse_openmetrics("# TYPE x wat\n# EOF\n")
-
-
-class TestSnapshotDeltaSource:
-    def test_sim_time_rates(self):
-        src = SnapshotDeltaSource(clock=None)
-        first = src.delta({"sim.requests": 0.0}, t=0.0)
-        assert first["rates"] == {} and first["dt"] == 0.0
-        window = src.delta({"sim.requests": 58.0}, t=10.0)
-        assert window["dt"] == 10.0
-        assert window["rates"]["sim.requests"] == pytest.approx(5.8)
-
-    def test_registry_source_and_wall_clock(self):
-        reg = _registry()
-        ticks = iter([0.0, 2.0])
-        src = SnapshotDeltaSource(reg, clock=lambda: next(ticks))
-        src.delta()
-        reg.counter("sim.requests", scheme="sp-cache").inc(6)
-        window = src.delta()
-        key = "sim.requests{scheme=sp-cache}"
-        assert window["rates"][key] == pytest.approx(3.0)
-
-    def test_histogram_contributes_count_and_sum_rates(self):
-        src = SnapshotDeltaSource(clock=None)
-        src.delta({"h": {"count": 0, "sum": 0.0}}, t=0.0)
-        window = src.delta({"h": {"count": 10, "sum": 5.0}}, t=5.0)
-        assert window["rates"]["h.count"] == pytest.approx(2.0)
-        assert window["rates"]["h.sum"] == pytest.approx(1.0)
-
-    def test_decrease_clamps_to_zero(self):
-        src = SnapshotDeltaSource(clock=None)
-        src.delta({"c": 100.0}, t=0.0)
-        window = src.delta({"c": 3.0}, t=1.0)  # registry reset mid-run
-        assert window["rates"]["c"] == 0.0
-
-    def test_non_increasing_t_raises(self):
-        src = SnapshotDeltaSource(clock=None)
-        src.delta({"c": 0.0}, t=5.0)
-        with pytest.raises(ValueError, match="non-increasing"):
-            src.delta({"c": 1.0}, t=5.0)
-
-    def test_bad_source_type_raises(self):
-        with pytest.raises(TypeError):
-            SnapshotDeltaSource(source=42)
-
-
-class TestTimelineRates:
-    def test_rows_from_section(self):
-        section = {
-            "window_s": 2.0,
-            "bytes": [[10.0, 30.0], [0.0, 0.0]],
-        }
-        rows = timeline_rates(section)
-        assert rows[0]["bytes_per_s"] == pytest.approx(20.0)
-        assert rows[0]["peak_server_bytes_per_s"] == pytest.approx(15.0)
-        assert rows[0]["peak_share"] == pytest.approx(0.75)
-        assert rows[1]["peak_share"] == 0.0
-
-    def test_empty_or_windowless_section(self):
-        assert timeline_rates({}) == []
-        assert timeline_rates({"window_s": 0.0, "bytes": [[1.0]]}) == []

@@ -25,8 +25,6 @@ from repro.obs import (
     use_tracer,
 )
 from repro.obs import events as ev
-from repro.obs import slo as slo_module
-from repro.obs.timeline import window_width
 from repro.policies import SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
 
@@ -231,15 +229,6 @@ class TestEvaluate:
         )
         obj = section["objectives"][0]
         assert obj["total"] == 2.0 and obj["bad"] == 1.0
-
-    def test_windows_capped_at_max(self, monkeypatch):
-        # The auto width cuts a run into 24-25 windows; a cap below that
-        # folds the late requests into the last window.
-        monkeypatch.setattr(slo_module, "MAX_WINDOWS", 16)
-        times, lats = _breaching_workload(n=500)
-        section = _monitor().evaluate(times, lats)
-        assert section["n_windows"] == 16
-        assert section["window_s"] == window_width(float(times.max()))
 
 
 def _simulate(

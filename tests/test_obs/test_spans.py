@@ -15,7 +15,6 @@ from repro.obs import (
     current_span_id,
     get_registry,
     span,
-    span_wrap,
     use_tracer,
     write_chrome_trace,
 )
@@ -111,25 +110,6 @@ def test_span_name_must_be_string():
             pass
 
 
-def test_span_wrap_decorator_defaults_to_qualname():
-    @span_wrap()
-    def do_work(x):
-        return x * 2
-
-    @span_wrap("custom_name", kind="test")
-    def other():
-        return 1
-
-    with collect_spans() as collector:
-        assert do_work(21) == 42
-        assert other() == 1
-    names = [r.name for r in collector.records]
-    assert any("do_work" in n for n in names)
-    assert "custom_name" in names
-    by_name = {r.name: r for r in collector.records}
-    assert by_name["custom_name"].labels == {"kind": "test"}
-
-
 def test_collectors_nest_and_both_see_spans():
     outer, inner = SpanCollector(), SpanCollector()
     with collect_spans(outer):
@@ -188,7 +168,7 @@ def test_chrome_trace_from_replayed_events():
 
 def test_legacy_profiling_shim_is_removed():
     # The deprecated repro.obs.profiling shim and its profiled/profile
-    # aliases are gone; span and span_wrap replace them.
+    # aliases are gone; span replaces them.
     with pytest.raises(ModuleNotFoundError):
         import repro.obs.profiling  # noqa: F401
 

@@ -196,7 +196,7 @@ class _UntouchableContext:
 
 def test_disabled_tracer_opens_no_spans(monkeypatch):
     import repro.obs.causal as causal
-    from repro.obs import causal_span, current_context
+    from repro.obs import causal_span
 
     # With tracing off, every span is the one shared no-op: it yields
     # None and never reads or sets the context variable.
@@ -209,4 +209,4 @@ def test_disabled_tracer_opens_no_spans(monkeypatch):
     client.write(1, b"n" * 100, k=2)
     assert client.read(1) == b"n" * 100
     monkeypatch.undo()
-    assert current_context() is None
+    assert causal._ctx.get() is None
