@@ -2,9 +2,13 @@
 
 The field is generated by the primitive polynomial ``x^8 + x^4 + x^3 + x^2
 + 1`` (0x11d), the conventional choice for storage Reed-Solomon codes.
-Multiplication and division are implemented as log/antilog table lookups,
-which vectorize to pure NumPy fancy indexing — the same trick ISA-L uses in
-SIMD form.
+Element-wise multiplication and division are log/antilog table lookups,
+which vectorize to NumPy fancy indexing.  The bulk coding kernel,
+:meth:`GF256.matmul`, packs up to 8 output rows into the bytes of one
+machine word, so one gather through a table of packed products scales an
+input row by up to 8 coefficients at once.  ISA-L gets its speed from
+SIMD table shuffles across a vector of input bytes; here the lanes of a
+word carry several output rows through each NumPy gather instead.
 """
 
 from __future__ import annotations
@@ -18,10 +22,15 @@ _FIELD_SIZE = 256
 _ORDER = _FIELD_SIZE - 1  # multiplicative group order
 
 #: Shard columns :meth:`GF256.matmul` processes at a time.  A block's
-#: ``intp`` index row (8 bytes a column, 256 KiB) stays in L2 across the
-#: gathers that share it; wider blocks spill and narrower ones pay more
+#: temporaries are its ``intp`` index row and, per group of output rows,
+#: a packed accumulator and gather target (up to 8 bytes a column each),
+#: so the block bounds them on wide shards.  On 51 KiB and 10 MiB shards
+#: ``1 << 14`` and ``1 << 16`` were no faster; narrower blocks pay more
 #: per-call overhead.
 MATMUL_BLOCK = 1 << 15
+
+#: Output rows one packed word holds: a ``uint64`` has 8 one-byte lanes.
+_MAX_LANES = 8
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -52,15 +61,15 @@ def _build_mul_table(exp: np.ndarray, log: np.ndarray) -> np.ndarray:
 class GF256:
     """Namespace of vectorized GF(2^8) operations.
 
-    All entry points accept scalars or uint8-compatible arrays and broadcast
-    like the corresponding NumPy ufuncs.  Addition is XOR; zero divisors
-    raise ``ZeroDivisionError``.
+    The element-wise entry points accept scalars or uint8-compatible
+    arrays and broadcast like the corresponding NumPy ufuncs.  Addition is
+    XOR; zero divisors raise ``ZeroDivisionError``.
 
-    Bulk coding kernels use :data:`MUL`, the full 256x256 product table:
-    ``MUL[c]`` is the multiply-by-``c`` permutation, so scaling a shard row
-    by a generator coefficient is one fancy-indexing gather instead of the
-    three log/exp lookups of the generic path — the same trick ISA-L plays
-    with SIMD shuffles.
+    :data:`MUL` is the full 256x256 product table: ``MUL[c]`` is the
+    multiply-by-``c`` permutation.  :meth:`matmul` builds its packed lane
+    tables from its rows, so a product pays no log/exp lookups per byte;
+    the shard-wide work is one gather and one XOR per input row and group
+    of up to 8 output rows.
     """
 
     EXP, LOG = _build_tables()
@@ -113,60 +122,73 @@ class GF256:
         return np.where(a == 0, np.uint8(0), out)
 
     @classmethod
-    def scale(cls, c: int, vec: np.ndarray) -> np.ndarray:
-        """Multiply every byte of ``vec`` by the scalar ``c`` — a single
-        gather through the :data:`MUL` row, the hot path of encode/decode."""
-        return cls.MUL[int(c)][np.asarray(vec, dtype=np.uint8)]
-
-    @classmethod
     def matmul(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """GF(256) matrix product ``a @ b``.
+        """GF(256) matrix product ``a @ b``, one gather per input row per
+        group of up to 8 output rows.
 
-        ``a`` is ``(m, k)``, ``b`` is ``(k, n)``.  The loops run over the
-        small ``m x k`` coefficient grid; each term is one table-row gather
-        over the wide ``n`` axis, so cost is O(m*k) vectorized passes
-        regardless of shard width.
+        ``a`` is ``(m, k)``, ``b`` is ``(k, n)``.  The output rows are
+        taken in groups of up to 8.  A group of ``g`` rows gets words of
+        ``lanes`` bytes (1, 2, 4 or 8, the smallest that holds ``g``), one
+        byte a row.  For input row ``j`` the group has a 256-entry table
+        whose entry ``x`` packs ``a[i, j] * x`` for every row ``i`` of the
+        group, so one gather through it scales row ``j`` by all of the
+        group's coefficients at once, and one XOR adds the result into the
+        group's packed accumulator.  An ``m``-row product costs
+        ``ceil(m / 8) * k`` gathers, whatever the shard width.  A table
+        is built as ``(k, 256, lanes)`` bytes viewed as ``uint{8*lanes}``,
+        and the accumulator is viewed back as bytes to de-interleave it
+        into the group's rows, so byte order never matters.
 
-        The width is walked in :data:`MATMUL_BLOCK` columns.  In each block
-        every input row is cast to ``intp`` once and shared by the ``m``
-        gathers that read it (a ``uint8`` index would be re-cast inside
-        every gather), and each gather lands in one preallocated block row
-        before it is XORed into the output, so no temporary exceeds one
-        block row.  A ``0`` coefficient is skipped and a ``1`` is a plain
-        XOR.
+        The width is walked in :data:`MATMUL_BLOCK` columns, so no
+        temporary exceeds one block of words.  In each block an input row
+        is cast to ``intp`` once and shared by every group's gather (a
+        ``uint8`` index would be re-cast inside each one), and the first
+        input row's gather writes the accumulator directly.
         """
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+        m, k = a.shape
         width = b.shape[1]
-        out = np.zeros((a.shape[0], width), dtype=np.uint8)
-        # One list of (row, coefficient) terms per input row, zeros dropped.
-        terms = [
-            [(i, c) for i, c in enumerate(col) if c] for col in a.T.tolist()
-        ]
+        out = np.zeros((m, width), dtype=np.uint8)
+        if k == 0:
+            return out
         block = min(width, MATMUL_BLOCK)
+        # Per group: its output rows, its packed tables, and an accumulator
+        # and a gather target of one block.
+        groups = []
+        for lo in range(0, m, _MAX_LANES):
+            rows = a[lo : lo + _MAX_LANES]
+            g = rows.shape[0]
+            lanes = 1 << (g - 1).bit_length()
+            word = np.dtype(f"u{lanes}")
+            table = np.zeros((k, _FIELD_SIZE, lanes), dtype=np.uint8)
+            table[:, :, :g] = cls.MUL[rows.T].transpose(0, 2, 1)
+            groups.append((
+                out[lo : lo + g],
+                table.view(word).reshape(k, _FIELD_SIZE),
+                np.empty(block, dtype=word),
+                np.empty(block, dtype=word),
+            ))
         idx = np.empty(block, dtype=np.intp)
-        tmp = np.empty(block, dtype=np.uint8)
         for start in range(0, width, MATMUL_BLOCK):
             stop = min(start + MATMUL_BLOCK, width)
-            acc = out[:, start:stop]
-            ix = idx[: stop - start]
-            t = tmp[: stop - start]
-            for j, col in enumerate(terms):
-                src = b[j, start:stop]
-                cast = False
-                for i, c in col:
-                    if c == 1:
-                        np.bitwise_xor(acc[i], src, out=acc[i])
-                        continue
-                    if not cast:
-                        ix[...] = src
-                        cast = True
+            cols = stop - start
+            ix = idx[:cols]
+            for j in range(k):
+                ix[...] = b[j, start:stop]
+                for _, tables, acc, tmp in groups:
                     # Indices are bytes, always in range: "clip" only skips
                     # the buffered copy "raise" makes of ``out``.
-                    cls.MUL[c].take(ix, out=t, mode="clip")
-                    np.bitwise_xor(acc[i], t, out=acc[i])
+                    if j == 0:
+                        tables[j].take(ix, out=acc[:cols], mode="clip")
+                    else:
+                        t = tables[j].take(ix, out=tmp[:cols], mode="clip")
+                        np.bitwise_xor(acc[:cols], t, out=acc[:cols])
+            for dst, _, acc, _ in groups:
+                by_lane = acc[:cols].view(np.uint8).reshape(cols, -1)
+                dst[:, start:stop] = by_lane[:, : dst.shape[0]].T
         return out
 
     @classmethod

@@ -14,10 +14,13 @@ row (the inverse of the survivors' generator rows maps it through
 unchanged), so it is taken as is, in whatever order it arrived, and only
 the missing data rows are computed, as ``inv[missing] @ survivors``
 (:meth:`ReedSolomon.data_rows`; the file codec joins those rows straight
-into the file's bytes).  A read that lost ``p`` data shards pays
-``p * k`` GF(256) terms instead of ``k * k``, and one that got all ``k``
-data shards pays none.  Rebuilding one lost shard is the single
-``k``-term row ``generator[missing] @ inv``.
+into the file's bytes).  Costs below are shard-wide gathers of
+:meth:`GF256.matmul`, which takes ``ceil(m / 8) * k`` of them for an
+``m``-row product.  A read that lost ``p`` data shards pays
+``ceil(p / 8) * k`` gathers instead of the ``k * k`` of a full inverse
+product, and one that got all ``k`` data shards pays none.  Rebuilding
+one lost shard is the single row ``generator[missing] @ inv``: ``k``
+gathers.
 
 The inverse depends only on which shards survived, not on the order they
 arrived in, so it is inverted once per ``(k, n, sorted ids)`` and cached
@@ -26,8 +29,9 @@ Shards in another order take the cached inverse with its columns
 permuted to match: ``inv(P @ G) = inv(G) @ P.T``, ``k x k`` bytes moved
 instead of ``k`` shards.
 
-This mirrors what EC-Cache gets from ISA-L, minus SIMD: encoding cost is
-``O((n-k) * k)`` vectorized GF multiplications over the shard width.
+This mirrors what EC-Cache gets from ISA-L, with byte lanes of a machine
+word in place of SIMD registers: encoding costs ``ceil((n-k) / 8) * k``
+gathers over the shard width (``k`` for up to 8 parity shards).
 """
 
 from __future__ import annotations

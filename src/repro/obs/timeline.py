@@ -478,13 +478,17 @@ class TimelineCollector(Observer):
 
 def _accumulate_overlap(target, lo, hi, server, window_s) -> None:
     """Add each ``[lo, hi)`` interval's overlap with every window to
-    ``target[window, server]``; intervals past the last window fold into
-    it.  Same-window intervals (the vast majority) take a vectorized fast
-    path; spanning ones clip window by window."""
-    n_windows, n_servers = target.shape
+    ``target[window, server]``.  Same-window intervals (the vast majority)
+    take a vectorized fast path; spanning ones clip window by window.
+
+    Every interval lies in ``[0, span_end]`` and the windows cover it
+    (``floor(span_end / window_s)`` is the last window and ``n_windows *
+    window_s > span_end``; float division is monotone), so no index needs
+    clipping and no interval runs past the last window."""
+    n_servers = target.shape[1]
     hi = np.maximum(hi, lo)
-    wlo = np.clip(np.floor(lo / window_s).astype(np.int64), 0, n_windows - 1)
-    whi = np.clip(np.floor(hi / window_s).astype(np.int64), 0, n_windows - 1)
+    wlo = np.floor(lo / window_s).astype(np.int64)
+    whi = np.floor(hi / window_s).astype(np.int64)
     same = wlo == whi
     np.add.at(
         target.ravel(),
@@ -494,10 +498,7 @@ def _accumulate_overlap(target, lo, hi, server, window_s) -> None:
     for i in np.flatnonzero(~same):
         a, b, s = float(lo[i]), float(hi[i]), int(server[i])
         for w in range(int(wlo[i]), int(whi[i]) + 1):
-            w_lo = w * window_s
-            w_hi = (w + 1) * window_s if w < n_windows - 1 else max(
-                b, (w + 1) * window_s
-            )
+            w_lo, w_hi = w * window_s, (w + 1) * window_s
             target[w, s] += max(0.0, min(b, w_hi) - max(a, w_lo))
 
 

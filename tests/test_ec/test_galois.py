@@ -107,9 +107,13 @@ def test_matmul_identity():
 
 def _logexp_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Independent reference: every product by the log/exp path of
-    :meth:`GF256.mul`, then an XOR reduction over the inner axis."""
-    terms = GF256.mul(a[:, :, None], b[None, :, :])
-    return np.bitwise_xor.reduce(terms, axis=1, dtype=np.uint8)
+    :meth:`GF256.mul`, then an XOR reduction over the inner axis (one
+    output row at a time, to bound the ``int64`` log temporaries)."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i, row in enumerate(a):
+        terms = GF256.mul(row[:, None], b)
+        out[i] = np.bitwise_xor.reduce(terms, axis=0, dtype=np.uint8)
+    return out
 
 
 #: Shard widths on and around the column-block edges.
@@ -123,13 +127,15 @@ coefficients = st.sampled_from([0, 1]) | bytes_st
 
 
 @given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=17),
+    st.integers(min_value=1, max_value=14),
     matmul_widths,
     st.data(),
 )
 @settings(max_examples=40, deadline=None)
 def test_matmul_matches_oracle_and_logexp(m, k, width, data):
+    """Up to 17 output rows: every lane width (1, 2, 4 and 8 bytes) and
+    products of two and three row groups."""
     a = np.array(
         data.draw(
             st.lists(
@@ -144,6 +150,21 @@ def test_matmul_matches_oracle_and_logexp(m, k, width, data):
     b = np.random.default_rng(seed).integers(0, 256, (k, width), dtype=np.uint8)
     out = GF256.matmul(a, b)
     assert out.dtype == np.uint8 and out.shape == (m, width)
+    assert np.array_equal(out, rs_oracle.matmul(a, b))
+    assert np.array_equal(out, _logexp_matmul(a, b))
+
+
+@pytest.mark.parametrize("m", range(1, 18))
+def test_matmul_every_row_count_matches_oracle(m):
+    """Each row count from 1 to 17 once, whatever the examples above
+    drew: a zero column in every group, an all-zero output row, and a
+    width that leaves a short last block."""
+    rng = np.random.default_rng(m)
+    a = rng.choice([0, 1, 2, 255], size=(m, 14)).astype(np.uint8)
+    a[:, 3] = 0
+    a[m // 2] = 0
+    b = rng.integers(0, 256, (14, MATMUL_BLOCK + 3), dtype=np.uint8)
+    out = GF256.matmul(a, b)
     assert np.array_equal(out, rs_oracle.matmul(a, b))
     assert np.array_equal(out, _logexp_matmul(a, b))
 

@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import SimulationConfig, StragglerInjector, simulate_reads
 from repro.common import ClusterSpec, Gbps
@@ -28,6 +30,11 @@ from repro.obs import (
     tail_attribution_rows,
     timeline_series_rows,
     use_timeline,
+)
+from repro.obs.timeline import (
+    TARGET_WINDOWS,
+    _accumulate_overlap,
+    window_width,
 )
 from repro.policies import SPCachePolicy
 from repro.workloads import paper_fileset, poisson_trace
@@ -255,6 +262,29 @@ def test_identical_runs_produce_byte_identical_sections():
     a = _simulate(stragglers=StragglerInjector.intensive()).sections["timeline"]
     b = _simulate(stragglers=StragglerInjector.intensive()).sections["timeline"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@given(
+    st.just(0.0)
+    | st.floats(min_value=1e-12, max_value=1e12)
+    | st.integers(min_value=1, max_value=10**9).map(float)
+)
+def test_windows_cover_every_span(span_end):
+    """The last window holds ``span_end`` and ends past it, so every
+    interval in ``[0, span_end]`` lands in a window without clipping:
+    the whole span is charged, none of it past the last window."""
+    window_s = window_width(span_end)
+    # As TimelineCollector.finalize counts them.
+    n_windows = int(np.floor(span_end / window_s)) + 1
+    assert np.floor(span_end / window_s) == n_windows - 1
+    assert n_windows * window_s > span_end
+    if span_end > 0.0:
+        assert n_windows in (TARGET_WINDOWS, TARGET_WINDOWS + 1)
+    busy = np.zeros((n_windows, 1))
+    _accumulate_overlap(
+        busy, np.array([0.0]), np.array([span_end]), np.array([0]), window_s
+    )
+    assert busy.sum() == pytest.approx(span_end, rel=1e-12)
 
 
 # -- rendering helpers --------------------------------------------------
